@@ -18,7 +18,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 from repro.core.periodicity import UpdateFrequency
 from repro.core.readout import DEFAULT_FLOW_GAP, EnergyReadout
-from repro.errors import AnalysisError, NeedsPacketDetail
+from repro.errors import AnalysisError, NeedsPacketDetail, TraceError
 from repro.units import MB
 
 #: Table 1's app classes and members, in the paper's order.
@@ -89,8 +89,14 @@ def case_study_row(
     on every readout), flows and update frequency come from the cadence
     tier. Works on a :class:`~repro.core.accounting.StudyEnergy` and on
     a totals-only readout alike — the latter at the default gaps only.
+    An app the study's registry never saw (a CSV study registers only
+    the apps its files name) raises :class:`AnalysisError`, so
+    :func:`case_study_table` skips it like any app without traffic.
     """
-    app_id = study.app_id(app)
+    try:
+        app_id = study.app_id(app)
+    except TraceError:
+        raise AnalysisError(f"app {app!r} is not in the study") from None
     cadence = study.background_cadence(app_id, flow_gap=flow_gap)
     if cadence.n_users == 0:
         raise AnalysisError(f"no user has background traffic for {app!r}")

@@ -4,9 +4,9 @@ Two sources feed :class:`repro.stream.StreamIngestor`, both yielding
 one user's packets as a sequence of time-ordered, bounded-size
 :class:`~repro.trace.arrays.PacketArray` chunks:
 
-* :class:`CsvStreamSource` — the ``io_text`` CSV schemas, parsed row
-  by row through the same lazy iterators the batch reader uses
-  (:func:`repro.trace.io_text.iter_packet_rows`), so app registration
+* :class:`CsvStreamSource` — the ``io_text`` CSV schemas, parsed in
+  blocks by the reader the batch reader uses
+  (:func:`repro.trace.io_text.iter_packet_blocks`), so app registration
   order — and therefore every app id — is identical to
   :func:`repro.trace.io_text.dataset_from_csv` over the same files.
 * :class:`NpzStreamSource` — a saved :class:`~repro.trace.dataset.Dataset`
@@ -35,9 +35,10 @@ from repro.trace.dataset import AppRegistry
 from repro.trace.events import EventLog
 from repro.trace.intervals import label_packet_states
 from repro.trace.io_text import (
+    PacketBlock,
     PathLike,
     iter_event_rows,
-    iter_packet_rows,
+    iter_packet_blocks,
 )
 
 #: Default rows per chunk — small enough that a chunk of the paper-scale
@@ -137,22 +138,25 @@ class CsvStreamSource:
             self._files, start=1
         ):
             count = 0
-            last_ts = None
-            # Line numbers, not surviving-row ordinals: with quarantine
-            # dropping rows the two diverge, and "sort the file" advice
-            # must point at the actual offending file line.
-            for line_num, row in self._packet_rows(
-                packets_path, on_bad_row=on_bad, with_line_numbers=True
-            ):
-                count += 1
-                if last_ts is not None and row[0] < last_ts:
+            last_ts = -np.inf
+            for block in self._packet_blocks(packets_path, on_bad_row=on_bad):
+                ts = block.packets.timestamps
+                previous = np.concatenate(([last_ts], ts[:-1]))
+                behind = np.flatnonzero(ts < previous)
+                if len(behind):
+                    # Line numbers, not surviving-row ordinals: with
+                    # quarantine dropping rows the two diverge, and "sort
+                    # the file" advice must point at the actual file line.
+                    i = behind[0]
                     raise StreamError(
-                        f"{packets_path.name}:{line_num}: packets not "
-                        f"time-sorted (t={row[0]} after t={last_ts}); "
+                        f"{packets_path.name}:{block.line_numbers[i]}: "
+                        f"packets not time-sorted (t={float(ts[i])} after "
+                        f"t={float(previous[i])}); "
                         "sort the file before streaming it"
                     )
-                last_ts = row[0]
-            if last_ts is not None:
+                count += len(ts)
+                last_ts = float(ts[-1])
+            if count:
                 horizon = max(horizon, last_ts)
             events = EventLog()
             if events_path is not None:
@@ -187,21 +191,16 @@ class CsvStreamSource:
         """One user's full event log (loaded in the prepass)."""
         return self._events[user_id]
 
-    def _packet_rows(
-        self,
-        packets_path: Path,
-        on_bad_row=None,
-        inject: bool = False,
-        with_line_numbers: bool = False,
-    ) -> Iterator[Tuple[float, int, int, int, int]]:
-        """One file's rows with trace defects surfaced as StreamError."""
+    def _packet_blocks(
+        self, packets_path: Path, on_bad_row=None, inject: bool = False
+    ) -> Iterator[PacketBlock]:
+        """One file's blocks with trace defects surfaced as StreamError."""
         try:
-            yield from iter_packet_rows(
+            yield from iter_packet_blocks(
                 packets_path,
                 self.registry,
                 on_bad_row=on_bad_row,
                 inject=inject,
-                with_line_numbers=with_line_numbers,
             )
         except TraceError as exc:
             raise StreamError(f"malformed packet row: {exc}") from exc
@@ -224,32 +223,33 @@ class CsvStreamSource:
         packets_path, _ = self._files[user_id - 1]
         events = self._events[user_id]
         on_bad = self._drop_silently if self._quarantine_rows else None
-        rows: List[Tuple[float, int, int, int, int]] = []
-        for i, row in enumerate(
-            self._packet_rows(packets_path, on_bad_row=on_bad, inject=True)
+        size = self.chunk_size
+        held: List[np.ndarray] = []
+        n_held = 0
+        for block in self._packet_blocks(
+            packets_path, on_bad_row=on_bad, inject=True
         ):
-            if i < skip:
+            data = block.packets.data
+            if skip:
+                dropped = min(skip, len(data))
+                data = data[dropped:]
+                skip -= dropped
+            held.append(data)
+            n_held += len(data)
+            if n_held < size:
                 continue
-            rows.append(row)
-            if len(rows) >= self.chunk_size:
-                yield self._chunk_from_rows(rows, events)
-                rows = []
-        if rows:
-            yield self._chunk_from_rows(rows, events)
+            data = np.concatenate(held)
+            full = n_held - n_held % size
+            for start in range(0, full, size):
+                yield self._labelled(data[start : start + size], events)
+            held = [data[full:]]
+            n_held -= full
+        if n_held:
+            yield self._labelled(np.concatenate(held), events)
 
-    def _chunk_from_rows(
-        self,
-        rows: List[Tuple[float, int, int, int, int]],
-        events: EventLog,
-    ) -> PacketArray:
-        columns = list(zip(*rows))
-        chunk = PacketArray.from_columns(
-            np.array(columns[0], dtype=np.float64),
-            np.array(columns[1], dtype=np.uint32),
-            np.array(columns[2], dtype=np.uint8),
-            np.array(columns[3], dtype=np.uint16),
-            np.array(columns[4], dtype=np.uint32),
-        )
+    @staticmethod
+    def _labelled(data: np.ndarray, events: EventLog) -> PacketArray:
+        chunk = PacketArray(data)
         # Labelling is elementwise (per-app searchsorted against the
         # full event log), so labelling chunk-by-chunk writes the exact
         # labels the batch reader's whole-trace pass would.

@@ -32,8 +32,10 @@ from repro.trace.trace import UserTrace
 from repro.trace.dataset import AppInfo, AppRegistry, Dataset
 from repro.trace.summary import DatasetSummary, UserSummary, summarize
 from repro.trace.io_text import (
+    PacketBlock,
     dataset_from_csv,
     iter_event_rows,
+    iter_packet_blocks,
     iter_packet_rows,
     read_events_csv,
     read_packets_csv,
@@ -62,7 +64,9 @@ __all__ = [
     "app_state_intervals",
     "dataset_from_csv",
     "iter_event_rows",
+    "iter_packet_blocks",
     "iter_packet_rows",
+    "PacketBlock",
     "read_events_csv",
     "read_packets_csv",
     "write_events_csv",

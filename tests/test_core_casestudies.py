@@ -42,6 +42,35 @@ def test_unknown_background_app(medium_study):
         case_study_row(medium_study, "org.mozilla.firefox.nonexistent")
 
 
+def test_csv_study_without_a_case_study_app(tmp_path):
+    """A CSV study registers only the apps its files name: Table 1
+    renders without the missing apps' rows instead of raising."""
+    from repro import StudyEnergy
+    from repro.core.report import render_table1
+    from repro.trace.io_text import dataset_from_csv
+
+    packets = tmp_path / "p.csv"
+    packets.write_text(
+        "timestamp,size,direction,app,conn\n"
+        + "".join(
+            f"{600.0 * i + d},{size},{way},com.sina.weibo,{i}\n"
+            for i in range(1, 20)
+            for d, size, way in ((0.0, 300, "up"), (0.2, 1400, "down"))
+        )
+    )
+    events = tmp_path / "e.csv"
+    events.write_text(
+        "timestamp,kind,app,value\n0.0,process,com.sina.weibo,background\n"
+    )
+    study = StudyEnergy(dataset_from_csv([(packets, events)]))
+    with pytest.raises(AnalysisError, match="not in the study"):
+        case_study_row(study, "com.twitter.android")
+    rows = case_study_table(study)
+    assert [r.app for r in rows] == ["com.sina.weibo"]
+    text = render_table1(rows)
+    assert "com.sina.weibo" in text and "com.twitter.android" not in text
+
+
 def test_table_covers_most_apps(medium_study):
     rows = case_study_table(medium_study)
     assert len(rows) >= 10
