@@ -14,7 +14,7 @@ import pytest
 
 from repro import StudyEnergy, TailPolicy
 from repro.core.report import render_table
-from repro.core.whatif import (
+from repro.policy import (
     batching_savings,
     doze_savings,
     frequency_cap_savings,

@@ -15,7 +15,7 @@ from repro.core.longitudinal import (
 )
 from repro.core.recommend import Diagnosis, recommendation_report
 from repro.core.report import render_table
-from repro.core.whatif import os_coalescing_savings
+from repro.policy import os_coalescing_savings
 
 from conftest import write_artifact
 

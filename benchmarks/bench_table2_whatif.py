@@ -23,15 +23,17 @@ import time
 from repro import StudyEnergy
 from repro.cli import TABLE2_APPS
 from repro.core.report import render_table2
-from repro.core.whatif import (
+from repro.policy import (
+    available_policies,
     doze_savings,
+    evaluate_policy,
     frequency_cap_savings,
+    get_policy,
     kill_policy_savings,
     os_coalescing_savings,
     savings_on_affected_days,
     total_savings,
 )
-from repro.policy import available_policies, evaluate_policy, get_policy
 from repro.radio.registry import get_model
 
 from conftest import write_artifact

@@ -15,14 +15,14 @@ Generates a study, then prices three OS/developer interventions:
 
 from repro import StudyConfig, StudyEnergy, generate_study
 from repro.core.report import render_table, render_table2
-from repro.core.whatif import (
+from repro.errors import AnalysisError
+from repro.policy import (
     batching_savings,
     doze_savings,
     kill_policy_savings,
     savings_on_affected_days,
     total_savings,
 )
-from repro.errors import AnalysisError
 
 APPS = (
     "com.sec.spp.push",

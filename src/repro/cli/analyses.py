@@ -31,7 +31,6 @@ from repro.core.headlines import headline_stats, totals_headline_stats
 from repro.core.longitudinal import improved_apps, weekly_background_energy
 from repro.core.readout import require_packet_detail
 from repro.core.recommend import recommendation_report
-from repro.core.whatif import os_coalescing_savings, savings_on_affected_days
 from repro.errors import AnalysisError
 from repro.exitcodes import EXIT_USAGE
 from repro.lab import (
@@ -46,7 +45,9 @@ from repro.policy import (
     available_policies,
     evaluate_policy,
     get_policy,
+    os_coalescing_savings,
     parse_params,
+    savings_on_affected_days,
 )
 from repro.radio.registry import available_models, get_model
 from repro.store import render_headline_rows

@@ -19,8 +19,8 @@ One module per result:
   Table 1's "Update frequency" column.
 * :mod:`repro.core.casestudies` -- Table 1 (J/day, J/flow, MB/flow,
   J/MB per case-study app).
-* :mod:`repro.core.whatif`      -- §5: Table 2 (kill idle background
-  apps) plus Doze-like and batching extensions.
+* :mod:`repro.policy` (re-exported) -- §5: Table 2 (kill idle
+  background apps) plus Doze-like and batching extensions.
 * :mod:`repro.core.report`      -- plain-text rendering of every figure
   and table.
 """
@@ -80,7 +80,7 @@ from repro.core.recommend import (
     recommend,
     recommendation_report,
 )
-from repro.core.whatif import (
+from repro.policy import (
     CoalescingResult,
     KillPolicyResult,
     batching_savings,

@@ -18,34 +18,16 @@ removing the cache directory.
 from __future__ import annotations
 
 import hashlib
-import os
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 import numpy as np
 
+from repro.durable import write_atomic
 from repro.radio.attribution import TailPolicy
 from repro.radio.base import RadioModel
 from repro.trace.arrays import PacketArray
 from repro.trace.dataset import Dataset
-
-
-def publish_file(tmp: Path, path: Path, keep_prev: bool = False) -> Path:
-    """Atomically publish a fully-written ``tmp`` file at ``path``.
-
-    The one rename idiom every on-disk artefact in this repo uses
-    (attribution cache entries, stream checkpoints, store blobs):
-    readers only ever see the old complete file or the new complete
-    file, never a partial write. With ``keep_prev=True`` the previous
-    good file is first rotated to ``<name>.prev`` — the checkpoint
-    pattern (:meth:`repro.stream.checkpoint.StreamCheckpoint.save`)
-    that lets readers fall back one generation when the final rename
-    lands a torn file.
-    """
-    if keep_prev and path.exists():
-        os.replace(path, path.with_name(path.name + ".prev"))
-    tmp.replace(path)
-    return path
 
 
 def study_cache_key(
@@ -109,12 +91,12 @@ class AttributionCache:
 
     def store(self, user_id: int, payload: Dict[str, object]) -> Path:
         """Persist one user's payload; atomic against concurrent readers."""
-        path = self.path_for(user_id)
-        tmp = path.with_suffix(".tmp.npz")
-        np.savez(
-            tmp,
-            tail=payload["tail"],
-            idle_energy=np.float64(payload["idle_energy"]),
-            window=np.float64(payload["window"]),
+        return write_atomic(
+            self.path_for(user_id),
+            lambda handle: np.savez(
+                handle,
+                tail=payload["tail"],
+                idle_energy=np.float64(payload["idle_energy"]),
+                window=np.float64(payload["window"]),
+            ),
         )
-        return publish_file(tmp, path)

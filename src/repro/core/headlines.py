@@ -20,8 +20,8 @@ from repro.core.transitions import (
     first_minute_fractions,
     fraction_of_apps_above,
 )
-from repro.core.whatif import savings_on_affected_days, total_savings
 from repro.errors import AnalysisError, StreamError, TraceError
+from repro.policy import savings_on_affected_days, total_savings
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,9 @@ import numpy as np
 from repro.core.accounting import StudyEnergy
 from repro.core.periodicity import estimate_update_frequency
 from repro.core.transitions import persistence_durations
-from repro.core.whatif import batching_savings, kill_policy_savings
 from repro.core.readout import require_packet_detail
 from repro.errors import AnalysisError
+from repro.policy import batching_savings, kill_policy_savings
 from repro.units import HOUR, MINUTE
 
 

@@ -17,7 +17,7 @@ from repro.core.casestudies import CaseStudyRow
 from repro.core.popularity import ConsumerRow
 from repro.core.statefrac import STATE_ORDER
 from repro.core.transitions import PersistenceSample, persistence_cdf, TimelineView
-from repro.core.whatif import KillPolicyResult
+from repro.policy import KillPolicyResult
 from repro.trace.events import ProcessState
 from repro.units import MB
 

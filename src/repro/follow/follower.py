@@ -34,7 +34,6 @@ window is evaluated at the same buckets with the same folds.
 from __future__ import annotations
 
 import json
-import os
 import signal
 import time
 from collections import deque
@@ -44,6 +43,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.readout import ReadoutProvenance
+from repro.durable import write_atomic
 from repro.errors import FollowError, ReproError
 from repro.follow.headlines import HEADLINE_LOG_LIMIT, HeadlineEngine
 from repro.follow.windows import DEFAULT_WINDOWS, WindowRing, WindowSpec
@@ -440,10 +440,10 @@ class Follower:
                 for name, entry in sorted(self._published.items())
             },
         }
-        path = live_manifest_path(self.store.directory)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2) + "\n")
-        os.replace(tmp, path)
+        text = json.dumps(payload, indent=2) + "\n"
+        write_atomic(
+            live_manifest_path(self.store.directory), text.encode("utf-8")
+        )
 
     # ------------------------------------------------------------------
     # Checkpoint round-trip

@@ -34,7 +34,6 @@ here costs wall time, never correctness.
 from __future__ import annotations
 
 import json
-import os
 import queue
 import threading
 import urllib.error
@@ -44,6 +43,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro import faults
+from repro.durable import content_checksum, write_atomic
 from repro.errors import ShardError, TaskFailure, TransportError
 from repro.metrics import RunMetrics
 from repro.parallel import RetryScheduler
@@ -53,7 +53,6 @@ from repro.shard.execute import (
     verify_shard_checkpoint,
 )
 from repro.shard.plan import ShardManifest
-from repro.store.blobs import content_checksum
 
 PathLike = Union[str, Path]
 
@@ -318,12 +317,7 @@ class ShardCoordinator:
                 f"verification in flight (got {checksum}, worker "
                 f"advertised {expected}, ETag {etag or 'absent'})"
             )
-        path = shard_checkpoint_path(self.shard_dir, index)
-        tmp = path.with_name(
-            f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}"
-        )
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+        path = write_atomic(shard_checkpoint_path(self.shard_dir, index), data)
         try:
             verify_shard_checkpoint(self.manifest, index, path)
         except ShardError as exc:

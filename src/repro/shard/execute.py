@@ -27,6 +27,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.durable import previous_path
 from repro.errors import ShardError, StreamError, TaskFailure
 from repro.metrics import RunMetrics
 from repro.parallel import TaskPool, resolve_workers
@@ -36,7 +37,7 @@ from repro.shard.plan import (
     build_source,
     shard_header,
 )
-from repro.stream.checkpoint import StreamCheckpoint, previous_path
+from repro.stream.checkpoint import StreamCheckpoint
 from repro.stream.ingest import StreamIngestor
 
 PathLike = Union[str, Path]

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro import faults
+from repro.durable import write_atomic
 from repro.errors import ShardError
 from repro.radio.attribution import TailPolicy
 from repro.radio.base import RadioModel
@@ -267,13 +266,10 @@ class ShardManifest:
 
     def save(self, path: PathLike) -> Path:
         """Write the manifest atomically (tmp + rename) with a digest."""
-        path = Path(path)
-        document = self.document()
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(document, indent=2) + "\n")
-        faults.fire("shard.manifest", path=tmp)
-        os.replace(tmp, path)
-        return path
+        text = json.dumps(self.document(), indent=2) + "\n"
+        return write_atomic(
+            path, text.encode("utf-8"), site="shard.manifest"
+        )
 
     def document(self) -> Dict[str, Any]:
         """The full persisted form: the body plus its content digest.

@@ -25,12 +25,12 @@ Routes (:data:`WORKER_ROUTES`):
 A POSTed manifest that is torn, tampered or from a foreign format is a
 ``400`` with the :class:`~repro.errors.ShardError` text as the body —
 the worker never executes a plan it cannot verify. Concurrent POSTs
-for the same ``(plan, shard)`` are **single-flight**: one request wins
-an ``O_CREAT | O_EXCL`` lock file and runs, the rest park until the
-winner finishes (then skip, because :func:`~repro.shard.execute.
-run_shard` is idempotent) or break the lock after
-:data:`~repro.store.index.LOCK_TIMEOUT_S` when the winner crashed
-mid-shard.
+for the same ``(plan, shard)`` are **single-flight**
+(:func:`repro.durable.single_flight`): one request wins the lock file
+and runs, the rest park until the winner finishes (then skip, because
+:func:`~repro.shard.execute.run_shard` is idempotent) or break the
+lock after :data:`~repro.durable.LOCK_TIMEOUT_S` when the winner
+crashed mid-shard.
 
 Checkpoints land under ``<workdir>/<manifest-digest>/`` — plans never
 collide, and a re-POST after a coordinator retry resumes or skips via
@@ -43,20 +43,17 @@ and still merge exactly).
 from __future__ import annotations
 
 import json
-import os
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional, Tuple, Union
 from urllib.parse import urlsplit
 
 from repro import faults
+from repro.durable import checksum_file, content_checksum, single_flight
 from repro.errors import ShardError, StreamError
 from repro.metrics import RunMetrics
 from repro.shard.execute import run_shard, shard_checkpoint_path
 from repro.shard.plan import ShardManifest
-from repro.store.blobs import checksum_file, content_checksum
-from repro.store.index import LOCK_TIMEOUT_S, POLL_INTERVAL_S
 from repro.store.server import HttpResponder, etag_matches
 
 PathLike = Union[str, Path]
@@ -218,57 +215,34 @@ class _WorkerHandler(HttpResponder, BaseHTTPRequestHandler):
     def _run_single_flight(self, manifest: ShardManifest, index: int) -> dict:
         """Run one shard with at most one executor per (plan, shard).
 
-        The same ``O_CREAT | O_EXCL`` election as the result store's
-        single-flight render: losers park on the winner's lock, then
-        rerun — which skips instantly when the winner completed,
-        resumes its partial checkpoint when it crashed. A lock older
-        than :data:`LOCK_TIMEOUT_S` is abandoned (its owner died
-        mid-shard) and is broken by the next waiter.
+        Losers have nothing to poll for: they park until the winner's
+        lock goes (or goes stale), then rerun — which skips instantly
+        when the winner completed, resumes its checkpoint when it died.
         """
         shard_dir = self.server.shard_dir(manifest.digest())
         shard_dir.mkdir(parents=True, exist_ok=True)
-        lock = shard_dir / f"shard-{index}.lock"
-        while True:
-            try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                self._wait_for_lock(lock)
-                continue
-            os.close(fd)
-            try:
-                # The chaos hook: an armed crash/hang here is a worker
-                # dying mid-shard, lock held — exactly what coordinator
-                # reassignment and stale-lock takeover must absorb.
-                faults.fire("transport.worker")
-                with self.server.metrics.stage("worker.shard"):
-                    return run_shard(
-                        manifest,
-                        index,
-                        shard_dir,
-                        workers=1,
-                        checkpoint_every=self.server.checkpoint_every,
-                    )
-            finally:
-                try:
-                    os.unlink(lock)
-                except OSError:
-                    pass
+        metrics = self.server.metrics
 
-    def _wait_for_lock(self, lock: Path) -> None:
-        """Park until the lock owner finishes or abandons it."""
-        self.server.metrics.count("worker.single_flight_waits")
-        while True:
-            try:
-                age = time.time() - lock.stat().st_mtime
-            except OSError:
-                return  # released: rerun (and likely skip-complete)
-            if age > LOCK_TIMEOUT_S:
-                try:
-                    lock.unlink()
-                except OSError:
-                    pass
-                return
-            time.sleep(POLL_INTERVAL_S)
+        def run() -> dict:
+            # The chaos hook: an armed crash/hang here is a worker
+            # dying mid-shard, lock held — exactly what coordinator
+            # reassignment and stale-lock takeover must absorb.
+            faults.fire("transport.worker")
+            with metrics.stage("worker.shard"):
+                return run_shard(
+                    manifest,
+                    index,
+                    shard_dir,
+                    workers=1,
+                    checkpoint_every=self.server.checkpoint_every,
+                )
+
+        return single_flight(
+            shard_dir / f"shard-{index}.lock",
+            run,
+            lambda: None,
+            on_wait=lambda: metrics.count("worker.single_flight_waits"),
+        )
 
     # ------------------------------------------------------------------
     # Plumbing

@@ -18,7 +18,7 @@ store-served, checkpoint-rendered and direct-batch output
 byte-identical. The full contract is documented in docs/SERVING.md.
 """
 
-from repro.store.blobs import BlobStore, content_checksum, media_type
+from repro.store.blobs import BlobStore, media_type
 from repro.store.index import (
     IndexEntry,
     ResultStore,
@@ -54,7 +54,6 @@ __all__ = [
     "StoreKey",
     "StoredResult",
     "StudyServer",
-    "content_checksum",
     "etag_matches",
     "make_server",
     "media_type",

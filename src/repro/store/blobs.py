@@ -7,8 +7,8 @@ figures/tables/headlines, ``.json`` for readout aggregates). The index
 content checksum; this module only moves verified bytes.
 
 Writes follow the checkpoint durability pattern
-(:func:`repro.core.cache.publish_file` with ``keep_prev=True``): the
-new blob is written to a temp file, the previous good generation is
+(:func:`repro.durable.write_atomic` with ``keep_prev=True``): the new
+blob is written to a temp file, the previous good generation is
 rotated to ``<name>.prev``, and one rename publishes. Reads verify the
 expected checksum and fall back to the ``.prev`` generation when the
 current file is torn; a blob that fails both ways is a **miss, never
@@ -18,41 +18,21 @@ corrupt attribution-cache entry.
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.core.cache import publish_file
+from repro.durable import (
+    content_checksum,
+    previous_path,
+    read_verified,
+    write_atomic,
+)
 
 #: Artefact kinds and their blob extensions / media types.
 BLOB_KINDS = {
     "text": ("txt", "text/plain; charset=utf-8"),
     "json": ("json", "application/json"),
 }
-
-
-def content_checksum(data: bytes) -> str:
-    """Digest stored in the index row and verified on every read."""
-    return hashlib.blake2b(data, digest_size=16).hexdigest()
-
-
-def checksum_file(path: Union[str, Path], chunk_size: int = 1 << 20) -> str:
-    """:func:`content_checksum` of a file, streamed in bounded chunks.
-
-    Used wherever whole files cross a trust boundary — a shard
-    checkpoint served by ``repro shard worker`` advertises this digest
-    as its strong ETag, and the coordinator recomputes it over the
-    downloaded bytes before letting the file near a merge — without
-    ever holding a multi-GB checkpoint in memory just to hash it.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    with open(path, "rb") as handle:
-        while True:
-            piece = handle.read(chunk_size)
-            if not piece:
-                break
-            digest.update(piece)
-    return digest.hexdigest()
 
 
 def media_type(kind: str) -> str:
@@ -84,10 +64,7 @@ class BlobStore:
         complete file and a torn final rename still leaves one
         recoverable generation behind.
         """
-        path = self.path_for(digest, kind)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(data)
-        publish_file(tmp, path, keep_prev=True)
+        write_atomic(self.path_for(digest, kind), data, keep_prev=True)
         return content_checksum(data)
 
     def read(
@@ -99,25 +76,24 @@ class BlobStore:
         file or a checksum mismatch on both is a miss (the index entry
         is stale or the write tore), never an error.
         """
-        path = self.path_for(digest, kind)
-        for candidate in (path, path.with_name(path.name + ".prev")):
-            try:
-                data = candidate.read_bytes()
-            except OSError:
-                continue
-            if content_checksum(data) == checksum:
-                return data
-        return None
+
+        def verified(candidate: Path) -> bytes:
+            data = candidate.read_bytes()
+            if content_checksum(data) != checksum:
+                raise ValueError(f"{candidate} fails its checksum")
+            return data
+
+        try:
+            return read_verified(self.path_for(digest, kind), verified)[0]
+        except (OSError, ValueError):
+            return None
 
     def delete(self, digest: str, kind: str) -> int:
-        """Remove a blob and its rotations; returns files deleted."""
+        """Remove a blob and its ``.prev``; returns files deleted. A
+        writer's temp file is its own (``gc`` reclaims stale ones)."""
         path = self.path_for(digest, kind)
         removed = 0
-        for candidate in (
-            path,
-            path.with_name(path.name + ".prev"),
-            path.with_name(path.name + ".tmp"),
-        ):
+        for candidate in (path, previous_path(path)):
             try:
                 candidate.unlink()
                 removed += 1

@@ -17,12 +17,12 @@ invalidate`` and the benchmarks. Its contract:
   mismatch on both generations) is a miss, never an error.
 * :meth:`ResultStore.get_or_render` — **single-flight** compute on
   miss: concurrent clients racing on the same cold key elect one
-  winner through an ``O_CREAT | O_EXCL`` lock file; the winner renders
+  winner (:func:`repro.durable.single_flight`); the winner renders
   and publishes, the others poll the index and return the published
-  entry without computing. A winner that dies leaves a lock whose age
-  exceeds :data:`LOCK_TIMEOUT_S`; waiters then break the lock and take
-  over, so a crash degrades to compute-twice (last write wins, both
-  writes byte-identical), never to a deadlock.
+  entry without computing. A winner that dies leaves a stale lock;
+  waiters then break it and take over, so a crash degrades to
+  compute-twice (last write wins, both writes byte-identical), never
+  to a deadlock.
 * Invalidation is key-based: any change to the packets (fingerprint),
   model constants or policy changes the key, so stale entries are
   never *served* — they are orphaned, and :meth:`ResultStore.gc` /
@@ -36,7 +36,6 @@ counters, ``store.lookup`` / ``store.render`` stages, and
 
 from __future__ import annotations
 
-import os
 import sqlite3
 import time
 from contextlib import closing
@@ -44,16 +43,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple, Union
 
+from repro.durable import (
+    LOCK_TIMEOUT_S,
+    PREV_SUFFIX,
+    TMP_SUFFIX,
+    content_checksum,
+    single_flight,
+)
 from repro.metrics import RunMetrics
-from repro.store.blobs import BlobStore, content_checksum
+from repro.store.blobs import BlobStore
 from repro.store.keys import StoreKey
-
-#: A compute lock older than this is considered abandoned (its owner
-#: crashed); the next waiter removes it and computes itself.
-LOCK_TIMEOUT_S = 30.0
-
-#: How often a waiting client re-polls the index for the winner's entry.
-POLL_INTERVAL_S = 0.02
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS entries (
@@ -253,50 +252,18 @@ class ResultStore:
         found = self.get(key)
         if found is not None:
             return found
-        digest = key.digest()
-        lock = self._locks / f"{digest}.lock"
-        while True:
-            try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                published = self._wait_for(key, lock)
-                if published is not None:
-                    return published
-                continue  # lock broken with nothing published: take over
-            os.close(fd)
-            try:
-                with self.metrics.stage("store.render"):
-                    data = render()
-                return self.put(key, data, kind)
-            finally:
-                try:
-                    lock.unlink()
-                except OSError:
-                    pass
 
-    def _wait_for(
-        self, key: StoreKey, lock: Path
-    ) -> Optional[StoredResult]:
-        """Park behind the lock owner until they publish or vanish."""
-        self.metrics.count("store.single_flight_waits")
-        while True:
-            try:
-                age = time.time() - lock.stat().st_mtime
-            except OSError:
-                # Lock released: either the entry is there now, or the
-                # winner failed and the caller should try to take over.
-                return self.get(key)
-            if age > LOCK_TIMEOUT_S:
-                # Abandoned lock (owner crashed mid-render): break it.
-                try:
-                    lock.unlink()
-                except OSError:
-                    pass
-                return self.get(key)
-            time.sleep(POLL_INTERVAL_S)
-            found = self.get(key)
-            if found is not None:
-                return found
+        def render_and_put() -> StoredResult:
+            with self.metrics.stage("store.render"):
+                data = render()
+            return self.put(key, data, kind)
+
+        return single_flight(
+            self._locks / f"{key.digest()}.lock",
+            render_and_put,
+            lambda: self.get(key),
+            on_wait=lambda: self.metrics.count("store.single_flight_waits"),
+        )
 
     # ------------------------------------------------------------------
     # Maintenance (repro store ls | gc | invalidate)
@@ -363,14 +330,14 @@ class ResultStore:
             name = blob.name
             entry = live.get(name.split(".", 1)[0])
             try:
-                if name.endswith(".tmp"):
+                if name.endswith(TMP_SUFFIX):
                     if now - blob.stat().st_mtime > LOCK_TIMEOUT_S:
                         blob.unlink()
                         removed_files += 1
                 elif entry is None:
                     blob.unlink()
                     removed_files += 1
-                elif name.endswith(".prev"):
+                elif name.endswith(PREV_SUFFIX):
                     if content_checksum(blob.read_bytes()) != entry.checksum:
                         blob.unlink()
                         removed_files += 1

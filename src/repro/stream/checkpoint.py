@@ -10,34 +10,33 @@ Float state crosses the file as raw ``float64`` arrays, never text, so
 a resumed run performs bit-identical arithmetic.
 
 The file is one ``.npz`` with a JSON header member (the idiom of
-:meth:`repro.trace.dataset.Dataset.save`), written atomically
-(tmp + rename, the idiom of
-:class:`repro.core.cache.AttributionCache.store`). The header binds the
-checkpoint to its source (:meth:`CsvStreamSource.signature`), model and
-policy; loading against anything else raises
+:meth:`repro.trace.dataset.Dataset.save`), written atomically through
+:func:`repro.durable.write_atomic`. The header binds the checkpoint to
+its source (:meth:`CsvStreamSource.signature`), model and policy;
+loading against anything else raises
 :class:`~repro.errors.StreamError` rather than silently mixing runs.
 
 Torn writes are the failure rename alone cannot cover (a power cut can
 leave a short but well-formed-looking file, and a checkpoint that loads
 *wrong* is worse than one that fails). Two defences: every save embeds
 a content checksum over all members, verified on load; and each save
-rotates the previous good file to ``<name>.prev``, which :meth:`load`
-falls back to when the current file fails verification
-(``loaded_from_fallback`` tells the caller it happened).
+rotates the previous good file to
+:func:`~repro.durable.previous_path`, which :meth:`load` falls back to
+when the current file fails verification (``loaded_from_fallback``
+tells the caller it happened).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro import faults
+from repro import durable
 from repro.core.periodicity import DEFAULT_BURST_GAP
 from repro.core.readout import DEFAULT_FLOW_GAP
 from repro.errors import StreamError
@@ -66,12 +65,6 @@ CADENCE_MEMBERS = (
     "interval_offsets",
     "intervals",
 )
-
-
-def previous_path(path: PathLike) -> Path:
-    """Where :meth:`StreamCheckpoint.save` rotates the prior good file."""
-    path = Path(path)
-    return path.with_name(path.name + ".prev")
 
 
 def _content_digest(arrays: Dict[str, np.ndarray]) -> str:
@@ -184,7 +177,6 @@ class StreamCheckpoint:
     # ------------------------------------------------------------------
     def save(self, path: PathLike) -> Path:
         """Write the checkpoint atomically (tmp + rename)."""
-        path = Path(path)
         arrays: Dict[str, np.ndarray] = {}
         header = {
             "format": CHECKPOINT_FORMAT,
@@ -237,47 +229,32 @@ class StreamCheckpoint:
         arrays["checksum"] = np.frombuffer(
             _content_digest(arrays).encode("ascii"), dtype=np.uint8
         )
-        tmp = path.with_suffix(".tmp.npz")
-        np.savez(tmp, **arrays)
-        faults.fire("checkpoint.save", path=tmp)
-        if path.exists():
-            # Keep one known-good generation: if the rename below lands
-            # a torn file, load() falls back to this one.
-            os.replace(path, previous_path(path))
-        tmp.replace(path)
-        return path
+        # Keep one known-good generation: if the final rename lands a
+        # torn file, load() falls back to the rotated one.
+        return durable.write_atomic(
+            path,
+            lambda handle: np.savez(handle, **arrays),
+            keep_prev=True,
+            site="checkpoint.save",
+        )
 
     @classmethod
-    def load(cls, path: PathLike, fallback: bool = True) -> "StreamCheckpoint":
+    def load(cls, path: PathLike) -> "StreamCheckpoint":
         """Read a checkpoint written by :meth:`save`.
 
         A file that fails to parse or whose content checksum does not
         match raises :class:`~repro.errors.StreamError` — never a
-        silently wrong checkpoint. With ``fallback=True`` (default) a
-        torn — or missing, as after a crash between :meth:`save`'s two
-        renames — current file falls back to the ``.prev`` rotation
-        when one exists; the returned object then has
-        ``loaded_from_fallback`` set so callers can count the event.
+        silently wrong checkpoint. A torn — or missing, as after a
+        crash between :meth:`save`'s two renames — current file falls
+        back to the ``.prev`` rotation when that one verifies; the
+        returned object then has ``loaded_from_fallback`` set so
+        callers can count the event.
         """
         path = Path(path)
-        if not path.exists():
-            prev = previous_path(path)
-            if fallback and prev.exists():
-                # A crash between save()'s rotation and its final
-                # rename leaves only the rotated generation; losing the
-                # run over that would defeat the rotation's purpose.
-                checkpoint = cls._load_verified(prev)
-                checkpoint.loaded_from_fallback = True
-                return checkpoint
+        if not (path.exists() or durable.previous_path(path).exists()):
             raise StreamError(f"no checkpoint at {path}")
-        try:
-            checkpoint = cls._load_verified(path)
-        except StreamError:
-            prev = previous_path(path)
-            if not (fallback and prev.exists()):
-                raise
-            checkpoint = cls._load_verified(prev)
-            checkpoint.loaded_from_fallback = True
+        checkpoint, from_prev = durable.read_verified(path, cls._load_verified)
+        checkpoint.loaded_from_fallback = from_prev
         return checkpoint
 
     @classmethod
@@ -373,7 +350,6 @@ class StreamCheckpoint:
             for name, value in members.items()
             if name.startswith("x_")
         }
-        checkpoint.loaded_from_fallback = False
         return checkpoint
 
     # ------------------------------------------------------------------

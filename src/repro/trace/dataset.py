@@ -21,6 +21,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
+from repro.durable import write_atomic
 from repro.errors import TraceError
 from repro.trace.arrays import PacketArray, PACKET_DTYPE
 from repro.trace.events import (
@@ -225,8 +226,11 @@ class Dataset:
     # Persistence
     # ------------------------------------------------------------------
     def save(self, path: Union[str, Path]) -> Path:
-        """Write the dataset to a compressed ``.npz`` archive."""
+        """Write the dataset atomically to a compressed ``.npz`` archive
+        (``.npz`` is appended to any other path, as numpy does)."""
         path = Path(path)
+        if path.suffix != ".npz":
+            path = path.with_suffix(path.suffix + ".npz")
         arrays: Dict[str, np.ndarray] = {}
         header = {
             "metadata": self.metadata,
@@ -245,8 +249,9 @@ class Dataset:
         arrays["header"] = np.frombuffer(
             json.dumps(header).encode("utf-8"), dtype=np.uint8
         )
-        np.savez_compressed(path, **arrays)
-        return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
+        return write_atomic(
+            path, lambda handle: np.savez_compressed(handle, **arrays)
+        )
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Dataset":

@@ -12,7 +12,7 @@ from repro.core.transitions import (
     persistence_durations,
     trace_timeline,
 )
-from repro.core.whatif import kill_policy_savings
+from repro.policy import kill_policy_savings
 
 
 def test_render_table_alignment():

@@ -3,59 +3,59 @@
 import numpy as np
 import pytest
 
-from repro.core.whatif import (
-    _killed_days,
-    _max_bounded_run,
+from repro.errors import AnalysisError
+from repro.policy import (
     batching_savings,
     doze_savings,
     kill_policy_savings,
+    killed_days,
+    max_bounded_run,
     savings_on_affected_days,
     total_savings,
 )
-from repro.errors import AnalysisError
 
 
 class TestKilledDays:
     def test_kill_after_three_idle_days(self):
         fg = np.array([1, 0, 0, 0, 0, 1, 0], dtype=bool)
         bg = np.array([0, 1, 1, 1, 1, 0, 1], dtype=bool)
-        killed = _killed_days(fg, bg, idle_days=3)
+        killed = killed_days(fg, bg, idle_days=3)
         assert killed.tolist() == [False, False, False, True, True, False, False]
 
     def test_foreground_resets_counter(self):
         fg = np.array([0, 0, 1, 0, 0, 0, 0], dtype=bool)
         bg = np.ones(7, dtype=bool)
-        killed = _killed_days(fg, bg, idle_days=3)
+        killed = killed_days(fg, bg, idle_days=3)
         assert killed.tolist() == [False, False, False, False, False, True, True]
 
     def test_dead_app_stays_dead_without_fg(self):
         fg = np.zeros(8, dtype=bool)
         bg = np.array([1, 1, 1, 0, 0, 0, 1, 1], dtype=bool)
-        killed = _killed_days(fg, bg, idle_days=3)
+        killed = killed_days(fg, bg, idle_days=3)
         # Once dead, silence doesn't revive it.
         assert killed[3:].all()
 
     def test_no_background_traffic_never_killed(self):
         fg = np.zeros(5, dtype=bool)
         bg = np.zeros(5, dtype=bool)
-        assert not _killed_days(fg, bg, 3).any()
+        assert not killed_days(fg, bg, 3).any()
 
 
 class TestMaxBoundedRun:
     def test_basic_run(self):
         fg = np.array([1, 0, 0, 0, 1], dtype=bool)
         bg_only = np.array([0, 1, 1, 1, 0], dtype=bool)
-        assert _max_bounded_run(fg, bg_only) == 3
+        assert max_bounded_run(fg, bg_only) == 3
 
     def test_run_must_be_bounded_by_fg(self):
         fg = np.array([0, 0, 0, 1], dtype=bool)
         bg_only = np.array([1, 1, 1, 0], dtype=bool)
-        assert _max_bounded_run(fg, bg_only) == 0  # no fg before the run
+        assert max_bounded_run(fg, bg_only) == 0  # no fg before the run
 
     def test_silent_day_breaks_run(self):
         fg = np.array([1, 0, 0, 0, 0, 1], dtype=bool)
         bg_only = np.array([0, 1, 0, 1, 1, 0], dtype=bool)
-        assert _max_bounded_run(fg, bg_only) == 2
+        assert max_bounded_run(fg, bg_only) == 2
 
 
 def test_kill_policy_end_to_end(medium_study):
@@ -146,7 +146,7 @@ def test_batching_validation(medium_study):
 
 class TestOsCoalescing:
     def test_saves_energy_without_dropping_traffic(self, medium_study):
-        from repro.core.whatif import os_coalescing_savings
+        from repro.policy import os_coalescing_savings
 
         result = os_coalescing_savings(medium_study, period=1800.0)
         assert result.total_after < result.total_before
@@ -156,7 +156,7 @@ class TestOsCoalescing:
         assert 0.2 * 1800.0 < result.mean_delay < 0.8 * 1800.0
 
     def test_longer_window_saves_more(self, medium_study):
-        from repro.core.whatif import os_coalescing_savings
+        from repro.policy import os_coalescing_savings
 
         short = os_coalescing_savings(medium_study, period=600.0)
         long = os_coalescing_savings(medium_study, period=3600.0)
@@ -164,7 +164,7 @@ class TestOsCoalescing:
         assert long.mean_delay > short.mean_delay
 
     def test_validation(self, medium_study):
-        from repro.core.whatif import os_coalescing_savings
+        from repro.policy import os_coalescing_savings
 
         with pytest.raises(AnalysisError):
             os_coalescing_savings(medium_study, period=0.0)
@@ -172,21 +172,21 @@ class TestOsCoalescing:
 
 class TestFrequencyCap:
     def test_cap_saves_energy(self, medium_study):
-        from repro.core.whatif import frequency_cap_savings
+        from repro.policy import frequency_cap_savings
 
         result = frequency_cap_savings(medium_study, min_period=1800.0)
         assert result.total_after < result.total_before
         assert result.overall_pct > 10.0  # chatty background is common
 
     def test_stricter_cap_saves_more(self, medium_study):
-        from repro.core.whatif import frequency_cap_savings
+        from repro.policy import frequency_cap_savings
 
         loose = frequency_cap_savings(medium_study, min_period=600.0)
         strict = frequency_cap_savings(medium_study, min_period=3600.0)
         assert strict.overall_pct >= loose.overall_pct - 1e-9
 
     def test_validation(self, medium_study):
-        from repro.core.whatif import frequency_cap_savings
+        from repro.policy import frequency_cap_savings
 
         with pytest.raises(AnalysisError):
             frequency_cap_savings(medium_study, min_period=0.0)

@@ -18,7 +18,7 @@ from repro.core.longitudinal import WEEK, era_comparison, weekly_background_ener
 from repro.core.popularity import top10_appearance_counts
 from repro.core.recommend import _lingering_fraction
 from repro.core.transitions import first_minute_fractions, persistence_durations
-from repro.core.whatif import _killed_days, _killed_drop_mask
+from repro.policy import killed_days, killed_drop_mask
 from repro.trace.events import background_state_values, foreground_state_values
 from repro.trace.intervals import background_transitions
 from repro.units import DAY
@@ -207,14 +207,14 @@ def test_killed_drop_mask_equals_masked_reference(medium_study):
     checked = 0
     for trace in medium_study.dataset:
         fg, bg = medium_study.app_days_with_traffic(trace.user_id, app_id)
-        killed = _killed_days(fg, bg, 1)
+        killed = killed_days(fg, bg, 1)
         if not killed.any():
             continue
         packets = trace.packets
         days = ((packets.timestamps - trace.start) // DAY).astype(np.int64)
         days = np.clip(days, 0, len(killed) - 1)
         expected = (packets.apps == app_id) & _bg_mask(packets) & killed[days]
-        got = _killed_drop_mask(
+        got = killed_drop_mask(
             medium_study.index_for(trace.user_id), app_id, killed, trace.start
         )
         assert np.array_equal(got, expected)

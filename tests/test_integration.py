@@ -23,7 +23,7 @@ from repro.core.transitions import (
     fraction_of_apps_above,
     persistence_durations,
 )
-from repro.core.whatif import kill_policy_savings, total_savings
+from repro.policy import kill_policy_savings, total_savings
 from repro.trace.events import ProcessState
 
 

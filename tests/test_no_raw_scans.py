@@ -13,10 +13,15 @@ there must count, quarantine, wrap or re-raise — a bare
 ``except ...: pass`` would turn a structured failure back into silent
 data loss, which is exactly what the fault-injection work exists to
 rule out.
+
+The third keeps the file protocol in one place: only
+``repro.durable`` may rename files, elect a lock with ``O_EXCL`` or
+spell a ``.prev``/``.tmp`` name.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -144,6 +149,73 @@ def test_no_swallowed_errors_on_fault_paths(path):
     assert not offending, (
         "bare `except ...: pass` on a hardened failure path — count it, "
         "quarantine it, wrap it or re-raise it:\n" + "\n".join(offending)
+    )
+
+
+_ROTATION_NAME = re.compile(r"\.(prev|tmp)\b")
+
+
+def _durable_protocol_uses(path):
+    """Renames, ``O_EXCL`` and ``.prev``/``.tmp`` literals in ``path``.
+
+    A ``Path.replace``/``rename`` call is recognised by its single
+    argument (``str.replace`` takes two); docstrings may still talk
+    about the protocol.
+    """
+    tree = ast.parse(path.read_text())
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(
+            node,
+            (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
+        )
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            receiver = node.func.value
+            if node.func.attr in ("replace", "rename") and (
+                (isinstance(receiver, ast.Name) and receiver.id == "os")
+                or (len(node.args) == 1 and not node.keywords)
+            ):
+                found.append((node.lineno, f".{node.func.attr}() rename"))
+        elif isinstance(node, (ast.Attribute, ast.Name)) and "O_EXCL" in (
+            getattr(node, "attr", None),
+            getattr(node, "id", None),
+        ):
+            found.append((node.lineno, "O_EXCL"))
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+            and _ROTATION_NAME.search(node.value)
+        ):
+            found.append((node.lineno, repr(node.value)))
+    return [f"{path.relative_to(SRC)}:{line}: {what}" for line, what in found]
+
+
+def test_only_repro_durable_renames_files():
+    """Atomic writes, ``.prev`` rotation and lock elections were once
+    re-implemented per subsystem and drifted apart (an ``invalidate``
+    deleted the temp file a ``put`` was about to rename). Every caller
+    now goes through :mod:`repro.durable`; keep it that way."""
+    sources = sorted(SRC.rglob("*.py"))
+    assert SRC / "durable.py" in sources
+    assert _durable_protocol_uses(SRC / "durable.py"), "guard matches nothing"
+    offending = [
+        hit
+        for path in sources
+        if path != SRC / "durable.py"
+        for hit in _durable_protocol_uses(path)
+    ]
+    assert not offending, (
+        "file renames, O_EXCL locks or .prev/.tmp names outside "
+        "repro.durable — use write_atomic / read_verified / "
+        "single_flight:\n" + "\n".join(offending)
     )
 
 

@@ -8,7 +8,7 @@ widget-timer snapping, over adversarial random inputs.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.whatif import _killed_days, _max_bounded_run
+from repro.policy import killed_days, max_bounded_run
 from repro.trace.arrays import PacketArray
 from repro.trace.dataset import AppRegistry
 from repro.trace.flow import reconstruct_flows
@@ -76,11 +76,11 @@ day_masks = st.integers(1, 60).flatmap(
 def test_killed_days_invariants(masks, idle):
     fg = np.array(masks[0], dtype=bool)
     bg = np.array(masks[1], dtype=bool)
-    killed = _killed_days(fg, bg, idle)
+    killed = killed_days(fg, bg, idle)
     # Never kill on a foreground day.
     assert not np.any(killed & fg)
     # Stricter thresholds kill a superset of lenient ones.
-    lenient = _killed_days(fg, bg, idle + 1)
+    lenient = killed_days(fg, bg, idle + 1)
     assert np.all(killed | ~lenient)  # lenient => killed
 
 
@@ -89,7 +89,7 @@ def test_killed_days_invariants(masks, idle):
 def test_max_bounded_run_bounds(masks):
     fg = np.array(masks[0], dtype=bool)
     bg_only = np.array(masks[1], dtype=bool) & ~fg
-    run = _max_bounded_run(fg, bg_only)
+    run = max_bounded_run(fg, bg_only)
     assert 0 <= run <= int(bg_only.sum())
 
 

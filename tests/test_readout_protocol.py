@@ -26,7 +26,7 @@ from repro.core.readout import (
 from repro.core.recommend import recommendation_report
 from repro.core.report import render_fig1, render_fig2, render_fig3, render_table1
 from repro.core.statefrac import state_energy_fractions
-from repro.core.whatif import kill_policy_savings
+from repro.policy import kill_policy_savings
 from repro.errors import AnalysisError, NeedsPacketDetail, StreamError
 from repro import StudyConfig, generate_study
 from repro.stream import NpzStreamSource, StreamIngestor

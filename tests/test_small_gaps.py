@@ -83,7 +83,7 @@ def test_case_study_row_skip_missing_false(medium_study):
 
 
 def test_kill_policy_unknown_app(medium_study):
-    from repro.core.whatif import kill_policy_savings
+    from repro.policy import kill_policy_savings
 
     with pytest.raises(ReproError):
         kill_policy_savings(medium_study, "does.not.exist")

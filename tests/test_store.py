@@ -201,6 +201,32 @@ def test_invalidate_by_analysis(store, study):
     assert left == {"fig1", "headlines"}
 
 
+def test_invalidate_racing_a_put_leaves_the_put_served(store, study, monkeypatch):
+    """Regression: an ``invalidate`` landing between a ``put``'s blob
+    write and its first rename used to unlink the writer's temp file,
+    so the ``put`` died with ``FileNotFoundError`` (a traceback out of
+    a cold GET under ``repro serve``). Each writer now owns its temp
+    file: the ``put`` completes and its key is served."""
+    import os
+
+    key = store_key_for(study, "fig1")
+    store.put(key, b"generation one")
+    real_replace = os.replace
+    raced = []
+
+    def replace_after_invalidate(src, dst):
+        if not raced:
+            raced.append(store.invalidate(analysis="fig1"))
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_after_invalidate)
+    store.put(key, b"generation two")
+    monkeypatch.undo()
+    assert raced == [(1, 1)]  # the row and the current blob, no temp file
+    got = store.get(key)
+    assert got is not None and got.data == b"generation two"
+
+
 def test_invalidate_requires_a_selector(store):
     with pytest.raises(ValueError):
         store.invalidate()
@@ -226,7 +252,7 @@ def test_gc_reclaims_prev_rotations_and_stale_locks(store, study):
     import os
     import time
 
-    from repro.store.index import LOCK_TIMEOUT_S
+    from repro.durable import LOCK_TIMEOUT_S
 
     mismatched = store_key_for(study, "fig1")
     store.put(mismatched, b"generation one")

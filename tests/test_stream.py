@@ -491,7 +491,7 @@ def test_checkpoint_truncated_at_every_byte(tmp_path):
     for cut in range(len(payload)):
         target.write_bytes(payload[:cut])
         try:
-            loaded = StreamCheckpoint.load(target, fallback=False)
+            loaded = StreamCheckpoint.load(target)
         except StreamError:
             outcomes["rejected"] += 1
         else:
@@ -502,13 +502,11 @@ def test_checkpoint_truncated_at_every_byte(tmp_path):
     # checksum-clean), and the intact file must load.
     assert outcomes == {"ok": 0, "rejected": len(payload)}
     target.write_bytes(payload)
-    _assert_checkpoints_equal(
-        StreamCheckpoint.load(target, fallback=False), original
-    )
+    _assert_checkpoints_equal(StreamCheckpoint.load(target), original)
 
 
 def test_torn_checkpoint_falls_back_to_previous(tmp_path):
-    from repro.stream.checkpoint import previous_path
+    from repro.durable import previous_path
 
     path = tmp_path / "run.ckpt.npz"
     first = _tiny_checkpoint()
@@ -520,8 +518,11 @@ def test_torn_checkpoint_falls_back_to_previous(tmp_path):
     # Tear the current generation after the fact.
     payload = path.read_bytes()
     path.write_bytes(payload[: len(payload) // 2])
+    # On its own (no rotation beside it) the torn file is rejected.
+    alone = tmp_path / "alone.ckpt.npz"
+    alone.write_bytes(path.read_bytes())
     with pytest.raises(StreamError):
-        StreamCheckpoint.load(path, fallback=False)
+        StreamCheckpoint.load(alone)
     recovered = StreamCheckpoint.load(path)
     assert recovered.loaded_from_fallback
     _assert_checkpoints_equal(recovered, first)
@@ -532,14 +533,14 @@ def test_torn_checkpoint_falls_back_to_previous(tmp_path):
     legacy = {"header": np.frombuffer(b'{"users": []}', dtype=np.uint8)}
     np.savez(tmp_path / "legacy.npz", **legacy)
     with pytest.raises(StreamError, match="no content checksum"):
-        StreamCheckpoint.load(tmp_path / "legacy.npz", fallback=False)
+        StreamCheckpoint.load(tmp_path / "legacy.npz")
 
 
 def test_missing_current_falls_back_to_previous(tmp_path):
     """A crash between save()'s two renames (rotation done, final
     rename not) leaves no current file but a known-good ``.prev``;
     load() must recover that generation rather than lose the run."""
-    from repro.stream.checkpoint import previous_path
+    from repro.durable import previous_path
 
     path = tmp_path / "run.ckpt.npz"
     first = _tiny_checkpoint()
@@ -551,9 +552,6 @@ def test_missing_current_falls_back_to_previous(tmp_path):
     recovered = StreamCheckpoint.load(path)
     assert recovered.loaded_from_fallback
     _assert_checkpoints_equal(recovered, first)
-    # Opting out of fallback keeps the strict behaviour.
-    with pytest.raises(StreamError, match="no checkpoint"):
-        StreamCheckpoint.load(path, fallback=False)
     # With no generation at all there is nothing to recover.
     previous_path(path).unlink()
     with pytest.raises(StreamError, match="no checkpoint"):
