@@ -3,6 +3,8 @@
 # generate a tiny study, ingest it to a checkpoint, start `repro serve`
 # against a fresh store, and curl every endpoint class — 200 with an
 # ETag, 304 on revalidation, 404 with a reason for per-packet figures.
+# Warm 200s must leave the store index byte-for-byte unchanged, and
+# `repro store ls` must list the live store.
 #
 # Run from anywhere; needs only python + numpy + curl. CI runs this as
 # the serve-smoke job.
@@ -61,6 +63,22 @@ expect_status "$base/" 200
 expect_status "$base/figures/fig3" 200
 expect_status "$base/tables/table1" 200
 expect_status "$base/headlines" 200
+
+echo "==> warm 200s are pure reads: index.sqlite is not written"
+cp "$workdir/store/index.sqlite" "$workdir/index.before"
+for path in figures/fig3 tables/table1 headlines figures/fig3; do
+    expect_status "$base/$path" 200
+done
+cmp "$workdir/index.before" "$workdir/store/index.sqlite" \
+    || { echo "FAIL: a warm GET wrote index.sqlite"; exit 1; }
+
+echo "==> repro store ls lists the live store"
+python -m repro.cli store --store "$workdir/store" ls >"$workdir/ls.out" \
+    || { echo "FAIL: store ls exited non-zero"; cat "$workdir/ls.out"; exit 1; }
+grep -Eq '^analysis +study +policy +bytes +etag *$' "$workdir/ls.out" \
+    || { echo "FAIL: unexpected store ls header"; cat "$workdir/ls.out"; exit 1; }
+grep -q '^3 entries$' "$workdir/ls.out" \
+    || { echo "FAIL: store ls should list 3 entries"; cat "$workdir/ls.out"; exit 1; }
 
 echo "==> the index names the study; its readout serves as JSON"
 study="$(curl -s "$base/" | python -c 'import json,sys; print(json.load(sys.stdin)["study"])')"

@@ -72,19 +72,12 @@ def _cmd_store(args: argparse.Namespace) -> int:
     if args.store_command == "ls":
         entries = store.entries()
         rows = [
-            (
-                e.analysis,
-                e.fingerprint[:12],
-                e.policy,
-                e.nbytes,
-                e.hits,
-                e.etag,
-            )
+            (e.analysis, e.fingerprint[:12], e.policy, e.nbytes, e.etag)
             for e in entries
         ]
         print(
             report.render_table(
-                ["analysis", "study", "policy", "bytes", "hits", "etag"],
+                ["analysis", "study", "policy", "bytes", "etag"],
                 rows,
                 title=f"results store: {args.store}",
             )

@@ -18,11 +18,19 @@ pairs (attributed packets per second of attribution time, generated
 packets per second of generation time) so consumers never recompute
 them inconsistently. The CLI's ``--metrics-json FILE`` flag writes this
 dictionary at the end of the command (``-`` for stdout).
+
+Recording is thread-safe: ``repro serve``'s handler threads and the
+shard coordinator's per-worker threads share one object, so every
+update and the :meth:`~RunMetrics.as_dict` snapshot take its lock.
+Worker *processes* never receive the object (a lock cannot be
+pickled); they return :meth:`~RunMetrics.as_dict` payloads for
+:meth:`~RunMetrics.absorb`.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -44,6 +52,7 @@ class RunMetrics:
     """Cumulative stage timings and counters for one run."""
 
     def __init__(self) -> None:
+        self._lock = threading.Lock()
         self._start = time.perf_counter()
         self._stage_seconds: Dict[str, float] = {}
         self._stage_calls: Dict[str, int] = {}
@@ -62,12 +71,18 @@ class RunMetrics:
             yield
         finally:
             elapsed = time.perf_counter() - started
-            self._stage_seconds[name] = self._stage_seconds.get(name, 0.0) + elapsed
-            self._stage_calls[name] = self._stage_calls.get(name, 0) + 1
+            with self._lock:
+                self._add_stage(name, elapsed, 1)
+
+    def _add_stage(self, name: str, seconds: float, calls: int) -> None:
+        # Callers hold ``self._lock``.
+        self._stage_seconds[name] = self._stage_seconds.get(name, 0.0) + seconds
+        self._stage_calls[name] = self._stage_calls.get(name, 0) + calls
 
     def count(self, name: str, n: int = 1) -> None:
         """Add ``n`` to the counter ``name``."""
-        self._counters[name] = self._counters.get(name, 0) + n
+        with self._lock:
+            self._counters[name] = self._counters.get(name, 0) + n
 
     def sample(self, name: str, value: str, limit: int = 5) -> None:
         """Keep the first ``limit`` example strings under ``name``.
@@ -76,9 +91,14 @@ class RunMetrics:
         quarantined trace rows. Values past ``limit`` are dropped; pair
         with :meth:`count` for the full tally.
         """
+        with self._lock:
+            self._add_sample(name, str(value), limit)
+
+    def _add_sample(self, name: str, value: str, limit: int = 5) -> None:
+        # Callers hold ``self._lock``.
         bucket = self._samples.setdefault(name, [])
         if len(bucket) < limit:
-            bucket.append(str(value))
+            bucket.append(value)
 
     def gauge(self, name: str, value: float) -> None:
         """Record an instantaneous level under ``name``.
@@ -89,9 +109,10 @@ class RunMetrics:
         ``follow.lag_chunks``, the pending-chunk backlog after each
         poll.
         """
-        _, worst = self._gauges.get(name, (0.0, float("-inf")))
         value = float(value)
-        self._gauges[name] = (value, max(worst, value))
+        with self._lock:
+            _, worst = self._gauges.get(name, (0.0, float("-inf")))
+            self._gauges[name] = (value, max(worst, value))
 
     def gauge_last(self, name: str) -> Optional[float]:
         """Last reading of gauge ``name`` (None if never set)."""
@@ -114,24 +135,20 @@ class RunMetrics:
         with N parallel shards the sum exceeds elapsed time by design),
         counters add, and samples top up to the usual limit.
         """
-        for name, entry in payload.get("stages", {}).items():
-            self._stage_seconds[name] = (
-                self._stage_seconds.get(name, 0.0) + float(entry["seconds"])
-            )
-            self._stage_calls[name] = (
-                self._stage_calls.get(name, 0) + int(entry["calls"])
-            )
-        for name, value in payload.get("counters", {}).items():
-            self.count(name, int(value))
-        for name, values in payload.get("samples", {}).items():
-            for value in values:
-                self.sample(name, value)
-        for name, entry in payload.get("gauges", {}).items():
-            last, worst = self._gauges.get(name, (0.0, float("-inf")))
-            self._gauges[name] = (
-                float(entry["last"]),
-                max(worst, float(entry["max"])),
-            )
+        with self._lock:
+            for name, entry in payload.get("stages", {}).items():
+                self._add_stage(name, float(entry["seconds"]), int(entry["calls"]))
+            for name, value in payload.get("counters", {}).items():
+                self._counters[name] = self._counters.get(name, 0) + int(value)
+            for name, values in payload.get("samples", {}).items():
+                for value in values:
+                    self._add_sample(name, str(value))
+            for name, entry in payload.get("gauges", {}).items():
+                last, worst = self._gauges.get(name, (0.0, float("-inf")))
+                self._gauges[name] = (
+                    float(entry["last"]),
+                    max(worst, float(entry["max"])),
+                )
 
     # ------------------------------------------------------------------
     # Reading
@@ -163,31 +180,32 @@ class RunMetrics:
 
     def as_dict(self) -> dict:
         """The full report: wall time, stages, counters, derived rates."""
-        derived = {}
-        for name, counter, stage in DERIVED_RATES:
-            value = self.rate(counter, stage)
-            if value is not None:
-                derived[name] = round(value, 3)
-        return {
-            "wall_time_s": round(self.wall_time, 6),
-            "stages": {
-                name: {
-                    "seconds": round(seconds, 6),
-                    "calls": self._stage_calls[name],
-                }
-                for name, seconds in sorted(self._stage_seconds.items())
-            },
-            "counters": dict(sorted(self._counters.items())),
-            "samples": {
-                name: list(values)
-                for name, values in sorted(self._samples.items())
-            },
-            "gauges": {
-                name: {"last": last, "max": worst}
-                for name, (last, worst) in sorted(self._gauges.items())
-            },
-            "derived": derived,
-        }
+        with self._lock:
+            derived = {}
+            for name, counter, stage in DERIVED_RATES:
+                value = self.rate(counter, stage)
+                if value is not None:
+                    derived[name] = round(value, 3)
+            return {
+                "wall_time_s": round(self.wall_time, 6),
+                "stages": {
+                    name: {
+                        "seconds": round(seconds, 6),
+                        "calls": self._stage_calls[name],
+                    }
+                    for name, seconds in sorted(self._stage_seconds.items())
+                },
+                "counters": dict(sorted(self._counters.items())),
+                "samples": {
+                    name: list(values)
+                    for name, values in sorted(self._samples.items())
+                },
+                "gauges": {
+                    name: {"last": last, "max": worst}
+                    for name, (last, worst) in sorted(self._gauges.items())
+                },
+                "derived": derived,
+            }
 
     def to_json(self, indent: int = 2) -> str:
         """:meth:`as_dict` as a JSON string."""

@@ -4,17 +4,19 @@ A single SQLite file (``<store>/index.sqlite``, stdlib :mod:`sqlite3`)
 maps key digests to blob metadata: the key's four components verbatim
 (so entries can be listed and invalidated by fingerprint or analysis
 without re-deriving anything), the ETag, the blob kind, its content
-checksum and size, and hit accounting. SQLite provides the cross-
-process locking; every operation opens a short-lived connection, so
-N serving threads and a concurrent CLI never share a handle.
+checksum and size. SQLite provides the cross-process locking; every
+operation opens a short-lived connection, so N serving threads and a
+concurrent CLI never share a handle.
 
 :class:`ResultStore` is what everything above this layer talks to —
 the CLI's ``--store`` flag, ``repro serve``, ``repro store ls|gc|
 invalidate`` and the benchmarks. Its contract:
 
 * :meth:`ResultStore.get` — O(lookup): one indexed SELECT plus one
-  checksummed file read. Any defect (no row, missing blob, checksum
-  mismatch on both generations) is a miss, never an error.
+  checksummed file read, and no write to the index, so concurrent
+  readers never queue behind one another's write lock. Any defect (no
+  row, missing blob, checksum mismatch on both generations) is a miss,
+  never an error. Hits are counted only in ``store.hits``.
 * :meth:`ResultStore.get_or_render` — **single-flight** compute on
   miss: concurrent clients racing on the same cold key elect one
   winner (:func:`repro.durable.single_flight`); the winner renders
@@ -54,6 +56,7 @@ from repro.metrics import RunMetrics
 from repro.store.blobs import BlobStore
 from repro.store.keys import StoreKey
 
+# ``hits`` is unused but kept: old and new versions open each other's stores.
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS entries (
     digest      TEXT PRIMARY KEY,
@@ -86,7 +89,6 @@ class IndexEntry:
     checksum: str
     nbytes: int
     created_at: float
-    hits: int
 
 
 @dataclass
@@ -116,9 +118,8 @@ class StoreIndex:
             conn.executescript(_SCHEMA)
 
     def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.path, timeout=10.0)
-        conn.execute("PRAGMA busy_timeout = 10000")
-        return conn
+        # ``timeout`` is SQLite's busy handler: wait up to 10 s for a lock.
+        return sqlite3.connect(self.path, timeout=10.0)
 
     def put(
         self, key: StoreKey, etag: str, kind: str, checksum: str, nbytes: int
@@ -127,8 +128,8 @@ class StoreIndex:
         with closing(self._connect()) as conn, conn:
             conn.execute(
                 "INSERT OR REPLACE INTO entries (digest, fingerprint, model,"
-                " policy, analysis, etag, kind, checksum, nbytes, created_at,"
-                " hits) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, 0)",
+                " policy, analysis, etag, kind, checksum, nbytes, created_at)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     key.digest(),
                     key.fingerprint,
@@ -148,29 +149,18 @@ class StoreIndex:
         with closing(self._connect()) as conn, conn:
             row = conn.execute(
                 "SELECT digest, fingerprint, model, policy, analysis, etag,"
-                " kind, checksum, nbytes, created_at, hits FROM entries"
+                " kind, checksum, nbytes, created_at FROM entries"
                 " WHERE digest = ?",
                 (digest,),
             ).fetchone()
         return IndexEntry(*row) if row is not None else None
-
-    def record_hit(self, digest: str) -> None:
-        """Bump one row's hit counter (best effort, never raises)."""
-        try:
-            with closing(self._connect()) as conn, conn:
-                conn.execute(
-                    "UPDATE entries SET hits = hits + 1 WHERE digest = ?",
-                    (digest,),
-                )
-        except sqlite3.Error:
-            pass
 
     def entries(self) -> List[IndexEntry]:
         """Every row, newest first."""
         with closing(self._connect()) as conn, conn:
             rows = conn.execute(
                 "SELECT digest, fingerprint, model, policy, analysis, etag,"
-                " kind, checksum, nbytes, created_at, hits FROM entries"
+                " kind, checksum, nbytes, created_at FROM entries"
                 " ORDER BY created_at DESC"
             ).fetchall()
         return [IndexEntry(*row) for row in rows]
@@ -223,7 +213,6 @@ class ResultStore:
             return None
         self.metrics.count("store.hits")
         self.metrics.count("store.bytes", len(data))
-        self.index.record_hit(digest)
         return StoredResult(key=key, etag=entry.etag, kind=entry.kind, data=data)
 
     def put(self, key: StoreKey, data: bytes, kind: str = "text") -> StoredResult:

@@ -1,6 +1,8 @@
 """The run-metrics layer."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -57,6 +59,32 @@ def test_derived_rates_in_report():
     report = metrics.as_dict()
     assert report["derived"]["attribute_packets_per_s"] > 0
     assert "generate_packets_per_s" not in report["derived"]
+
+
+def test_concurrent_recording_loses_no_updates():
+    """Server handler threads share one RunMetrics; no update may be lost."""
+    metrics = RunMetrics()
+    threads_n, calls = 8, 20_000
+
+    def hammer():
+        for _ in range(calls):
+            metrics.count("store.hits")
+            with metrics.stage("store.lookup"):
+                pass
+
+    threads = [threading.Thread(target=hammer) for _ in range(threads_n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert metrics.counter("store.hits") == threads_n * calls
+    assert metrics.as_dict()["stages"]["store.lookup"]["calls"] == threads_n * calls
 
 
 def test_wall_time_monotonic():

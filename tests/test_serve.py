@@ -179,6 +179,20 @@ def test_304_answers_without_touching_the_store(served):
     assert after == lookups
 
 
+def test_warm_200s_are_pure_reads(served):
+    """A warm GET reads the index but never writes it; the hit is
+    recorded in ``store.hits`` alone."""
+    base, _, store = served
+    assert fetch(base + "/figures/fig2")[0] == 200
+    index = store.directory / "index.sqlite"
+    before = (index.read_bytes(), index.stat().st_mtime_ns)
+    hits = store.metrics.counter("store.hits")
+    for _ in range(4):
+        assert fetch(base + "/figures/fig2")[0] == 200
+    assert (index.read_bytes(), index.stat().st_mtime_ns) == before
+    assert store.metrics.counter("store.hits") == hits + 4
+
+
 def test_readout_endpoint_serves_study_json(served):
     base, server, _ = served
     status, headers, body = fetch(base + f"/readouts/{server.study_id}")

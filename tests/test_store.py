@@ -1,6 +1,8 @@
 """The persistent results store: keys, durability, single-flight, CLI."""
 
+import sqlite3
 import threading
+from contextlib import closing
 
 import pytest
 
@@ -88,6 +90,19 @@ def test_put_get_roundtrip(store, study):
     assert got.text == text
     assert got.etag == key.etag()
     assert store.metrics.counter("store.hits") == 1
+
+
+def test_warm_get_never_writes_the_index(store, study):
+    """A hit is one SELECT plus one verified blob read: index.sqlite
+    keeps its bytes and its mtime however often it is served."""
+    key = store_key_for(study, "fig1")
+    store.put(key, render_analysis("fig1", study).encode("utf-8"))
+    index = store.directory / "index.sqlite"
+    before = (index.read_bytes(), index.stat().st_mtime_ns)
+    for _ in range(3):
+        assert store.get(key) is not None
+    assert (index.read_bytes(), index.stat().st_mtime_ns) == before
+    assert store.metrics.counter("store.hits") == 3
 
 
 def test_get_on_empty_store_is_a_miss(store, study):
@@ -437,9 +452,33 @@ def test_cli_store_ls_gc_invalidate(saved_study, tmp_path, capsys):
             == 0
         )
     capsys.readouterr()
+    # Older versions counted hits in the index; such rows must still
+    # list, serve and gc.
+    with closing(sqlite3.connect(tmp_path / "store" / "index.sqlite")) as conn, conn:
+        conn.execute("UPDATE entries SET hits = hits + 7")
     code, out = run(capsys, "store", "--store", store_dir, "ls")
     assert code == 0
+    assert out.splitlines()[1].split() == [
+        "analysis",
+        "study",
+        "policy",
+        "bytes",
+        "etag",
+    ]
     assert "fig1" in out and "fig3" in out and "2 entries" in out
+    code, direct = run(capsys, "figure", "3", "--dataset", saved_study)
+    assert code == 0
+    code, cached = run(
+        capsys,
+        "figure",
+        "3",
+        "--dataset",
+        saved_study,
+        "--store",
+        store_dir,
+        "--store-only",
+    )
+    assert code == 0 and cached == direct
     code, out = run(
         capsys, "store", "--store", store_dir, "invalidate", "--analysis", "fig1"
     )
