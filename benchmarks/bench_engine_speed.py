@@ -3,7 +3,7 @@
 Not a paper artefact — these track that the vectorised energy engine,
 flow reconstruction and state labelling stay fast enough to run the
 full 623-day study, quantify the speedup over the event-driven
-reference machine, and measure the parallel / disk-cached
+reference machine, and measure the parallel and lazy
 :class:`~repro.core.accounting.StudyEnergy` engine against its serial
 baseline (numbers quoted in docs/PERFORMANCE.md).
 """
@@ -82,7 +82,7 @@ def test_generation_throughput(benchmark):
 
 
 # ----------------------------------------------------------------------
-# StudyEnergy engine: parallel and cached vs serial
+# StudyEnergy engine: parallel and lazy vs serial
 # ----------------------------------------------------------------------
 def _attribution_dataset(n_users=6, packets_per_user=300_000):
     """A multi-user dataset heavy enough that attribution dominates.
@@ -153,40 +153,6 @@ def test_parallel_attribution_speedup(attribution_dataset):
         assert speedup >= 2.0, (
             f"parallel attribution only {speedup:.2f}x faster on {cpus} CPUs"
         )
-
-
-def test_cache_attribution_speedup(attribution_dataset, tmp_path):
-    """A warm disk cache must clearly beat recomputation, bit-identically.
-
-    Best-of-3 on both sides: a single cold-page-cache read can be
-    slower than the whole computation on constrained CI storage, and
-    this bench measures the engine, not the disk. The honest expected
-    ratio at the default single-phase LTE model is ~1.5-2x (the cached
-    tail array is about half the compute passes; transfer/promotion are
-    recomputed); multi-phase tail models gain more.
-    """
-    baseline, _ = _attribute_seconds(attribution_dataset)
-    t_compute = min(
-        _attribute_seconds(attribution_dataset)[1] for _ in range(3)
-    )
-    _, t_cold = _attribute_seconds(attribution_dataset, cache_dir=tmp_path)
-    warm = None
-    t_warm = float("inf")
-    for _ in range(3):
-        warm, t = _attribute_seconds(attribution_dataset, cache_dir=tmp_path)
-        t_warm = min(t_warm, t)
-
-    for uid in baseline.user_ids:
-        assert np.array_equal(
-            baseline.user_result(uid).per_packet,
-            warm.user_result(uid).per_packet,
-        )
-    speedup = t_compute / t_warm if t_warm else float("inf")
-    print(
-        f"\nattribution: compute {t_compute:.3f}s, cold+store {t_cold:.3f}s, "
-        f"warm cache {t_warm:.3f}s, warm speedup {speedup:.2f}x"
-    )
-    assert speedup >= 1.3, f"warm cache only {speedup:.2f}x faster"
 
 
 def test_lazy_first_answer_latency(attribution_dataset):

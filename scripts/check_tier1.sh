@@ -10,7 +10,7 @@
 # fails below 90% line coverage of src/repro/policy, src/repro/radio
 # and src/repro/durable.py — the two packages whose correctness rests
 # on the property/differential layer (docs/POLICIES.md), and the file
-# protocol every checkpoint, manifest, blob and cache entry goes
+# protocol every checkpoint, manifest, blob and saved dataset goes
 # through. Needs pytest-cov; skipped (exit 0, with a note) where it is
 # not installed, so plain containers stay green.
 set -e

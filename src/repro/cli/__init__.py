@@ -13,10 +13,9 @@
 Every analysis command accepts either ``--dataset FILE`` (a saved
 study) or generation parameters (``--users/--days/--seed``), in which
 case the study is generated on the fly. All of them also take
-``--workers N`` (parallel generation + attribution; 0 = one per CPU),
-``--cache-dir DIR`` (reuse attribution across runs over the same
-dataset) and ``--metrics-json FILE`` (timings, throughput and cache
-counters; ``-`` for stdout).
+``--workers N`` (parallel generation + attribution; 0 = one per CPU)
+and ``--metrics-json FILE`` (timings, throughput and counters; ``-``
+for stdout).
 
 ``figure``, ``table``, ``report`` and ``headlines`` additionally take
 ``--from-checkpoint CK.npz``: the totals-tier analyses (Figs 1-3,

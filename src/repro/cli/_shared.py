@@ -59,13 +59,9 @@ def _add_study_args(parser: argparse.ArgumentParser) -> None:
         help="processes for generation and attribution (0 = one per CPU)",
     )
     parser.add_argument(
-        "--cache-dir",
-        help="directory for the on-disk attribution cache",
-    )
-    parser.add_argument(
         "--metrics-json",
         metavar="FILE",
-        help="write run metrics (timings, throughput, cache counters) "
+        help="write run metrics (timings, throughput, counters) "
         "as JSON; '-' for stdout",
     )
 
@@ -113,7 +109,6 @@ def _study(
         dataset,
         model=get_model(getattr(args, "model", "lte")),
         workers=getattr(args, "workers", 1),
-        cache_dir=getattr(args, "cache_dir", None),
         metrics=_metrics(args),
         lazy=lazy,
     )

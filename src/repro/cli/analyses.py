@@ -240,7 +240,7 @@ def _report_models(args: argparse.Namespace) -> int:
     The dataset is loaded (or generated) **once** and re-attributed
     under each named model; with ``--store`` each model's totals-tier
     headline block is served through the results store (keys differ by
-    model, so a sweep re-run is pure cache hits). A checkpoint pins one
+    model, so a sweep re-run is pure store hits). A checkpoint pins one
     model's attribution, so ``--from-checkpoint`` is refused here.
     """
     if args.from_checkpoint:
@@ -271,7 +271,6 @@ def _report_models(args: argparse.Namespace) -> int:
             dataset,
             model=get_model(name),
             workers=getattr(args, "workers", 1),
-            cache_dir=getattr(args, "cache_dir", None),
             metrics=metrics,
         )
         print(f"=== model: {name} ===")

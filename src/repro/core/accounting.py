@@ -2,25 +2,22 @@
 
 :class:`StudyEnergy` runs the radio model over every user's merged
 packet timeline once (the radio is shared per device, so attribution
-must happen device-wide) and caches the per-packet attribution. All
-figure/table analyses then reduce those arrays.
+must happen device-wide) and keeps the per-packet attribution in
+memory. All figure/table analyses then reduce those arrays.
 
-The engine has three independent speed knobs, all off by default:
+The engine has two independent speed knobs, both off by default:
 
 * ``workers`` — per-user attribution fans out over a process pool
   (users are independent; results are identical for any worker count);
 * ``lazy`` — nothing is computed at construction; each user's
   attribution is computed on first access and memoized, and any
   study-wide reduction materializes the remaining users in one
-  (possibly parallel) batch;
-* ``cache_dir`` — computed arrays are persisted per user, keyed by
-  (dataset fingerprint, model, policy), so re-analysing the same saved
-  study skips attribution entirely.
+  (possibly parallel) batch.
 
 A :class:`~repro.metrics.RunMetrics` instance (own or injected) records
-attribution time, packet throughput and cache hit/miss counts, plus the
-shared per-user :class:`~repro.trace.index.TraceIndex` layer's build
-time (``index.build`` stage) and reuse counts (``index.hits``). Every
+attribution time and user/packet counts, plus the shared per-user
+:class:`~repro.trace.index.TraceIndex` layer's build time
+(``index.build`` stage) and reuse counts (``index.hits``). Every
 per-app reduction here goes through :meth:`StudyEnergy.index_for`
 rather than re-scanning the packet arrays; ``prepare_indexes()``
 batch-builds the indexes across the worker pool.
@@ -32,8 +29,7 @@ energy attributed to them, plus the radio's idle floor.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,7 +60,6 @@ from repro.radio.attribution import (
 )
 from repro.radio.base import RadioModel
 from repro.radio.lte import LTE_DEFAULT
-from repro.core.cache import AttributionCache
 from repro.trace.dataset import Dataset
 from repro.trace.flow import reconstruct_flows
 from repro.trace.index import IndexTask, TraceIndex
@@ -82,8 +77,6 @@ class StudyEnergy:
         workers: Process count for batch attribution; ``0`` or ``None``
             means one per available CPU, ``1`` stays in process.
         lazy: Defer all computation to first access.
-        cache_dir: Directory for the on-disk attribution cache; ``None``
-            disables it.
         metrics: A shared :class:`RunMetrics` to record into; a private
             one is created when omitted.
     """
@@ -101,7 +94,6 @@ class StudyEnergy:
         *,
         workers: Optional[int] = 1,
         lazy: bool = False,
-        cache_dir: Optional[Union[str, Path]] = None,
         metrics: Optional[RunMetrics] = None,
     ) -> None:
         self.dataset = dataset
@@ -116,11 +108,6 @@ class StudyEnergy:
         self._bytes_by_app: Optional[Dict[int, int]] = None
         self._energy_by_app_state: Optional[Dict[Tuple[int, int], float]] = None
         self._user_totals: Dict[int, UserTotalsView] = {}
-        self._cache: Optional[AttributionCache] = (
-            AttributionCache.for_study(cache_dir, dataset, model, policy)
-            if cache_dir is not None
-            else None
-        )
         if not lazy:
             self.materialize()
 
@@ -130,33 +117,25 @@ class StudyEnergy:
     def materialize(self) -> "StudyEnergy":
         """Compute every user not yet attributed (idempotent).
 
-        Disk-cached users load first; the remainder is computed in one
-        batch — across ``self.workers`` processes when that pays — and
-        written back to the cache. Called implicitly by every
-        study-wide reduction, so lazy instances never observe a
+        The pending users are computed in one batch — across
+        ``self.workers`` processes when that pays. Called implicitly by
+        every study-wide reduction, so lazy instances never observe a
         partially-attributed dataset.
         """
         pending = [uid for uid in self._order if uid not in self._results]
         if not pending:
             return self
         with self.metrics.stage("attribute"):
-            remaining = []
-            for uid in pending:
-                payload = self._load_cached(self._traces[uid])
-                if payload is None:
-                    remaining.append(uid)
-                else:
-                    self._adopt(uid, payload)
             task = AttributionTask(
                 self.model,
                 self.policy,
                 {
                     uid: (self._traces[uid].packets, self._window(uid))
-                    for uid in remaining
+                    for uid in pending
                 },
             )
-            for uid, payload in map_tasks(task, remaining, self.workers):
-                self._adopt(uid, payload, computed=True)
+            for uid, payload in map_tasks(task, pending, self.workers):
+                self._adopt(uid, payload)
         return self
 
     def index_for(self, user_id: int) -> TraceIndex:
@@ -167,7 +146,7 @@ class StudyEnergy:
         sees the same partition: one app-grouping sort per user, ever.
         Build time and reuse counts land in this engine's metrics
         (``index.build`` stage, ``index.hits`` counter). The index is
-        derived state: it never enters the attribution cache key.
+        derived state: it never enters the study's provenance key.
         """
         trace = self._traces.get(user_id)
         if trace is None:
@@ -201,27 +180,14 @@ class StudyEnergy:
         trace = self._traces[user_id]
         return (trace.start, trace.end)
 
-    def _load_cached(self, trace: UserTrace) -> Optional[Dict[str, object]]:
-        if self._cache is None:
-            return None
-        payload = self._cache.load(trace.user_id, trace.packets)
-        if payload is None:
-            self.metrics.count("attribution.cache_misses")
-        else:
-            self.metrics.count("attribution.cache_hits")
-        return payload
-
     def _adopt(
-        self, user_id: int, payload: Dict[str, object], computed: bool = False
+        self, user_id: int, payload: Dict[str, object]
     ) -> AttributionResult:
         packets = self._traces[user_id].packets
         result = result_from_payload(self.model, packets, self.policy, payload)
         self._results[user_id] = result
-        if computed:
-            self.metrics.count("attribution.users")
-            self.metrics.count("attribution.packets", len(packets))
-            if self._cache is not None:
-                self._cache.store(user_id, payload)
+        self.metrics.count("attribution.users")
+        self.metrics.count("attribution.packets", len(packets))
         return result
 
     def _iter_results(self) -> Iterator[AttributionResult]:
@@ -246,16 +212,13 @@ class StudyEnergy:
         if trace is None:
             raise AnalysisError(f"unknown user id {user_id}")
         with self.metrics.stage("attribute"):
-            payload = self._load_cached(trace)
-            if payload is not None:
-                return self._adopt(user_id, payload)
             task = AttributionTask(
                 self.model,
                 self.policy,
                 {user_id: (trace.packets, self._window(user_id))},
             )
             _, payload = task(user_id)
-            return self._adopt(user_id, payload, computed=True)
+            return self._adopt(user_id, payload)
 
     @property
     def user_ids(self) -> List[int]:
@@ -266,9 +229,8 @@ class StudyEnergy:
     def provenance(self) -> ReadoutProvenance:
         """The (fingerprint, model, policy) triple keying this study.
 
-        The same triple the attribution disk cache keys by; the
-        results store (:mod:`repro.store`) keys rendered artefacts by
-        it too. Reading it never triggers attribution — the
+        The results store (:mod:`repro.store`) keys rendered artefacts
+        by it. Reading it never triggers attribution — the
         fingerprint digests packets only — so a lazy engine can be
         keyed (and answered from the store) without computing.
         """

@@ -266,8 +266,7 @@ class ReadoutProvenance:
     :meth:`~repro.trace.dataset.Dataset.fingerprint` for a batch
     study and the checkpoint's source signature for an ingest readout;
     ``model`` is the frozen model dataclass ``repr``; ``policy`` the
-    tail-policy value — the exact triple the attribution disk cache
-    has always keyed by.
+    tail-policy value.
     """
 
     fingerprint: str

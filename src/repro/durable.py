@@ -1,7 +1,7 @@
 """Durable on-disk artefacts: atomic writes, verified reads, lock elections.
 
-Checkpoints, shard manifests, store blobs, attribution-cache entries,
-``live.json`` and saved datasets all follow one file protocol, and this
+Checkpoints, shard manifests, store blobs, ``live.json`` and saved
+datasets all follow one file protocol, and this
 is the only module that implements it: :func:`write_atomic` publishes a
 complete temp file with one rename (optionally rotating the current
 file to ``<name>.prev`` first), :func:`read_verified` falls back to that

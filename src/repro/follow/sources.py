@@ -39,8 +39,9 @@ from repro.trace.intervals import label_packet_states
 from repro.trace.io_text import (
     PACKET_COLUMNS,
     PathLike,
-    iter_event_rows,
     parse_packet_fields,
+    read_events_csv,
+    undecodable,
 )
 
 #: Upper bound on bytes read per tail poll — keeps one poll's memory
@@ -199,11 +200,13 @@ class TailCsvSource:
         consumed = 0
         for raw in lines:
             consumed += len(raw) + 1
-            text = raw.decode("utf-8").rstrip("\r")
+            text = raw.decode("utf-8", "surrogateescape").rstrip("\r")
             if not text:
                 continue
             fields = next(csv.reader([text]))
             try:
+                if undecodable(text):
+                    raise TraceError("row is not valid UTF-8")
                 row = parse_packet_fields(
                     dict(zip(fieldnames, fields)), self.registry
                 )
@@ -254,8 +257,7 @@ class TailCsvSource:
         end = head.find(b"\n")
         if end < 0:
             return False
-        text = head[:end].decode("utf-8").rstrip("\r")
-        fieldnames = next(csv.reader([text]))
+        fieldnames = _header_fields(packets_path, head[:end])
         if not PACKET_COLUMNS.issubset(fieldnames):
             raise FollowError(
                 f"{packets_path.name}: packets CSV must have columns "
@@ -281,8 +283,9 @@ class TailCsvSource:
                     f"{packets_path.name}: no header line under a "
                     "non-zero cursor — file was replaced?"
                 )
-            text = head[:end].decode("utf-8").rstrip("\r")
-            self._fieldnames[user_id] = next(csv.reader([text]))
+            self._fieldnames[user_id] = _header_fields(
+                packets_path, head[:end]
+            )
         return self._fieldnames[user_id]
 
     def _refresh_events(self, user_id: int) -> None:
@@ -293,16 +296,18 @@ class TailCsvSource:
         size = events_path.stat().st_size
         if size == self._events_size[user_id]:
             return
-        events = EventLog()
-        for kind, event in iter_event_rows(events_path, self.registry):
-            if kind == "process":
-                events.add_process_event(event)
-            elif kind == "screen":
-                events.add_screen_event(event)
-            else:
-                events.add_input_event(event)
-        self._events[user_id] = events
+        self._events[user_id] = read_events_csv(events_path, self.registry)
         self._events_size[user_id] = size
+
+
+def _header_fields(path: Path, raw: bytes) -> List[str]:
+    """A tailed packets CSV's column names, from its raw header line."""
+    text = raw.decode("utf-8", "surrogateescape").rstrip("\r")
+    if undecodable(text):
+        raise FollowError(
+            f"{path.name}: packets CSV header is not valid UTF-8"
+        )
+    return next(csv.reader([text]))
 
 
 class NpzDropSource:

@@ -133,15 +133,15 @@ def attribute_energy(
 
 
 # ----------------------------------------------------------------------
-# Process-pool / on-disk boundary
+# Process-pool boundary
 # ----------------------------------------------------------------------
-# An AttributionResult drags its PacketArray along, but both the worker
-# pool and the disk cache already have the packets on the other side of
-# the boundary — so only the tail array crosses it. Transfer and
-# promotion energies are each a single cheap vectorised pass over the
-# packets and are recomputed on receipt (same expressions as the
-# engine, so bit-identical); the multi-phase tail profile is the part
-# worth shipping/persisting. The policy-adjusted tail is likewise
+# An AttributionResult drags its PacketArray along, but the parent of a
+# worker pool already has the packets on its side of the boundary — so
+# only the tail array crosses it. Transfer and promotion energies are
+# each a single cheap vectorised pass over the packets and are
+# recomputed on receipt (same expressions as the engine, so
+# bit-identical); the multi-phase tail profile is the part worth
+# shipping. The policy-adjusted tail is likewise
 # rebuilt from the raw tail, so a tail/policy mismatch cannot occur.
 
 def result_payload(result: AttributionResult) -> Dict[str, object]:

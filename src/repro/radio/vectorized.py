@@ -78,7 +78,7 @@ def transfer_energy_vector(
 ) -> np.ndarray:
     """Per-packet transfer energy: linear in bytes, by direction.
 
-    One cheap vectorised pass; the pool/cache boundary recomputes this
+    One cheap vectorised pass; the pool boundary recomputes this
     rather than shipping it (see ``radio.attribution.result_payload``),
     so it must stay a pure function of (model, packets).
     """
@@ -101,7 +101,7 @@ def promotion_energy_vector(
     model: RadioModel, gaps: np.ndarray
 ) -> np.ndarray:
     """Per-packet promotion energy: first packet, and any packet after
-    a demoted gap. Also recomputed at the pool/cache boundary."""
+    a demoted gap. Also recomputed at the pool boundary."""
     promoted = np.empty(len(gaps), dtype=bool)
     promoted[0] = True
     promoted[1:] = gaps[:-1] > model.tail_duration

@@ -12,8 +12,7 @@ blob is written to a temp file, the previous good generation is
 rotated to ``<name>.prev``, and one rename publishes. Reads verify the
 expected checksum and fall back to the ``.prev`` generation when the
 current file is torn; a blob that fails both ways is a **miss, never
-an error** — the caller recomputes and overwrites, exactly like a
-corrupt attribution-cache entry.
+an error** — the caller recomputes and overwrites.
 """
 
 from __future__ import annotations

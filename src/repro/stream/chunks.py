@@ -37,8 +37,8 @@ from repro.trace.intervals import label_packet_states
 from repro.trace.io_text import (
     PacketBlock,
     PathLike,
-    iter_event_rows,
     iter_packet_blocks,
+    read_events_csv,
 )
 
 #: Default rows per chunk — small enough that a chunk of the paper-scale
@@ -158,16 +158,13 @@ class CsvStreamSource:
                 last_ts = float(ts[-1])
             if count:
                 horizon = max(horizon, last_ts)
-            events = EventLog()
-            if events_path is not None:
-                for kind, event in iter_event_rows(events_path, self.registry):
-                    if kind == "process":
-                        events.add_process_event(event)
-                    elif kind == "screen":
-                        events.add_screen_event(event)
-                    else:
-                        events.add_input_event(event)
-                    horizon = max(horizon, event.timestamp)
+            events = (
+                read_events_csv(events_path, self.registry)
+                if events_path is not None
+                else EventLog()
+            )
+            for event in events:
+                horizon = max(horizon, event.timestamp)
             self._events[uid] = events
             self._counts[uid] = count
         if duration is None:

@@ -171,9 +171,9 @@ class Dataset:
 
         Mutating ``self.users`` directly would leave a previously
         computed :meth:`fingerprint` stale — and a stale fingerprint
-        poisons every consumer keyed on it (the
-        :class:`~repro.core.cache.AttributionCache` would happily serve
-        another dataset's arrays). Use this instead of ``users.append``.
+        poisons the store key built on it (the results store would
+        happily serve another dataset's artefacts). Use this instead of
+        ``users.append``.
         """
         if any(t.user_id == trace.user_id for t in self.users):
             raise TraceError(f"duplicate user id {trace.user_id}")
@@ -207,7 +207,8 @@ class Dataset:
         columns, so relabelling flows or states also changes the
         digest). Two datasets with equal fingerprints attribute
         identically under any fixed (model, policy) — this is the
-        dataset component of the attribution disk-cache key.
+        dataset component of the results store's
+        :class:`~repro.store.keys.StoreKey`.
 
         The digest is cached; :meth:`append_user`, :meth:`extend` and
         :meth:`label_states` invalidate it.

@@ -26,7 +26,7 @@ each structure is built on first use and memoized, and reuse is
 observable (``hits`` / ``build_seconds``, mirrored into an attached
 :class:`~repro.metrics.RunMetrics` as the ``index.build`` stage and the
 ``index.hits`` counter). The index is derived state — it is never
-persisted and takes no part in the attribution disk-cache key.
+persisted and takes no part in any store key.
 
 For batch pipelines, :func:`build_index_payload` / :class:`IndexTask`
 are the picklable pool boundary: workers ship back only the order

@@ -21,11 +21,16 @@ Events — header ``timestamp,kind,app,value``::
 
 Process-state values are the :class:`~repro.trace.events.ProcessState`
 names (case-insensitive); screen values are ``on``/``off``.
+
+Both are read and written as UTF-8. A byte that is not valid UTF-8
+makes its row malformed — a :class:`~repro.errors.TraceError` naming
+the file and line, or a quarantined row — and makes a header an error.
 """
 
 from __future__ import annotations
 
 import csv
+import re
 from contextlib import contextmanager
 from itertools import islice, repeat
 from pathlib import Path
@@ -99,6 +104,21 @@ _UINT32_MAX = 0xFFFFFFFF
 #: nothing measurable to peak memory.
 _BLOCK_LINES = 2048
 
+#: What a byte that is not valid UTF-8 decodes to under
+#: ``errors="surrogateescape"``: a lone surrogate.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def undecodable(text: str) -> bool:
+    """True if ``text``, decoded with ``errors="surrogateescape"``, held
+    a byte that is not valid UTF-8.
+
+    Decoding that way never raises, so one bad byte costs its own row
+    instead of the whole read; this one C-level scan (none at all for
+    ASCII text) finds the row.
+    """
+    return not text.isascii() and _ESCAPED_BYTE.search(text) is not None
+
 
 def _uint32(token, field: str) -> int:
     value = int(token)
@@ -130,27 +150,38 @@ def parse_packet_fields(row, registry: AppRegistry) -> PacketRow:
 
 
 class _Lines:
-    """A packets CSV's lines, shared by its ``csv`` reader and the block
+    """A CSV's lines, shared by its ``csv`` reader and the packets block
     fast path.
 
     The fast path takes lines straight off the file; lines it hands back
     (:meth:`unread`) are what the ``csv`` reader sees next. ``bypassed``
     counts the lines the ``csv`` reader never saw, so its ``line_num``
-    plus ``bypassed`` is the true file line.
+    plus ``bypassed`` is the true file line. A line the ``csv`` reader
+    gets that is not valid UTF-8 is held against the record it ends up
+    in, until :meth:`check_decoded`.
     """
 
     def __init__(self, handle) -> None:
         self._handle = handle
         self._unread: List[str] = []
         self.bypassed = 0
+        self._undecodable = False
 
     def __iter__(self) -> "_Lines":
         return self
 
     def __next__(self) -> str:
-        if self._unread:
-            return self._unread.pop()
-        return next(self._handle)
+        line = self._unread.pop() if self._unread else next(self._handle)
+        if undecodable(line):
+            self._undecodable = True
+        return line
+
+    def check_decoded(self, what: str = "row") -> None:
+        """Raise :class:`TraceError` if the record just read held a byte
+        that is not valid UTF-8."""
+        if self._undecodable:
+            self._undecodable = False
+            raise TraceError(f"{what} is not valid UTF-8")
 
     def take(self, n: int) -> List[str]:
         return list(islice(self._handle, n))
@@ -165,17 +196,22 @@ class _Lines:
 
 
 @contextmanager
-def _open_packets(path: Path):
-    """Open a packets CSV: its ``DictReader`` (header checked) and lines."""
-    with open(path, newline="") as handle:
+def _open_csv(path: Path, kind: str, required: frozenset):
+    """Open a UTF-8 CSV: its ``DictReader`` (header checked) and lines."""
+    with open(
+        path, newline="", encoding="utf-8", errors="surrogateescape"
+    ) as handle:
         lines = _Lines(handle)
         reader = csv.DictReader(lines)
-        if reader.fieldnames is None or not PACKET_COLUMNS.issubset(
-            reader.fieldnames
-        ):
+        fieldnames = reader.fieldnames
+        try:
+            lines.check_decoded(f"{kind} CSV header")
+        except TraceError as exc:
+            raise TraceError(f"{path.name}:{reader.line_num}: {exc}") from None
+        if fieldnames is None or not required.issubset(fieldnames):
             raise TraceError(
-                f"{path.name}: packets CSV must have columns "
-                f"{sorted(PACKET_COLUMNS)}, got {reader.fieldnames}"
+                f"{path.name}: {kind} CSV must have columns "
+                f"{sorted(required)}, got {fieldnames}"
             )
         yield reader, lines
 
@@ -196,6 +232,7 @@ def _row_path(
                 row = faults.corrupt_row(row)
         line_num = reader.line_num + lines.bypassed
         try:
+            lines.check_decoded()
             parsed = parse_packet_fields(row, registry)
         except (TraceError, ValueError, TypeError) as exc:
             error = TraceError(f"{path.name}:{line_num}: {exc}")
@@ -235,7 +272,7 @@ def iter_packet_rows(
     when quarantined rows were dropped along the way.
     """
     path = Path(path)
-    with _open_packets(path) as (reader, lines):
+    with _open_csv(path, "packets", PACKET_COLUMNS) as (reader, lines):
         for line_num, row in _row_path(
             path, reader, lines, registry, on_bad_row, inject
         ):
@@ -263,16 +300,16 @@ def iter_packet_blocks(
     Yields exactly the rows of :func:`iter_packet_rows` — the same
     values, app registration order, errors, line numbers and
     ``on_bad_row`` calls — as column blocks, several times faster. A
-    block with no ``"`` or NUL, no line over ``csv``'s field limit and
-    exactly the header's field count on every line (so no blank line)
-    is split and cast column by column with Python's own
-    ``float``/``int``; directions and app names resolve once per
-    distinct token, and new apps register in first-appearance order
-    only once the whole block has parsed. Any other block, or one whose
-    casts fail, goes to the per-row path, which reads on past the
-    block's end when a quoted record or blank line spans it. A row
-    error there first yields the good rows before it, so a consumer
-    sees the same prefix as row by row.
+    block with no ``"``, NUL or byte that is not valid UTF-8, no line
+    over ``csv``'s field limit and exactly the header's field count on
+    every line (so no blank line) is split and cast column by column
+    with Python's own ``float``/``int``; directions and app names
+    resolve once per distinct token, and new apps register in
+    first-appearance order only once the whole block has parsed. Any
+    other block, or one whose casts fail, goes to the per-row path,
+    which reads on past the block's end when a quoted record or blank
+    line spans it. A row error there first yields the good rows before
+    it, so a consumer sees the same prefix as row by row.
 
     ``inject`` is :func:`iter_packet_rows`'s fault-site opt-in; while a
     fault plan is armed every block takes the per-row path, so
@@ -280,7 +317,7 @@ def iter_packet_blocks(
     """
     path = Path(path)
     per_row = inject and faults.active_plan() is not None
-    with _open_packets(path) as (reader, lines):
+    with _open_csv(path, "packets", PACKET_COLUMNS) as (reader, lines):
         fields = reader.fieldnames
         # A DictReader row keeps the last of duplicated columns.
         columns = {name: i for i, name in enumerate(fields)}
@@ -326,6 +363,7 @@ def _parse_block(
     if (
         '"' in text
         or "\0" in text
+        or undecodable(text)
         or max(map(len, block)) > csv.field_size_limit()
         or set(map(str.count, block, repeat(","))) != {n_fields - 1}
     ):
@@ -404,6 +442,9 @@ def read_packets_csv(path: PathLike, registry: AppRegistry) -> PacketArray:
 #: One parsed events-CSV row, tagged by kind.
 EventRow = Tuple[str, object]
 
+#: The events-CSV schema's required columns.
+EVENT_COLUMNS = frozenset({"timestamp", "kind"})
+
 
 def iter_event_rows(
     path: PathLike, registry: AppRegistry
@@ -416,16 +457,10 @@ def iter_event_rows(
     the file and line number.
     """
     path = Path(path)
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        required = {"timestamp", "kind"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise TraceError(
-                f"{path.name}: events CSV must have columns "
-                f"{sorted(required)}, got {reader.fieldnames}"
-            )
+    with _open_csv(path, "events", EVENT_COLUMNS) as (reader, lines):
         for row in reader:
             try:
+                lines.check_decoded()
                 yield _parse_event_row(row, registry)
             except (TraceError, ValueError, TypeError) as exc:
                 raise TraceError(
@@ -520,7 +555,7 @@ def write_packets_csv(
     path: PathLike, packets: PacketArray, registry: AppRegistry
 ) -> None:
     """Write a packets CSV readable by :func:`read_packets_csv`."""
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["timestamp", "size", "direction", "app", "conn"])
         for rec in packets.data:
@@ -539,7 +574,7 @@ def write_events_csv(
     path: PathLike, events: EventLog, registry: AppRegistry
 ) -> None:
     """Write an events CSV readable by :func:`read_events_csv`."""
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["timestamp", "kind", "app", "value"])
         for event in events.process_events:

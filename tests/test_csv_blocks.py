@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import StudyConfig, faults, generate_study
+from repro.cli import main
 from repro.errors import StreamError, TraceError
 from repro.faults import FaultPlan, FaultSpec
 from repro.stream import CsvStreamSource
@@ -23,8 +24,10 @@ from repro.trace import io_text
 from repro.trace.arrays import PacketArray
 from repro.trace.dataset import AppRegistry
 from repro.trace.io_text import (
+    dataset_from_csv,
     iter_packet_blocks,
     iter_packet_rows,
+    read_events_csv,
     write_packets_csv,
 )
 
@@ -50,9 +53,12 @@ def lines_for(n, header=HEADER):
     return [",".join(row(i)[f] for f in fields) for i in range(n)]
 
 
-def write(tmp_path, lines, header=HEADER, newline="\n"):
-    path = tmp_path / "p.csv"
-    path.write_bytes(newline.join([header] + lines + [""]).encode("utf-8"))
+def write(tmp_path, lines, header=HEADER, newline="\n", name="p.csv"):
+    """Write a CSV as UTF-8; each lone surrogate in ``lines`` or
+    ``header`` (``"\\udcff"``) lands as one byte that is not UTF-8."""
+    path = tmp_path / name
+    text = newline.join([header] + lines + [""])
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     return path
 
 
@@ -226,6 +232,16 @@ def test_short_and_long_rows(tmp_path, per_row_calls):
     assert_same(write(tmp_path, lines), per_row_calls)
 
 
+#: Rows with a byte that is not valid UTF-8 (``write`` turns each lone
+#: surrogate into one): in the app name, in a number, and the first two
+#: bytes of a three-byte character just before the newline. The app of
+#: the numeric cases appears nowhere else in the file.
+UNDECODABLE_ROWS = {
+    "utf8-app": "1.0,100,up,app.\udcff,1",
+    "utf8-size": "1.0,1\udce900,up,app.victim,1",
+    "utf8-conn": "1.0,100,up,app.victim,1\udce6\udc97",
+}
+
 BAD_ROWS = {
     "timestamp": "not-a-time,100,up,app.bad,1",
     "size": "1.0,###corrupt###,up,app.bad,1",
@@ -235,6 +251,7 @@ BAD_ROWS = {
     # The app registers before conn fails: registry order must match.
     "conn": "1.0,100,up,app.conn-victim,x",
     "conn-range": "1.0,100,up,app.conn-victim,4294967296",
+    **UNDECODABLE_ROWS,
 }
 
 
@@ -277,6 +294,116 @@ def test_error_yields_good_rows_first(tmp_path):
         for block in iter_packet_blocks(write(tmp_path, lines), AppRegistry()):
             seen.extend(block.line_numbers.tolist())
     assert seen == list(range(2, BLOCK + 22))
+
+
+# ----------------------------------------------------------------------
+# Bytes that are not valid UTF-8: a malformed row, never a crash
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", sorted(UNDECODABLE_ROWS))
+@pytest.mark.parametrize("index", [0, BLOCK - 1, BLOCK, 2 * BLOCK + 4])
+def test_undecodable_row_quarantined_bit_identical(tmp_path, kind, index):
+    """Under quarantine the row is dropped and counted, and what is left
+    streams bit-identical to the same file without that row."""
+    lines = lines_for(2 * BLOCK + 5)
+    dirty = lines[:index] + [UNDECODABLE_ROWS[kind]] + lines[index:]
+    source = CsvStreamSource(
+        [(write(tmp_path, dirty, name="dirty.csv"), None)],
+        chunk_size=1000,
+        quarantine_rows=True,
+    )
+    clean = CsvStreamSource(
+        [(write(tmp_path, lines, name="clean.csv"), None)], chunk_size=1000
+    )
+    assert source.quarantine.count == 1
+    assert source.quarantine.samples == [
+        f"dirty.csv:{index + 2}: row is not valid UTF-8"
+    ]
+    assert source.registry.to_json() == clean.registry.to_json()
+    assert source.n_packets(1) == clean.n_packets(1)
+    assert source.duration == clean.duration
+    got = [chunk.data for chunk in source.iter_chunks(1)]
+    want = [chunk.data for chunk in clean.iter_chunks(1)]
+    assert [len(c) for c in got] == [len(c) for c in want]
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+    with pytest.raises(StreamError, match=rf":{index + 2}: row is not valid"):
+        CsvStreamSource([(tmp_path / "dirty.csv", None)])
+
+
+def test_undecodable_packets_header_is_a_typed_error(tmp_path):
+    path = write(tmp_path, lines_for(3), header=HEADER + "\udcff")
+    expected = "p.csv:1: packets CSV header is not valid UTF-8"
+    for read in (iter_packet_rows, iter_packet_blocks):
+        with pytest.raises(TraceError) as caught:
+            list(read(path, AppRegistry()))
+        assert str(caught.value) == expected
+    with pytest.raises(StreamError, match=expected):
+        CsvStreamSource([(path, None)], quarantine_rows=True)
+
+
+EVENTS_HEADER = "timestamp,kind,app,value"
+
+
+@pytest.mark.parametrize(
+    "header,rows,expected",
+    [
+        (
+            EVENTS_HEADER,
+            ["1.0,process,app.0,foreground", "2.0,screen,,o\udcff"],
+            "e.csv:3: row is not valid UTF-8",
+        ),
+        (
+            EVENTS_HEADER,
+            ["1.0,process,app.\udcff,foreground"],
+            "e.csv:2: row is not valid UTF-8",
+        ),
+        (
+            EVENTS_HEADER + "\udcff",
+            ["1.0,screen,,on"],
+            "e.csv:1: events CSV header is not valid UTF-8",
+        ),
+    ],
+    ids=["value", "app", "header"],
+)
+def test_undecodable_events_csv_is_a_typed_error(
+    tmp_path, header, rows, expected
+):
+    """Every events reader — batch, stream prepass, ``repro import`` —
+    raises the same :class:`TraceError`, and the bad app never
+    registers."""
+    packets = write(tmp_path, lines_for(3))
+    events = write(tmp_path, rows, header=header, name="e.csv")
+    registry = AppRegistry()
+    for build in (
+        lambda: read_events_csv(events, registry),
+        lambda: dataset_from_csv([(packets, events)]),
+        lambda: CsvStreamSource([(packets, events)], quarantine_rows=True),
+        lambda: main(
+            ["import", f"{packets}:{events}", "--out", str(tmp_path / "s.npz")]
+        ),
+    ):
+        with pytest.raises(TraceError) as caught:
+            build()
+        assert str(caught.value) == expected
+    assert "app.\udcff" not in registry
+    assert not (tmp_path / "s.npz").exists()
+
+
+def test_cli_ingest_quarantines_undecodable_row(tmp_path, capsys):
+    lines = lines_for(BLOCK + 5)
+    bad = UNDECODABLE_ROWS["utf8-app"]
+    path = write(tmp_path, lines[:7] + [bad] + lines[7:])
+    argv = [
+        "ingest",
+        "--user",
+        str(path),
+        "--checkpoint",
+        str(tmp_path / "ck.npz"),
+    ]
+    with pytest.raises(StreamError, match=r"p\.csv:9: row is not valid"):
+        main(argv)
+    assert main(argv + ["--quarantine"]) == 0
+    assert "quarantined: 1 malformed row(s)" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

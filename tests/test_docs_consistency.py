@@ -20,9 +20,11 @@ Six contracts are enforced on every tier-1 run:
   ``repro.policy.available_policies()``.
 
 The CLI block in docs/API.md is checked too: every ``repro <command>``
-line must name real subcommands.
+line must name real subcommands, and every ``--flag`` on it must be an
+option of the subcommands it names.
 """
 
+import argparse
 import re
 from importlib import import_module
 from pathlib import Path
@@ -38,6 +40,7 @@ POLICIES_MD = DOCS / "POLICIES.md"
 SECTION_RE = re.compile(r"^## `(repro[a-z_.]*)`")
 HEADING_RE = re.compile(r"^#{1,6} ")
 CODE_RE = re.compile(r"`([^`]+)`")
+FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 DOTTED_RE = re.compile(r"^[a-z_]+(\.[a-z_]+)+$")
 
@@ -269,26 +272,49 @@ def test_policies_md_documents_every_policy_params():
             )
 
 
-def test_cli_block_commands_exist():
-    from repro.cli import build_parser
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    """``{name: parser}`` of a parser's subcommands (empty if none)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
 
-    parser = build_parser()
-    subparsers = next(
-        action
-        for action in parser._actions
-        if hasattr(action, "choices") and action.choices
-    )
-    known = set(subparsers.choices)
 
+def _api_cli_lines():
+    """The ``repro ...`` lines of docs/API.md's fenced CLI block."""
     in_block = False
-    documented = set()
     for line in API_MD.read_text().splitlines():
         if line.startswith("```"):
             in_block = not in_block
             continue
         if in_block and line.startswith("repro "):
-            head = line.split()[1]
-            documented.update(head.split("|"))
-    assert documented, "no CLI lines found in docs/API.md"
-    missing = documented - known
-    assert not missing, f"docs/API.md documents unknown CLI commands: {missing}"
+            yield line
+
+
+def test_cli_block_commands_exist():
+    """Each line's commands exist, and each ``--flag`` on the line is an
+    option of every command it names — or of a nested subcommand it
+    names (``repro store ... ls|gc|invalidate [--fingerprint ...]``)."""
+    from repro.cli import build_parser
+
+    commands = _subcommands(build_parser())
+    lines = list(_api_cli_lines())
+    assert lines, "no CLI lines found in docs/API.md"
+    for line in lines:
+        tokens = line.split()
+        named = tokens[1].split("|")
+        missing = set(named) - set(commands)
+        assert not missing, (
+            f"docs/API.md documents unknown CLI commands {missing}: {line}"
+        )
+        words = {word for token in tokens[2:] for word in token.split("|")}
+        for name in named:
+            options = set(commands[name]._option_string_actions)
+            for sub_name, sub in _subcommands(commands[name]).items():
+                if sub_name in words:
+                    options |= set(sub._option_string_actions)
+            unknown = set(FLAG_RE.findall(line)) - options
+            assert not unknown, (
+                f"docs/API.md: `repro {name}` has no option "
+                f"{sorted(unknown)}: {line}"
+            )

@@ -1,20 +1,18 @@
-"""The parallel / lazy / disk-cached attribution engine.
+"""The parallel / lazy attribution engine.
 
-Contract under test: every knob combination (workers, lazy, cache_dir)
-produces *bit-identical* results to the plain serial engine — the knobs
-may only change when and where the work happens, never the numbers.
+Contract under test: every knob combination (workers, lazy) produces
+*bit-identical* results to the plain serial engine — the knobs may only
+change when and where the work happens, never the numbers.
 """
 
 import numpy as np
 import pytest
 
 import repro.radio.attribution as attribution
-from repro import RunMetrics, StudyConfig, StudyEnergy, generate_study
-from repro.core.cache import AttributionCache, study_cache_key
+from repro import StudyEnergy
 from repro.errors import AnalysisError
 from repro.parallel import map_tasks, resolve_workers
 from repro.radio import TailPolicy
-from repro.radio.umts import UMTS_DEFAULT
 
 
 @pytest.fixture
@@ -103,96 +101,6 @@ def test_lazy_user_ids_and_dataset_iteration_untouched(small_dataset):
     assert study.user_ids == [t.user_id for t in small_dataset]
     assert study.bytes_by_app()  # packet-only path needs no attribution
     assert not study._results
-
-
-# ----------------------------------------------------------------------
-# Disk cache
-# ----------------------------------------------------------------------
-def test_cache_round_trip_identical(small_dataset, small_study, tmp_path):
-    cold = RunMetrics()
-    StudyEnergy(small_dataset, cache_dir=tmp_path, metrics=cold)
-    assert cold.counter("attribution.cache_misses") == len(small_dataset)
-    assert cold.counter("attribution.users") == len(small_dataset)
-
-    warm = RunMetrics()
-    cached = StudyEnergy(small_dataset, cache_dir=tmp_path, metrics=warm)
-    assert warm.counter("attribution.cache_hits") == len(small_dataset)
-    assert warm.counter("attribution.users") == 0
-    for uid in small_study.user_ids:
-        assert np.array_equal(
-            cached.user_result(uid).per_packet,
-            small_study.user_result(uid).per_packet,
-        )
-    assert cached.total_energy == small_study.total_energy
-
-
-@pytest.mark.parametrize(
-    "variant",
-    [
-        dict(model=UMTS_DEFAULT),
-        dict(policy=TailPolicy.SPLIT_ADJACENT),
-    ],
-    ids=["model", "policy"],
-)
-def test_cache_invalidates_on_model_or_policy_change(
-    small_dataset, tmp_path, variant
-):
-    StudyEnergy(small_dataset, cache_dir=tmp_path)
-    metrics = RunMetrics()
-    StudyEnergy(small_dataset, cache_dir=tmp_path, metrics=metrics, **variant)
-    assert metrics.counter("attribution.cache_hits") == 0
-    assert metrics.counter("attribution.cache_misses") == len(small_dataset)
-
-
-def test_cache_invalidates_on_dataset_change(tmp_path):
-    a = generate_study(StudyConfig(n_users=2, duration_days=2.0, seed=1))
-    b = generate_study(StudyConfig(n_users=2, duration_days=2.0, seed=2))
-    assert a.fingerprint() != b.fingerprint()
-    StudyEnergy(a, cache_dir=tmp_path)
-    metrics = RunMetrics()
-    StudyEnergy(b, cache_dir=tmp_path, metrics=metrics)
-    assert metrics.counter("attribution.cache_hits") == 0
-
-
-def test_corrupt_cache_entry_is_a_miss(small_dataset, tmp_path):
-    StudyEnergy(small_dataset, cache_dir=tmp_path)
-    cache = AttributionCache.for_study(
-        tmp_path, small_dataset, StudyEnergy(small_dataset, lazy=True).model,
-        TailPolicy.LAST_PACKET,
-    )
-    uid = next(iter(small_dataset)).user_id
-    cache.path_for(uid).write_bytes(b"not an npz archive")
-    metrics = RunMetrics()
-    study = StudyEnergy(small_dataset, cache_dir=tmp_path, metrics=metrics)
-    assert metrics.counter("attribution.cache_misses") == 1
-    assert metrics.counter("attribution.cache_hits") == len(small_dataset) - 1
-    assert study.total_energy > 0
-
-
-def test_cache_key_depends_on_all_components(small_dataset):
-    from repro.radio.lte import LTE_DEFAULT
-
-    base = study_cache_key(small_dataset, LTE_DEFAULT, TailPolicy.LAST_PACKET)
-    assert base == study_cache_key(
-        small_dataset, LTE_DEFAULT, TailPolicy.LAST_PACKET
-    )
-    assert base != study_cache_key(
-        small_dataset, UMTS_DEFAULT, TailPolicy.LAST_PACKET
-    )
-    assert base != study_cache_key(
-        small_dataset, LTE_DEFAULT, TailPolicy.SPLIT_ADJACENT
-    )
-
-
-def test_lazy_plus_cache_writes_only_accessed_users(
-    small_dataset, tmp_path
-):
-    study = StudyEnergy(small_dataset, lazy=True, cache_dir=tmp_path)
-    uid = study.user_ids[0]
-    study.user_result(uid)
-    assert study._cache.path_for(uid).exists()
-    others = [u for u in study.user_ids if u != uid]
-    assert not any(study._cache.path_for(u).exists() for u in others)
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.errors import (
     NeedsPacketDetail,
     SourceTruncated,
     StreamError,
+    TraceError,
 )
 from repro.exitcodes import (
     EXIT_FOLLOW_INTERRUPTED,
@@ -354,6 +355,37 @@ def test_tail_csv_rejects_unsorted_rows(tmp_path, csv_tail):
     packets.write_text(lines[0] + lines[2] + lines[1])
     source = TailCsvSource([(packets, None)])
     with pytest.raises(StreamError):
+        source.poll(1)
+
+
+@pytest.mark.parametrize("row", [1, 2])
+def test_tail_csv_undecodable_row_is_a_stream_error(tmp_path, csv_tail, row):
+    """A byte that is not valid UTF-8 fails its row like any other
+    malformed tailed row: a StreamError, not a UnicodeDecodeError."""
+    _, texts = csv_tail
+    lines = [line.encode() for line in texts[1].splitlines(keepends=True)]
+    lines[row] = lines[row].replace(b",", b"\xff,", 1)
+    packets = tmp_path / "bad-byte.csv"
+    packets.write_bytes(b"".join(lines[:4]))
+    source = TailCsvSource([(packets, None)], chunk_size=1)
+    with pytest.raises(StreamError, match="row is not valid UTF-8"):
+        source.poll(1)
+
+
+def test_tail_csv_undecodable_header_is_a_follow_error(tmp_path, csv_tail):
+    _, texts = csv_tail
+    packets = tmp_path / "bad-header.csv"
+    packets.write_bytes(texts[1].encode().replace(b"\n", b"\xff\n", 1))
+    with pytest.raises(FollowError, match="header is not valid UTF-8"):
+        TailCsvSource([(packets, None)]).poll(1)
+
+
+def test_tail_csv_undecodable_events_row_is_a_trace_error(tmp_path, csv_tail):
+    pairs, texts = csv_tail
+    events = tmp_path / "bad-events.csv"
+    events.write_bytes(b"timestamp,kind,app,value\n1.0,screen,,o\xff\n")
+    source = TailCsvSource([(pairs[0][0], events)])
+    with pytest.raises(TraceError, match=r"bad-events\.csv:2: row is not"):
         source.poll(1)
 
 

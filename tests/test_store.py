@@ -6,10 +6,13 @@ from contextlib import closing
 
 import pytest
 
-from repro import StudyConfig, StudyEnergy, generate_study
+from repro import RunMetrics, StudyConfig, StudyEnergy, generate_study
 from repro.cli import EXIT_STORE_MISS, main
 from repro.core.readout import readout_from_checkpoint
 from repro.errors import AnalysisError
+from repro.radio import TailPolicy
+from repro.radio.lte import LTE_DEFAULT
+from repro.radio.umts import UMTS_DEFAULT
 from repro.store import (
     ANALYSIS_NAMES,
     ResultStore,
@@ -65,6 +68,31 @@ def test_store_key_for_study_reads_fingerprint_only(dataset):
     assert key.analysis == "fig3"
     # Deriving the key must not have triggered attribution.
     assert lazy._results == {}
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [dict(model=UMTS_DEFAULT), dict(policy=TailPolicy.SPLIT_ADJACENT)],
+    ids=["model", "policy"],
+)
+def test_store_key_separates_radio_models_and_tail_policies(
+    store, dataset, variant
+):
+    metrics = RunMetrics()
+    base = StudyEnergy(dataset, lazy=True, metrics=metrics)
+    other = StudyEnergy(dataset, lazy=True, metrics=metrics, **variant)
+    assert (base.model, base.policy) == (LTE_DEFAULT, TailPolicy.LAST_PACKET)
+    base_key = store_key_for(base, "fig1")
+    other_key = store_key_for(other, "fig1")
+    assert other_key.fingerprint == base_key.fingerprint
+    assert other_key.digest() != base_key.digest()
+    assert other_key.etag() != base_key.etag()
+    # An artefact stored for one is a miss for the other.
+    store.put(base_key, b"lte / last-packet")
+    assert store.get(other_key) is None
+    # Deriving either key attributed nothing.
+    assert base._results == {} and other._results == {}
+    assert metrics.counter("attribution.users") == 0
 
 
 def test_store_key_for_rejects_unknown_analysis(study):

@@ -178,22 +178,3 @@ def test_label_states_invalidates_fingerprint():
     before = dataset.fingerprint()
     dataset.label_states()
     assert dataset.fingerprint() != before
-
-
-def test_stale_fingerprint_cannot_poison_cache_key():
-    """Regression: a mutated dataset must never reuse the pre-mutation
-    attribution cache key, or cached per-user payloads for the old
-    dataset would be served for the new one."""
-    from repro.core.cache import study_cache_key
-    from repro.radio.attribution import TailPolicy
-    from repro.radio.lte import LTE_DEFAULT
-
-    dataset = Dataset(_registry(), [_trace(1)])
-    key_before = study_cache_key(
-        dataset, LTE_DEFAULT, TailPolicy.LAST_PACKET
-    )
-    dataset.append_user(_trace(2))
-    key_after = study_cache_key(
-        dataset, LTE_DEFAULT, TailPolicy.LAST_PACKET
-    )
-    assert key_after != key_before
