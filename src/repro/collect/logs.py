@@ -11,6 +11,8 @@ collection software gathered:
 * ``screen.log``   -- ``<ts> <ON|OFF>``
 * ``input.log``    -- user input: ``<ts> <app>``
 
+All five are UTF-8 text.
+
 Real collection is imperfect: short-lived connections can slip past the
 mapper. ``CollectionConfig.socket_record_loss`` drops that fraction of
 socket records, which the parser then buckets as unattributable
@@ -28,6 +30,7 @@ import numpy as np
 
 from repro.errors import TraceError
 from repro.trace.dataset import Dataset
+from repro.trace.events import ProcessState
 from repro.trace.packet import Direction
 from repro.trace.trace import UserTrace
 from repro.workload.rng import substream
@@ -68,7 +71,7 @@ def write_device_logs(
     directory.mkdir(parents=True, exist_ok=True)
     packets = trace.packets
 
-    with open(directory / PACKETS_LOG, "w") as handle:
+    with open(directory / PACKETS_LOG, "w", encoding="utf-8") as handle:
         for rec in packets.data:
             direction = "U" if int(rec["direction"]) == int(Direction.UPLINK) else "D"
             handle.write(
@@ -83,24 +86,24 @@ def write_device_logs(
         key = (int(rec["conn"]), int(rec["app"]))
         if key not in seen:
             seen[key] = float(rec["timestamp"])
-    with open(directory / SOCKETS_LOG, "w") as handle:
+    with open(directory / SOCKETS_LOG, "w", encoding="utf-8") as handle:
         for (conn, app), first_ts in sorted(seen.items(), key=lambda kv: kv[1]):
             if config.socket_record_loss and rng.random() < config.socket_record_loss:
                 continue
             handle.write(f"{first_ts!r} {conn} {registry.name_of(app)}\n")
 
-    with open(directory / PROCESS_LOG, "w") as handle:
-        for event in trace.events.process_events:
+    with open(directory / PROCESS_LOG, "w", encoding="utf-8") as handle:
+        for timestamp, app, state in trace.events.process.tolist():
             handle.write(
-                f"{event.timestamp!r} {registry.name_of(event.app)} "
-                f"{event.state.name}\n"
+                f"{timestamp!r} {registry.name_of(app)} "
+                f"{ProcessState(state).name}\n"
             )
-    with open(directory / SCREEN_LOG, "w") as handle:
-        for event in trace.events.screen_events:
-            handle.write(f"{event.timestamp!r} {'ON' if event.on else 'OFF'}\n")
-    with open(directory / INPUT_LOG, "w") as handle:
-        for event in trace.events.input_events:
-            handle.write(f"{event.timestamp!r} {registry.name_of(event.app)}\n")
+    with open(directory / SCREEN_LOG, "w", encoding="utf-8") as handle:
+        for timestamp, on in trace.events.screen.tolist():
+            handle.write(f"{timestamp!r} {'ON' if on else 'OFF'}\n")
+    with open(directory / INPUT_LOG, "w", encoding="utf-8") as handle:
+        for timestamp, app in trace.events.input.tolist():
+            handle.write(f"{timestamp!r} {registry.name_of(app)}\n")
     return directory
 
 

@@ -8,12 +8,18 @@ system processes — are attributed to the :data:`UNKNOWN_APP` bucket,
 which mirrors the paper's handling of requests delegated to system
 services ("we label this traffic according to the service from which it
 originated").
+
+Logs are read as UTF-8. A malformed line — the wrong number of fields,
+a field that does not parse (a non-finite timestamp included), an
+unknown process state, a screen value other than ``ON``/``OFF`` or a
+byte that is not valid UTF-8 — raises :class:`TraceError` naming the
+log and line (``process.log:7: ...``).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
@@ -34,6 +40,7 @@ from repro.trace.events import (
     ScreenEvent,
     UserInputEvent,
 )
+from repro.trace.io_text import parse_timestamp, parse_uint32, undecodable
 from repro.trace.packet import Direction
 from repro.trace.trace import UserTrace
 from repro.units import DAY
@@ -43,6 +50,10 @@ PathLike = Union[str, Path]
 #: Registry name for traffic whose process mapping was lost.
 UNKNOWN_APP = "system.unattributed"
 
+_DIRECTIONS = {"U": int(Direction.UPLINK), "D": int(Direction.DOWNLINK)}
+
+_SCREEN_VALUES = {"ON": True, "OFF": False}
+
 
 def _app_id(registry: AppRegistry, name: str) -> int:
     if name in registry:
@@ -50,43 +61,54 @@ def _app_id(registry: AppRegistry, name: str) -> int:
     return registry.register(name).app_id
 
 
-def _read_sockets(path: Path, registry: AppRegistry) -> Dict[int, int]:
-    mapping: Dict[int, int] = {}
+def _parse_log(path: Path, n_fields: int, parse: Callable) -> list:
+    """``parse(*fields)`` of every line of one log, in file order (none
+    if the log does not exist)."""
+    rows: list = []
     if not path.exists():
-        return mapping
-    with open(path) as handle:
-        for line in handle:
-            parts = line.split()
-            if len(parts) != 3:
-                raise TraceError(f"malformed socket record: {line!r}")
-            _, conn, app = parts
-            mapping[int(conn)] = _app_id(registry, app)
-    return mapping
+        return rows
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for number, line in enumerate(handle, start=1):
+            try:
+                if undecodable(line):
+                    raise TraceError("line is not valid UTF-8")
+                fields = line.split()
+                if len(fields) != n_fields:
+                    raise TraceError(
+                        f"expected {n_fields} fields, got {line!r}"
+                    )
+                rows.append(parse(*fields))
+            except KeyError as exc:
+                where = f"{path.name}:{number}"
+                raise TraceError(f"{where}: unknown value {exc}") from None
+            except (TraceError, ValueError) as exc:
+                raise TraceError(f"{path.name}:{number}: {exc}") from None
+    return rows
+
+
+def _read_sockets(path: Path, registry: AppRegistry) -> Dict[int, int]:
+    rows = _parse_log(
+        path, 3, lambda _ts, conn, app: (parse_uint32(conn, "conn"), app)
+    )
+    return {conn: _app_id(registry, app) for conn, app in rows}
 
 
 def _read_packets(
     path: Path, conn_to_app: Dict[int, int], registry: AppRegistry
 ) -> PacketArray:
-    times: List[float] = []
-    conns: List[int] = []
-    dirs: List[int] = []
-    sizes: List[int] = []
     if not path.exists():
         raise TraceError(f"missing packet log {path}")
-    with open(path) as handle:
-        for line in handle:
-            parts = line.split()
-            if len(parts) != 4:
-                raise TraceError(f"malformed packet record: {line!r}")
-            ts, conn, direction, size = parts
-            times.append(float(ts))
-            conns.append(int(conn))
-            if direction not in ("U", "D"):
-                raise TraceError(f"malformed packet direction: {line!r}")
-            dirs.append(
-                int(Direction.UPLINK if direction == "U" else Direction.DOWNLINK)
-            )
-            sizes.append(int(size))
+    rows = _parse_log(
+        path,
+        4,
+        lambda ts, conn, direction, size: (
+            parse_timestamp(ts),
+            parse_uint32(conn, "conn"),
+            _DIRECTIONS[direction],
+            parse_uint32(size, "size"),
+        ),
+    )
+    times, conns, dirs, sizes = zip(*rows) if rows else ((),) * 4
     unknown_id: Optional[int] = None
     apps = np.empty(len(times), dtype=np.uint16)
     for i, conn in enumerate(conns):
@@ -107,30 +129,27 @@ def _read_packets(
 
 
 def _read_events(directory: Path, registry: AppRegistry) -> EventLog:
-    log = EventLog()
-    process_path = directory / PROCESS_LOG
-    if process_path.exists():
-        with open(process_path) as handle:
-            for line in handle:
-                ts, app, state = line.split()
-                log.add_process_event(
-                    ProcessStateEvent(
-                        float(ts), _app_id(registry, app), ProcessState[state]
-                    )
-                )
-    screen_path = directory / SCREEN_LOG
-    if screen_path.exists():
-        with open(screen_path) as handle:
-            for line in handle:
-                ts, value = line.split()
-                log.add_screen_event(ScreenEvent(float(ts), value == "ON"))
-    input_path = directory / INPUT_LOG
-    if input_path.exists():
-        with open(input_path) as handle:
-            for line in handle:
-                ts, app = line.split()
-                log.add_input_event(UserInputEvent(float(ts), _app_id(registry, app)))
-    return log
+    process = _parse_log(
+        directory / PROCESS_LOG,
+        3,
+        lambda ts, app, state: (parse_timestamp(ts), app, ProcessState[state]),
+    )
+    screen = _parse_log(
+        directory / SCREEN_LOG,
+        2,
+        lambda ts, on: ScreenEvent(parse_timestamp(ts), _SCREEN_VALUES[on]),
+    )
+    inputs = _parse_log(
+        directory / INPUT_LOG, 2, lambda ts, app: (parse_timestamp(ts), app)
+    )
+    return EventLog(
+        [
+            ProcessStateEvent(ts, _app_id(registry, app), state)
+            for ts, app, state in process
+        ],
+        screen,
+        [UserInputEvent(ts, _app_id(registry, app)) for ts, app in inputs],
+    )
 
 
 def read_device_logs(
@@ -146,8 +165,7 @@ def read_device_logs(
     packets = _read_packets(directory / PACKETS_LOG, conn_to_app, registry)
     events = _read_events(directory, registry)
     horizon = float(packets.timestamps[-1]) if len(packets) else 0.0
-    for event in events:
-        horizon = max(horizon, event.timestamp)
+    horizon = max(horizon, events.last_timestamp)
     if duration is None:
         duration = float(np.ceil(horizon / DAY) * DAY) or DAY
     return UserTrace(user_id, 0.0, duration, packets, events)

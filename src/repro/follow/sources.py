@@ -98,10 +98,6 @@ class TailCsvSource:
         """A follow has no end of time: ``(0, FOLLOW_WINDOW_END)``."""
         return (0.0, FOLLOW_WINDOW_END)
 
-    def events_for(self, user_id: int) -> EventLog:
-        """One user's event log as of the last poll."""
-        return self._events[user_id]
-
     def signature(self) -> str:
         """Digest binding follow checkpoints to these files."""
         payload = json.dumps(

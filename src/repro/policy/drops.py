@@ -59,12 +59,11 @@ class DozePolicy(PolicyParams):
     def transform(self, packets, context: PolicyContext) -> PolicyTransform:
         ts = packets.timestamps
         # Time since the screen last turned off (0 while on).
-        screen = context.index.events.screen_events
-        ev_times = np.array([e.timestamp for e in screen])
-        ev_on = np.array([e.on for e in screen], dtype=bool)
+        screen = context.index.events.screen
+        ev_times = screen["timestamp"]
         idx = np.searchsorted(ev_times, ts, side="right") - 1
         off_since = np.where(
-            (idx >= 0) & ~ev_on[np.clip(idx, 0, None)],
+            (idx >= 0) & (screen["on"][np.clip(idx, 0, None)] == 0),
             ts - ev_times[np.clip(idx, 0, None)],
             0.0,
         )

@@ -163,8 +163,7 @@ class CsvStreamSource:
                 if events_path is not None
                 else EventLog()
             )
-            for event in events:
-                horizon = max(horizon, event.timestamp)
+            horizon = max(horizon, events.last_timestamp)
             self._events[uid] = events
             self._counts[uid] = count
         if duration is None:
@@ -183,10 +182,6 @@ class CsvStreamSource:
     def n_packets(self, user_id: int) -> int:
         """Total packet rows of one user (known from the prepass)."""
         return self._counts[user_id]
-
-    def events_for(self, user_id: int) -> EventLog:
-        """One user's full event log (loaded in the prepass)."""
-        return self._events[user_id]
 
     def _packet_blocks(
         self, packets_path: Path, on_bad_row=None, inject: bool = False

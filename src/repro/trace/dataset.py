@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Union
@@ -24,13 +26,7 @@ import numpy as np
 from repro.durable import write_atomic
 from repro.errors import TraceError
 from repro.trace.arrays import PacketArray, PACKET_DTYPE
-from repro.trace.events import (
-    EventLog,
-    ProcessState,
-    ProcessStateEvent,
-    ScreenEvent,
-    UserInputEvent,
-)
+from repro.trace.events import EventLog
 from repro.trace.trace import UserTrace
 
 
@@ -244,9 +240,9 @@ class Dataset:
                 {"user_id": uid, "start": trace.start, "end": trace.end}
             )
             arrays[f"packets_{uid}"] = trace.packets.data
-            arrays[f"proc_{uid}"] = _process_events_to_array(trace.events)
-            arrays[f"screen_{uid}"] = _screen_events_to_array(trace.events)
-            arrays[f"input_{uid}"] = _input_events_to_array(trace.events)
+            arrays[f"proc_{uid}"] = trace.events.process
+            arrays[f"screen_{uid}"] = trace.events.screen
+            arrays[f"input_{uid}"] = trace.events.input
         arrays["header"] = np.frombuffer(
             json.dumps(header).encode("utf-8"), dtype=np.uint8
         )
@@ -256,25 +252,64 @@ class Dataset:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Dataset":
-        """Load a dataset written by :meth:`save`."""
-        with np.load(Path(path)) as archive:
-            header = json.loads(bytes(archive["header"]).decode("utf-8"))
-            registry = AppRegistry.from_json(json.dumps(header["registry"]))
+        """Load a dataset written by :meth:`save`.
+
+        Raises :class:`TraceError` naming the file, and the member at
+        fault if there is one, when the file is not such an archive:
+        not a zip or truncated, a member missing or of another dtype, a
+        header that is not the JSON :meth:`save` writes, a non-finite
+        timestamp, a process state that is not a
+        :class:`~repro.trace.events.ProcessState` or a screen value
+        other than 0 or 1. A missing file raises ``FileNotFoundError``.
+        """
+        path = Path(path)
+        try:
+            archive = np.load(path)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise TraceError(f"{path.name}: not a dataset: {exc}") from None
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise TraceError(f"{path.name}: not a dataset: a bare array")
+
+        def member(name: str) -> np.ndarray:
+            try:
+                return archive[name]
+            except KeyError:
+                raise TraceError(f"{path.name}: no member {name!r}") from None
+            except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+                raise TraceError(f"{path.name}: {name}: {exc}") from None
+
+        with archive:
+            try:
+                header = json.loads(bytes(member("header")).decode("utf-8"))
+                registry = AppRegistry.from_json(json.dumps(header["registry"]))
+                entries = [
+                    (entry["user_id"], entry["start"], entry["end"])
+                    for entry in header["users"]
+                ]
+                metadata = dict(header["metadata"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise TraceError(f"{path.name}: header: {exc!r}") from None
             users = []
-            for entry in header["users"]:
-                uid = entry["user_id"]
-                packets = PacketArray(
-                    np.ascontiguousarray(archive[f"packets_{uid}"], dtype=PACKET_DTYPE)
-                )
-                events = _event_log_from_arrays(
-                    archive[f"proc_{uid}"],
-                    archive[f"screen_{uid}"],
-                    archive[f"input_{uid}"],
-                )
+            for uid, start, end in entries:
+                data, *streams = [
+                    member(f"{kind}_{uid}")
+                    for kind in ("packets", "proc", "screen", "input")
+                ]
+                try:
+                    if data.ndim != 1 or data.dtype != PACKET_DTYPE:
+                        raise TraceError(
+                            f"packets: expected dtype {PACKET_DTYPE}, "
+                            f"got {data.dtype}"
+                        )
+                    if not np.isfinite(data["timestamp"]).all():
+                        raise TraceError("packets: non-finite timestamp")
+                    events = EventLog.from_arrays(*streams)
+                except TraceError as exc:
+                    raise TraceError(f"{path.name}: user {uid}: {exc}") from None
                 users.append(
-                    UserTrace(uid, entry["start"], entry["end"], packets, events)
+                    UserTrace(uid, start, end, PacketArray(data), events)
                 )
-        return cls(registry, users, header["metadata"])
+        return cls(registry, users, metadata)
 
     def __repr__(self) -> str:
         return (
@@ -282,48 +317,3 @@ class Dataset:
             f"packets={self.total_packets})"
         )
 
-
-_PROC_DTYPE = np.dtype([("timestamp", "f8"), ("app", "u2"), ("state", "u1")])
-_SCREEN_DTYPE = np.dtype([("timestamp", "f8"), ("on", "u1")])
-_INPUT_DTYPE = np.dtype([("timestamp", "f8"), ("app", "u2")])
-
-
-def _process_events_to_array(log: EventLog) -> np.ndarray:
-    events = log.process_events
-    out = np.empty(len(events), dtype=_PROC_DTYPE)
-    for i, e in enumerate(events):
-        out[i] = (e.timestamp, e.app, int(e.state))
-    return out
-
-
-def _screen_events_to_array(log: EventLog) -> np.ndarray:
-    events = log.screen_events
-    out = np.empty(len(events), dtype=_SCREEN_DTYPE)
-    for i, e in enumerate(events):
-        out[i] = (e.timestamp, int(e.on))
-    return out
-
-
-def _input_events_to_array(log: EventLog) -> np.ndarray:
-    events = log.input_events
-    out = np.empty(len(events), dtype=_INPUT_DTYPE)
-    for i, e in enumerate(events):
-        out[i] = (e.timestamp, e.app)
-    return out
-
-
-def _event_log_from_arrays(
-    proc: np.ndarray, screen: np.ndarray, inputs: np.ndarray
-) -> EventLog:
-    return EventLog(
-        process_events=[
-            ProcessStateEvent(float(r["timestamp"]), int(r["app"]), ProcessState(int(r["state"])))
-            for r in proc
-        ],
-        screen_events=[
-            ScreenEvent(float(r["timestamp"]), bool(r["on"])) for r in screen
-        ],
-        input_events=[
-            UserInputEvent(float(r["timestamp"]), int(r["app"])) for r in inputs
-        ],
-    )

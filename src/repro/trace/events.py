@@ -17,10 +17,9 @@ the process does not exist at all (relevant for the what-if kill policy).
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List
 
 import numpy as np
 
@@ -122,11 +121,53 @@ class UserInputEvent:
     app: int
 
 
-class EventLog:
-    """Time-ordered container for the three event streams of one device.
+#: numpy dtype of one process-state event, as :class:`EventLog` holds
+#: it and :meth:`~repro.trace.dataset.Dataset.save` writes it.
+PROCESS_EVENT_DTYPE = np.dtype(
+    [("timestamp", "f8"), ("app", "u2"), ("state", "u1")]
+)
 
-    Events may be appended in any order; the log sorts lazily on first
-    read access and stays sorted afterwards.
+#: numpy dtype of one screen event (``on`` is 0 or 1).
+SCREEN_EVENT_DTYPE = np.dtype([("timestamp", "f8"), ("on", "u1")])
+
+#: numpy dtype of one user-input event.
+INPUT_EVENT_DTYPE = np.dtype([("timestamp", "f8"), ("app", "u2")])
+
+
+def _stream(array: np.ndarray, dtype: np.dtype, name: str) -> np.ndarray:
+    """``array`` checked, stably sorted by time (a sorted array is not
+    copied) and read-only; errors name the stream ``name``."""
+    if not isinstance(array, np.ndarray) or array.ndim != 1:
+        raise TraceError(f"{name}: expected a 1-d array of dtype {dtype}")
+    if array.dtype != dtype:
+        raise TraceError(f"{name}: expected dtype {dtype}, got {array.dtype}")
+    times = array["timestamp"]
+    finite = np.isfinite(times)
+    if not finite.all():
+        raise TraceError(f"{name}: non-finite timestamp {times[~finite][0]}")
+    for field, limit in (("state", len(ProcessState)), ("on", 2)):
+        if field in dtype.names and len(array) and array[field].max() >= limit:
+            raise TraceError(
+                f"{name}: {field} {array[field].max()} out of range "
+                f"0..{limit - 1}"
+            )
+    if (times[1:] < times[:-1]).any():
+        array = array[np.argsort(times, kind="stable")]
+    array = array.view()
+    array.flags.writeable = False
+    return array
+
+
+class EventLog:
+    """The three event streams of one device, held as the structured
+    arrays :meth:`~repro.trace.dataset.Dataset.save` writes:
+    :attr:`process`, :attr:`screen` and :attr:`input`.
+
+    Immutable: each stream is sorted by time once, at construction, by
+    a stable sort, so tied events keep their input order; the process
+    stream is grouped by app once, the same way; the arrays are
+    read-only. The per-event objects (:attr:`process_events` and the
+    like) are views, built on each access.
     """
 
     def __init__(
@@ -135,105 +176,115 @@ class EventLog:
         screen_events: Iterable[ScreenEvent] = (),
         input_events: Iterable[UserInputEvent] = (),
     ) -> None:
-        self._process: List[ProcessStateEvent] = list(process_events)
-        self._screen: List[ScreenEvent] = list(screen_events)
-        self._input: List[UserInputEvent] = list(input_events)
-        self._sorted = False
-        self._by_app: Optional[dict] = None
+        self._adopt(
+            np.fromiter(
+                ((e.timestamp, e.app, e.state) for e in process_events),
+                PROCESS_EVENT_DTYPE,
+            ),
+            np.fromiter(
+                ((e.timestamp, e.on) for e in screen_events), SCREEN_EVENT_DTYPE
+            ),
+            np.fromiter(
+                ((e.timestamp, e.app) for e in input_events), INPUT_EVENT_DTYPE
+            ),
+        )
 
-    def add_process_event(self, event: ProcessStateEvent) -> None:
-        """Append a process-state transition."""
-        self._process.append(event)
-        self._sorted = False
-        self._by_app = None
+    @classmethod
+    def from_arrays(
+        cls, process: np.ndarray, screen: np.ndarray, inputs: np.ndarray
+    ) -> "EventLog":
+        """A log over arrays of the three event dtypes, adopted (copied
+        only to sort one): do not write to them afterwards.
 
-    def add_screen_event(self, event: ScreenEvent) -> None:
-        """Append a screen on/off transition."""
-        self._screen.append(event)
-        self._sorted = False
+        An array of another dtype, or holding a non-finite timestamp, a
+        state that is no :class:`ProcessState` or an ``on`` other than
+        0/1, raises :class:`TraceError` naming the stream by its saved
+        member prefix (``proc``, ``screen``, ``input``).
+        """
+        log = cls.__new__(cls)
+        log._adopt(process, screen, inputs)
+        return log
 
-    def add_input_event(self, event: UserInputEvent) -> None:
-        """Append a user-input event."""
-        self._input.append(event)
-        self._sorted = False
+    def _adopt(
+        self, process: np.ndarray, screen: np.ndarray, inputs: np.ndarray
+    ) -> None:
+        self.process = _stream(process, PROCESS_EVENT_DTYPE, "proc")
+        self.screen = _stream(screen, SCREEN_EVENT_DTYPE, "screen")
+        self.input = _stream(inputs, INPUT_EVENT_DTYPE, "input")
+        self._by_app = self.process[
+            np.argsort(self.process["app"], kind="stable")
+        ]
+        self._by_app.flags.writeable = False
+        apps, starts, counts = np.unique(
+            self._by_app["app"], return_index=True, return_counts=True
+        )
+        self._slices = {
+            app: slice(start, start + count)
+            for app, start, count in zip(
+                apps.tolist(), starts.tolist(), counts.tolist()
+            )
+        }
 
-    def extend_process_events(self, events: Iterable[ProcessStateEvent]) -> None:
-        """Append many process-state transitions at once."""
-        self._process.extend(events)
-        self._sorted = False
-        self._by_app = None
-
-    def _ensure_sorted(self) -> None:
-        if not self._sorted:
-            self._process.sort(key=lambda e: e.timestamp)
-            self._screen.sort(key=lambda e: e.timestamp)
-            self._input.sort(key=lambda e: e.timestamp)
-            self._sorted = True
-
-    @property
-    def process_events(self) -> Sequence[ProcessStateEvent]:
-        """All process-state events, time-ordered."""
-        self._ensure_sorted()
-        return self._process
-
-    @property
-    def screen_events(self) -> Sequence[ScreenEvent]:
-        """All screen events, time-ordered."""
-        self._ensure_sorted()
-        return self._screen
-
-    @property
-    def input_events(self) -> Sequence[UserInputEvent]:
-        """All user-input events, time-ordered."""
-        self._ensure_sorted()
-        return self._input
-
-    def process_events_for_app(self, app: int) -> Sequence[ProcessStateEvent]:
+    def process_for_app(self, app: int) -> np.ndarray:
         """Time-ordered process-state events of a single app."""
-        self._ensure_sorted()
-        if self._by_app is None:
-            by_app: dict = {}
-            for event in self._process:
-                by_app.setdefault(event.app, []).append(event)
-            self._by_app = by_app
-        return self._by_app.get(app, [])
+        return self._by_app[self._slices.get(int(app), slice(0))]
+
+    @property
+    def last_timestamp(self) -> float:
+        """Time of the latest event of any stream; ``-inf`` if none."""
+        streams = (self.process, self.screen, self.input)
+        ends = [events["timestamp"][-1] for events in streams if len(events)]
+        return float(max(ends, default=-np.inf))
+
+    @property
+    def process_events(self) -> List[ProcessStateEvent]:
+        """All process-state events, time-ordered, as objects."""
+        return _process_objects(self.process)
+
+    @property
+    def screen_events(self) -> List[ScreenEvent]:
+        """All screen events, time-ordered, as objects."""
+        return [ScreenEvent(t, bool(on)) for t, on in self.screen.tolist()]
+
+    @property
+    def input_events(self) -> List[UserInputEvent]:
+        """All user-input events, time-ordered, as objects."""
+        return [UserInputEvent(t, app) for t, app in self.input.tolist()]
+
+    def process_events_for_app(self, app: int) -> List[ProcessStateEvent]:
+        """Time-ordered process-state events of a single app, as objects."""
+        return _process_objects(self.process_for_app(app))
 
     def apps(self) -> List[int]:
         """Sorted ids of all apps appearing in the process-event stream."""
-        return sorted({e.app for e in self.process_events})
+        return list(self._slices)
 
     def screen_on_at(self, timestamp: float) -> bool:
         """Screen state at ``timestamp`` (``False`` before any event)."""
-        events = self.screen_events
-        times = [e.timestamp for e in events]
-        idx = bisect.bisect_right(times, timestamp) - 1
-        if idx < 0:
-            return False
-        return events[idx].on
-
-    def merge(self, other: "EventLog") -> "EventLog":
-        """Return a new log with the union of both logs' events."""
-        return EventLog(
-            list(self.process_events) + list(other.process_events),
-            list(self.screen_events) + list(other.screen_events),
-            list(self.input_events) + list(other.input_events),
-        )
+        idx = np.searchsorted(self.screen["timestamp"], timestamp, "right")
+        return bool(idx) and bool(self.screen["on"][idx - 1])
 
     def validate(self) -> None:
         """Raise :class:`TraceError` on negative timestamps."""
-        for stream in (self.process_events, self.screen_events, self.input_events):
-            for event in stream:
-                if event.timestamp < 0:
-                    raise TraceError(
-                        f"event has negative timestamp: {event!r}"
-                    )
+        for name, events in zip(
+            ("process", "screen", "input"), (self.process, self.screen, self.input)
+        ):
+            if len(events) and events["timestamp"][0] < 0:
+                first = float(events["timestamp"][0])
+                raise TraceError(f"{name} event has negative timestamp {first}")
 
     def __len__(self) -> int:
-        return len(self._process) + len(self._screen) + len(self._input)
+        return len(self.process) + len(self.screen) + len(self.input)
 
     def __iter__(self) -> Iterator:
         """Iterate over all events of every stream in time order."""
-        self._ensure_sorted()
-        merged = list(self._process) + list(self._screen) + list(self._input)
+        merged = self.process_events + self.screen_events + self.input_events
         merged.sort(key=lambda e: e.timestamp)
         return iter(merged)
+
+
+def _process_objects(events: np.ndarray) -> List[ProcessStateEvent]:
+    return [
+        ProcessStateEvent(t, app, ProcessState(state))
+        for t, app, state in events.tolist()
+    ]

@@ -20,10 +20,10 @@ import numpy as np
 from repro.errors import TraceError
 from repro.trace.arrays import PacketArray, STATE_UNLABELLED
 from repro.trace.events import (
+    BACKGROUND_STATES,
+    FOREGROUND_STATES,
     EventLog,
     ProcessState,
-    is_background,
-    is_foreground,
 )
 
 
@@ -56,20 +56,19 @@ def app_state_intervals(
     """
     if t_end < t_start:
         raise TraceError(f"t_end {t_end} before t_start {t_start}")
-    events = log.process_events_for_app(app)
     intervals: List[StateInterval] = []
     state = initial_state
     cursor = t_start
-    for event in events:
-        if event.timestamp <= t_start:
-            state = event.state
+    for timestamp, _, value in log.process_for_app(app).tolist():
+        if timestamp <= t_start:
+            state = ProcessState(value)
             continue
-        if event.timestamp >= t_end:
+        if timestamp >= t_end:
             break
-        if event.timestamp > cursor:
-            intervals.append(StateInterval(cursor, event.timestamp, state))
-        cursor = event.timestamp
-        state = event.state
+        if timestamp > cursor:
+            intervals.append(StateInterval(cursor, timestamp, state))
+        cursor = timestamp
+        state = ProcessState(value)
     if t_end > cursor:
         intervals.append(StateInterval(cursor, t_end, state))
     return intervals
@@ -104,17 +103,14 @@ def label_packet_states(
     ts = packets.timestamps
     apps = packets.apps
     for app in np.unique(apps):
-        events = log.process_events_for_app(int(app))
-        mask = apps == app
-        if not events:
+        events = log.process_for_app(int(app))
+        if not len(events):
             continue
-        ev_times = np.array([e.timestamp for e in events])
-        ev_states = np.array([int(e.state) for e in events], dtype=np.uint8)
-        idx = np.searchsorted(ev_times, ts[mask], side="right") - 1
-        app_labels = np.where(
-            idx >= 0, ev_states[np.clip(idx, 0, None)], int(default_state)
-        ).astype(np.uint8)
-        labels[mask] = app_labels
+        mask = apps == app
+        idx = np.searchsorted(events["timestamp"], ts[mask], side="right") - 1
+        labels[mask] = np.where(
+            idx >= 0, events["state"][np.clip(idx, 0, None)], int(default_state)
+        )
     packets.data["state"] = labels
     return labels
 
@@ -143,20 +139,19 @@ def background_transitions(
     An episode ends when the app returns to a foreground state or stops
     running; episodes still open at ``t_end`` are truncated there.
     """
-    events = log.process_events_for_app(app)
     transitions: List[BackgroundTransition] = []
     prev_fg = False
     open_start: float = -1.0
-    for event in events:
-        if event.timestamp >= t_end:
+    for timestamp, _, value in log.process_for_app(app).tolist():
+        if timestamp >= t_end:
             break
-        now_fg = is_foreground(event.state)
-        now_bg = is_background(event.state)
+        now_fg = value in FOREGROUND_STATES
+        now_bg = value in BACKGROUND_STATES
         if open_start >= 0 and not now_bg:
-            transitions.append(BackgroundTransition(app, open_start, event.timestamp))
+            transitions.append(BackgroundTransition(app, open_start, timestamp))
             open_start = -1.0
         if prev_fg and now_bg:
-            open_start = event.timestamp
+            open_start = timestamp
         prev_fg = now_fg
     if open_start >= 0:
         transitions.append(BackgroundTransition(app, open_start, t_end))

@@ -25,11 +25,13 @@ names (case-insensitive); screen values are ``on``/``off``.
 Both are read and written as UTF-8. A byte that is not valid UTF-8
 makes its row malformed — a :class:`~repro.errors.TraceError` naming
 the file and line, or a quarantined row — and makes a header an error.
+So does a timestamp that is not finite (``inf``, ``nan``).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import re
 from contextlib import contextmanager
 from itertools import islice, repeat
@@ -120,7 +122,19 @@ def undecodable(text: str) -> bool:
     return not text.isascii() and _ESCAPED_BYTE.search(text) is not None
 
 
-def _uint32(token, field: str) -> int:
+def parse_timestamp(token) -> float:
+    """``float(token)``, refusing a non-finite value with
+    :class:`TraceError`: an ``inf`` or ``nan`` time is a malformed row,
+    not a number to compute with."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise TraceError(f"non-finite timestamp {value}")
+    return value
+
+
+def parse_uint32(token, field: str) -> int:
+    """``int(token)``, refusing a value outside a packet record's
+    ``uint32`` size and conn columns with :class:`TraceError`."""
     value = int(token)
     if not 0 <= value <= _UINT32_MAX:
         raise TraceError(f"packet {field} out of range: {value}")
@@ -138,14 +152,15 @@ def parse_packet_fields(row, registry: AppRegistry) -> PacketRow:
     the registry untouched and surviving rows get identical app ids
     everywhere. Raises :class:`TraceError` (or ``ValueError``/
     ``TypeError`` from the numeric casts) on a malformed row, including
-    a size or conn that does not fit a packet record.
+    a non-finite timestamp and a size or conn that does not fit a
+    packet record.
     """
     return (
-        float(row["timestamp"]),
-        _uint32(row["size"], "size"),
+        parse_timestamp(row["timestamp"]),
+        parse_uint32(row["size"], "size"),
         int(_parse_direction(row["direction"])),
         _app_id(registry, row["app"]),
-        _uint32(row.get("conn") or 0, "conn"),
+        parse_uint32(row.get("conn") or 0, "conn"),
     )
 
 
@@ -306,10 +321,11 @@ def iter_packet_blocks(
     with Python's own ``float``/``int``; directions and app names
     resolve once per distinct token, and new apps register in
     first-appearance order only once the whole block has parsed. Any
-    other block, or one whose casts fail, goes to the per-row path,
-    which reads on past the block's end when a quoted record or blank
-    line spans it. A row error there first yields the good rows before
-    it, so a consumer sees the same prefix as row by row.
+    other block, or one whose casts fail or give a non-finite
+    timestamp, goes to the per-row path, which reads on past the
+    block's end when a quoted record or blank line spans it. A row
+    error there first yields the good rows before it, so a consumer
+    sees the same prefix as row by row.
 
     ``inject`` is :func:`iter_packet_rows`'s fault-site opt-in; while a
     fault plan is armed every block takes the per-row path, so
@@ -382,6 +398,8 @@ def _parse_block(
         timestamps = np.fromiter(
             map(float, column("timestamp")), np.float64, n
         )
+        if not np.isfinite(timestamps).all():
+            return None
         sizes = _uint32_column(column("size"), n)
         direction = column("direction")
         codes = {t: int(_parse_direction(t)) for t in set(direction)}
@@ -469,7 +487,7 @@ def iter_event_rows(
 
 
 def _parse_event_row(row, registry: AppRegistry) -> EventRow:
-    timestamp = float(row["timestamp"])
+    timestamp = parse_timestamp(row["timestamp"])
     kind = row["kind"].strip().lower()
     if kind == "process":
         state_name = (row.get("value") or "").strip().upper()
@@ -496,15 +514,10 @@ def _parse_event_row(row, registry: AppRegistry) -> EventRow:
 
 def read_events_csv(path: PathLike, registry: AppRegistry) -> EventLog:
     """Read an events CSV (process/screen/input streams)."""
-    log = EventLog()
+    streams: Dict[str, list] = {"process": [], "screen": [], "input": []}
     for kind, event in iter_event_rows(path, registry):
-        if kind == "process":
-            log.add_process_event(event)
-        elif kind == "screen":
-            log.add_screen_event(event)
-        else:
-            log.add_input_event(event)
-    return log
+        streams[kind].append(event)
+    return EventLog(streams["process"], streams["screen"], streams["input"])
 
 
 def dataset_from_csv(
@@ -537,8 +550,7 @@ def dataset_from_csv(
         )
         if len(packets):
             horizon = max(horizon, float(packets.timestamps[-1]))
-        for event in events:
-            horizon = max(horizon, event.timestamp)
+        horizon = max(horizon, events.last_timestamp)
         parsed.append((packets, events))
     if duration is None:
         duration = float(np.ceil(horizon / 86400.0) * 86400.0) or 86400.0
@@ -577,20 +589,16 @@ def write_events_csv(
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["timestamp", "kind", "app", "value"])
-        for event in events.process_events:
+        for timestamp, app, state in events.process.tolist():
             writer.writerow(
                 [
-                    repr(event.timestamp),
+                    repr(timestamp),
                     "process",
-                    registry.name_of(event.app),
-                    event.state.name.lower(),
+                    registry.name_of(app),
+                    ProcessState(state).name.lower(),
                 ]
             )
-        for event in events.screen_events:
-            writer.writerow(
-                [repr(event.timestamp), "screen", "", "on" if event.on else "off"]
-            )
-        for event in events.input_events:
-            writer.writerow(
-                [repr(event.timestamp), "input", registry.name_of(event.app), ""]
-            )
+        for timestamp, on in events.screen.tolist():
+            writer.writerow([repr(timestamp), "screen", "", "on" if on else "off"])
+        for timestamp, app in events.input.tolist():
+            writer.writerow([repr(timestamp), "input", registry.name_of(app), ""])

@@ -14,6 +14,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.trace.dataset import Dataset
+from repro.trace.events import ProcessState
 from repro.units import MB
 
 
@@ -53,8 +54,6 @@ class DatasetSummary:
 
 def summarize(dataset: Dataset) -> DatasetSummary:
     """Build the structural summary of a dataset."""
-    from repro.trace.events import ProcessState
-
     users: List[UserSummary] = []
     seen_apps = set()
     category_bytes: Dict[str, float] = {}
@@ -69,11 +68,7 @@ def summarize(dataset: Dataset) -> DatasetSummary:
             if by_app
             else "-"
         )
-        sessions = sum(
-            1
-            for e in trace.events.process_events
-            if e.state is ProcessState.FOREGROUND
-        )
+        states = trace.events.process["state"]
         users.append(
             UserSummary(
                 user_id=trace.user_id,
@@ -81,8 +76,8 @@ def summarize(dataset: Dataset) -> DatasetSummary:
                 packets=len(trace.packets),
                 megabytes=trace.packets.total_bytes / MB,
                 apps_with_traffic=len(by_app),
-                process_events=len(trace.events.process_events),
-                sessions=sessions,
+                process_events=len(states),
+                sessions=int(np.count_nonzero(states == ProcessState.FOREGROUND)),
                 top_app=top_app,
             )
         )

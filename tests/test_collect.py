@@ -14,6 +14,18 @@ from repro.collect import (
 )
 from repro.core.statefrac import background_energy_fraction
 from repro.errors import TraceError
+from repro.trace.dataset import AppInfo, AppRegistry
+from repro.trace.events import (
+    EventLog,
+    ProcessState,
+    ProcessStateEvent,
+    ScreenEvent,
+    UserInputEvent,
+)
+from repro.trace.packet import Direction
+from repro.trace.trace import UserTrace
+
+from conftest import make_packets
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +130,49 @@ def test_malformed_packet_line(tmp_path):
     (device / "packets.log").write_text("1.0 5 U\n")  # missing size
     with pytest.raises(TraceError):
         read_device_logs(device)
+
+
+#: One appended line per case, and the error it must raise. The
+#: ``\udcff`` becomes one byte that is not valid UTF-8.
+MALFORMED_LOG_LINES = {
+    "process-unknown-state": ("process.log", "5.0 app.x ASLEEP", "unknown value 'ASLEEP'"),
+    "process-two-fields": ("process.log", "5.0 app.x", "expected 3 fields"),
+    "process-bad-time": ("process.log", "soon app.x FOREGROUND", "could not convert"),
+    "process-inf-time": ("process.log", "inf app.x FOREGROUND", "non-finite timestamp inf"),
+    "screen-three-fields": ("screen.log", "5.0 ON now", "expected 2 fields"),
+    "screen-maybe": ("screen.log", "5.0 MAYBE", "unknown value 'MAYBE'"),
+    "input-one-field": ("input.log", "5.0", "expected 2 fields"),
+    "packets-size-big": ("packets.log", "5.0 1 U big", "invalid literal"),
+    "packets-size-negative": ("packets.log", "5.0 1 U -1", "packet size out of range"),
+    "packets-nan-time": ("packets.log", "nan 1 U 100", "non-finite timestamp nan"),
+    "sockets-conn-x": ("sockets.log", "5.0 x app.x", "invalid literal"),
+    "not-utf8": ("input.log", "5.0 app.\udcff", "line is not valid UTF-8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LOG_LINES))
+def test_malformed_log_line_is_a_trace_error(tmp_path, case):
+    """One bad line appended to a device's log raises TraceError naming
+    the log and line — never a raw KeyError, ValueError, OverflowError
+    or UnicodeDecodeError, and never a silently misread value."""
+    log, line, message = MALFORMED_LOG_LINES[case]
+    packets = make_packets(
+        [(1.0, 100, Direction.UPLINK, 1, 3), (2.0, 900, Direction.DOWNLINK, 1, 3)]
+    )
+    events = EventLog(
+        [ProcessStateEvent(0.5, 1, ProcessState.FOREGROUND)],
+        [ScreenEvent(0.5, True)],
+        [UserInputEvent(0.75, 1)],
+    )
+    device = write_device_logs(
+        UserTrace(1, 0.0, 10.0, packets, events),
+        AppRegistry([AppInfo(1, "app.x", "social")]),
+        tmp_path / "user_001",
+    )
+    path = device / log
+    number = len(path.read_bytes().splitlines()) + 1
+    with open(path, "ab") as handle:
+        handle.write(f"{line}\n".encode("utf-8", "surrogateescape"))
+    with pytest.raises(TraceError) as caught:
+        read_device_logs(device)
+    assert str(caught.value).startswith(f"{log}:{number}: {message}")

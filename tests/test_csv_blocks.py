@@ -182,13 +182,14 @@ def test_duplicate_column_last_one_wins(tmp_path, per_row_calls):
 
 
 def test_token_variants(tmp_path, per_row_calls):
-    """Padded tokens, digit separators, inf/nan, empty conn and
-    unicode names all parse on the fast path, exactly as per row."""
+    """Padded tokens, digit separators, signed and exponent times,
+    empty conn and unicode names all parse on the fast path, exactly
+    as per row."""
     lines = lines_for(BLOCK + 20)
     lines[5] = " 1.5 , 1_000 ,  DOWN , app.0 , 7 "
-    lines[6] = "inf,60,up,app.1,"
-    lines[7] = "nan,60,Downlink,приложение.日本,"
-    lines[8] = "-inf,60,1,app.1,0"
+    lines[6] = "+1.75,60,up,app.1,"
+    lines[7] = "1_7.5e-1,60,Downlink,приложение.日本,"
+    lines[8] = "-0.0,60,1,app.1,0"
     lines[BLOCK + 3] = "1e3,60,0,  app.κ  ,"
     path = write(tmp_path, lines)
     _, registry, *_ = assert_same(path, per_row_calls, fallback_rows=0)
@@ -251,6 +252,10 @@ BAD_ROWS = {
     # The app registers before conn fails: registry order must match.
     "conn": "1.0,100,up,app.conn-victim,x",
     "conn-range": "1.0,100,up,app.conn-victim,4294967296",
+    # A non-finite time parses as a float but is no packet time.
+    "timestamp-inf": "inf,100,up,app.bad,1",
+    "timestamp-neg-inf": "-inf,100,up,app.bad,1",
+    "timestamp-nan": "nan,100,up,app.bad,1",
     **UNDECODABLE_ROWS,
 }
 
@@ -387,6 +392,24 @@ def test_undecodable_events_csv_is_a_typed_error(
         assert str(caught.value) == expected
     assert "app.\udcff" not in registry
     assert not (tmp_path / "s.npz").exists()
+
+
+@pytest.mark.parametrize("time", ["inf", "-inf", "nan"])
+def test_non_finite_event_time_is_a_typed_error(tmp_path, time):
+    """A non-finite event time is a malformed row: not a window ending
+    at ``inf``, and not an event silently read at ``nan``."""
+    packets = write(tmp_path, lines_for(3))
+    rows = ["1.0,process,app.0,foreground", f"{time},screen,,on"]
+    events = write(tmp_path, rows, header=EVENTS_HEADER, name="e.csv")
+    expected = f"e.csv:3: non-finite timestamp {float(time)}"
+    for build in (
+        lambda: read_events_csv(events, AppRegistry()),
+        lambda: dataset_from_csv([(packets, events)]),
+        lambda: CsvStreamSource([(packets, events)]),
+    ):
+        with pytest.raises(TraceError) as caught:
+            build()
+        assert str(caught.value) == expected
 
 
 def test_cli_ingest_quarantines_undecodable_row(tmp_path, capsys):

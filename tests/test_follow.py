@@ -372,6 +372,19 @@ def test_tail_csv_undecodable_row_is_a_stream_error(tmp_path, csv_tail, row):
         source.poll(1)
 
 
+def test_tail_csv_non_finite_time_is_a_stream_error(tmp_path, csv_tail):
+    """A tailed row timed ``inf`` is malformed, not a packet that turns
+    every later total into ``nan``."""
+    _, texts = csv_tail
+    lines = texts[1].splitlines(keepends=True)
+    lines[2] = "inf" + lines[2][lines[2].index(","):]
+    packets = tmp_path / "inf-time.csv"
+    packets.write_text("".join(lines[:4]))
+    source = TailCsvSource([(packets, None)], chunk_size=1)
+    with pytest.raises(StreamError, match="non-finite timestamp inf"):
+        source.poll(1)
+
+
 def test_tail_csv_undecodable_header_is_a_follow_error(tmp_path, csv_tail):
     _, texts = csv_tail
     packets = tmp_path / "bad-header.csv"

@@ -17,6 +17,10 @@ rule out.
 The third keeps the file protocol in one place: only
 ``repro.durable`` may rename files, elect a lock with ``O_EXCL`` or
 spell a ``.prev``/``.tmp`` name.
+
+The fourth keeps event streams in one form: only
+``repro.trace.events`` converts between event objects and the
+columnar arrays an ``EventLog`` holds.
 """
 
 from __future__ import annotations
@@ -241,5 +245,60 @@ def test_no_raw_scans_in_shard(path):
     assert not offending, (
         "raw per-app/per-state scans in repro.shard — shard code routes "
         "users and merges checkpoints, it never touches packet columns:\n"
+        + "\n".join(offending)
+    )
+
+
+#: An event log's per-event object views.
+_EVENT_OBJECT_VIEWS = frozenset(
+    {"process_events", "screen_events", "input_events", "process_events_for_app"}
+)
+
+#: The event dtypes' names, today's and the ones they replaced.
+_EVENT_DTYPE_NAME = re.compile(r"^_?(PROC|PROCESS|SCREEN|INPUT)\w*_DTYPE$")
+
+
+def _event_conversions(path):
+    """Object-view reads and event-dtype names in ``path``.
+
+    ``timeline.<stream>`` is the generator's own ``UserTimeline`` list,
+    which the generator hands to the ``EventLog`` constructor; it is
+    not a log.
+    """
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in _EVENT_OBJECT_VIEWS
+            and not (isinstance(node.value, ast.Name) and node.value.id == "timeline")
+        ):
+            found.append((node.lineno, f".{node.attr}"))
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if isinstance(node, ast.alias):
+            name = node.name
+        if isinstance(name, str) and _EVENT_DTYPE_NAME.match(name):
+            found.append((node.lineno, name))
+    return [
+        f"{path.relative_to(SRC)}:{line}: {what}" for line, what in sorted(found)
+    ]
+
+
+def test_only_trace_events_converts_event_objects():
+    """Readers once rebuilt arrays from event objects on every call
+    (state labelling, the doze policy, ``screen_on_at``) while
+    ``Dataset`` converted back and forth on save and load. The log now
+    holds the saved arrays; every reader outside
+    :mod:`repro.trace.events` uses them, never the object views."""
+    events = SRC / "trace" / "events.py"
+    assert _event_conversions(events), "guard matches nothing"
+    offending = [
+        hit
+        for path in sorted(SRC.rglob("*.py"))
+        if path != events
+        for hit in _event_conversions(path)
+    ]
+    assert not offending, (
+        "event objects or event dtypes outside repro.trace.events — read "
+        "EventLog.process/.screen/.input or process_for_app():\n"
         + "\n".join(offending)
     )

@@ -178,3 +178,92 @@ def test_label_states_invalidates_fingerprint():
     before = dataset.fingerprint()
     dataset.label_states()
     assert dataset.fingerprint() != before
+
+
+def _members(path):
+    with np.load(path) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+def _rewritten(**changes):
+    """An archive edit: ``None`` deletes a member, a callable maps it."""
+
+    def edit(path, out):
+        members = _members(path)
+        for name, change in changes.items():
+            if change is None:
+                del members[name]
+            else:
+                members[name] = change(members[name])
+        np.savez(out, **members)
+
+    return edit
+
+
+def _with_field(field, value):
+    def change(array):
+        array = array.copy()
+        array[field][0] = value
+        return array
+
+    return change
+
+
+MALFORMED_ARCHIVES = {
+    "truncated": (
+        lambda path, out: out.write_bytes(path.read_bytes()[:200]),
+        r"bad\.npz: not a dataset: ",
+    ),
+    "not-zip": (
+        lambda path, out: out.write_bytes(b"no zip here\n" * 8),
+        r"bad\.npz: not a dataset: ",
+    ),
+    "proc-missing": (_rewritten(proc_1=None), r"bad\.npz: no member 'proc_1'"),
+    "header-missing": (_rewritten(header=None), r"bad\.npz: no member 'header'"),
+    "header-not-json": (
+        _rewritten(header=lambda _: np.frombuffer(b"{users", np.uint8)),
+        r"bad\.npz: header: ",
+    ),
+    "proc-foreign-dtype": (
+        _rewritten(proc_1=lambda a: a.astype([("t", "f8"), ("app", "u2"), ("state", "u1")])),
+        r"bad\.npz: user 1: proc: expected dtype ",
+    ),
+    "proc-state-9": (
+        _rewritten(proc_1=_with_field("state", 9)),
+        r"bad\.npz: user 1: proc: state 9 out of range 0\.\.5",
+    ),
+    "screen-on-2": (
+        _rewritten(screen_1=_with_field("on", 2)),
+        r"bad\.npz: user 1: screen: on 2 out of range 0\.\.1",
+    ),
+    "input-nan-time": (
+        _rewritten(input_1=_with_field("timestamp", np.nan)),
+        r"bad\.npz: user 1: input: non-finite timestamp nan",
+    ),
+    "packets-foreign-dtype": (
+        _rewritten(packets_1=lambda a: a["timestamp"].copy()),
+        r"bad\.npz: user 1: packets: expected dtype ",
+    ),
+    "packets-inf-time": (
+        _rewritten(packets_1=_with_field("timestamp", np.inf)),
+        r"bad\.npz: user 1: packets: non-finite timestamp",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ARCHIVES))
+def test_load_malformed_archive_is_a_trace_error(tmp_path, case):
+    """Each damaged copy of a saved dataset raises TraceError naming the
+    file, and the member at fault — never a raw numpy, zip or JSON
+    error."""
+    path = Dataset(_registry(), [_trace(1), _trace(2)]).save(tmp_path / "ok.npz")
+    damage, message = MALFORMED_ARCHIVES[case]
+    bad = tmp_path / "bad.npz"
+    damage(path, bad)
+    with pytest.raises(TraceError, match=message):
+        Dataset.load(bad)
+
+
+def test_load_missing_file_is_file_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        Dataset.load(tmp_path / "absent.npz")

@@ -29,12 +29,16 @@ def test_paper_grouping():
     assert not is_background(ProcessState.NOT_RUNNING)
 
 
-def test_events_sort_lazily():
-    log = EventLog()
-    log.add_process_event(ProcessStateEvent(5.0, 1, ProcessState.BACKGROUND))
-    log.add_process_event(ProcessStateEvent(1.0, 1, ProcessState.FOREGROUND))
+def test_events_sorted_at_construction():
+    log = EventLog(
+        process_events=[
+            ProcessStateEvent(5.0, 1, ProcessState.BACKGROUND),
+            ProcessStateEvent(1.0, 1, ProcessState.FOREGROUND),
+        ]
+    )
     times = [e.timestamp for e in log.process_events]
     assert times == [1.0, 5.0]
+    assert log.process["timestamp"].tolist() == [1.0, 5.0]
 
 
 def test_per_app_lookup():
@@ -50,14 +54,6 @@ def test_per_app_lookup():
     assert log.apps() == [1, 2]
 
 
-def test_per_app_cache_invalidated_on_append():
-    log = EventLog()
-    log.add_process_event(ProcessStateEvent(1.0, 1, ProcessState.FOREGROUND))
-    assert len(log.process_events_for_app(1)) == 1
-    log.add_process_event(ProcessStateEvent(2.0, 1, ProcessState.BACKGROUND))
-    assert len(log.process_events_for_app(1)) == 2
-
-
 def test_screen_on_at():
     log = EventLog(
         screen_events=[ScreenEvent(10.0, True), ScreenEvent(20.0, False)]
@@ -66,13 +62,6 @@ def test_screen_on_at():
     assert log.screen_on_at(15.0)
     assert not log.screen_on_at(25.0)
     assert log.screen_on_at(10.0)
-
-
-def test_merge():
-    a = EventLog(process_events=[ProcessStateEvent(1.0, 1, ProcessState.FOREGROUND)])
-    b = EventLog(input_events=[UserInputEvent(2.0, 1)])
-    merged = a.merge(b)
-    assert len(merged) == 2
 
 
 def test_len_and_iter_order():
