@@ -3,9 +3,8 @@
 Not a paper artefact — these track that the vectorised energy engine,
 flow reconstruction and state labelling stay fast enough to run the
 full 623-day study, quantify the speedup over the event-driven
-reference machine, and measure the parallel and lazy
-:class:`~repro.core.accounting.StudyEnergy` engine against its serial
-baseline (numbers quoted in docs/PERFORMANCE.md).
+reference machine, and measure the
+:class:`~repro.core.accounting.StudyEnergy` engine eager and lazy.
 """
 
 import time
@@ -14,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro import RunMetrics, StudyEnergy
-from repro.parallel import available_cpus
 from repro.radio import LTE_DEFAULT, RadioStateMachine, compute_packet_energy
 from repro.trace.arrays import PacketArray
 from repro.trace.dataset import AppInfo, AppRegistry, Dataset
@@ -82,7 +80,7 @@ def test_generation_throughput(benchmark):
 
 
 # ----------------------------------------------------------------------
-# StudyEnergy engine: parallel and lazy vs serial
+# StudyEnergy engine: eager and lazy
 # ----------------------------------------------------------------------
 def _attribution_dataset(n_users=6, packets_per_user=300_000):
     """A multi-user dataset heavy enough that attribution dominates.
@@ -109,10 +107,10 @@ def attribution_dataset():
     return _attribution_dataset()
 
 
-def _attribute_seconds(dataset, **kwargs):
+def _attribute_seconds(dataset):
     metrics = RunMetrics()
-    study = StudyEnergy(dataset, metrics=metrics, **kwargs)
-    return study, metrics.stage_seconds("attribute")
+    StudyEnergy(dataset, metrics=metrics)
+    return metrics.stage_seconds("attribute")
 
 
 def test_attribution_throughput(benchmark, attribution_dataset):
@@ -123,45 +121,13 @@ def test_attribution_throughput(benchmark, attribution_dataset):
     assert study.total_energy > 0
 
 
-def test_parallel_attribution_speedup(attribution_dataset):
-    """workers>1 must not change a single bit; on >=4 CPUs it must be >=2x.
-
-    The speedup assertion is hardware-gated: a pool cannot beat serial
-    on the 1-2 CPUs of a constrained CI container, and pretending
-    otherwise would make this bench flaky exactly where it matters.
-    """
-    serial, t_serial = _attribute_seconds(attribution_dataset)
-    cpus = available_cpus()
-    parallel, t_parallel = _attribute_seconds(
-        attribution_dataset, workers=max(cpus, 2)
-    )
-
-    for uid in serial.user_ids:
-        assert np.array_equal(
-            serial.user_result(uid).per_packet,
-            parallel.user_result(uid).per_packet,
-        )
-    assert parallel.total_energy == serial.total_energy
-
-    speedup = t_serial / t_parallel if t_parallel else float("inf")
-    print(
-        f"\nattribution: serial {t_serial:.3f}s, "
-        f"workers={max(cpus, 2)} {t_parallel:.3f}s, "
-        f"speedup {speedup:.2f}x on {cpus} CPU(s)"
-    )
-    if cpus >= 4:
-        assert speedup >= 2.0, (
-            f"parallel attribution only {speedup:.2f}x faster on {cpus} CPUs"
-        )
-
-
 def test_lazy_first_answer_latency(attribution_dataset):
     """Lazy mode: time-to-first-user must not pay for the whole study."""
     start = time.perf_counter()
     study = StudyEnergy(attribution_dataset, lazy=True)
     study.user_result(study.user_ids[0])
     t_first = time.perf_counter() - start
-    _, t_all = _attribute_seconds(attribution_dataset)
+    t_all = _attribute_seconds(attribution_dataset)
     n = len(study.user_ids)
     print(
         f"\nlazy first-user answer {t_first:.3f}s vs full study {t_all:.3f}s "

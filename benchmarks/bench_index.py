@@ -21,7 +21,6 @@ from repro.core import report
 from repro.core.casestudies import case_study_table
 from repro.core.popularity import top10_appearance_counts, top_consumers
 from repro.core.statefrac import state_energy_share
-from repro.parallel import available_cpus
 from repro.trace.events import background_state_values
 from repro.units import DAY
 
@@ -137,12 +136,11 @@ def test_indexed_suite_identity_and_speedup(bench_dataset, output_dir):
 
 
 def test_prebuilt_indexes_render_identical_figures(output_dir):
-    """`prepare_indexes()` (pool build) must not move a single byte.
+    """`prepare_indexes()` (up-front build) must not move a single byte.
 
     Two engines over identically-generated studies render the headline
-    figure/table artefacts; one warms every index through the worker
-    pool first, the other builds lazily in process. The rendered text
-    must match exactly.
+    figure/table artefacts; one builds every index up front, the other
+    builds lazily on first use. The rendered text must match exactly.
     """
     config = StudyConfig(n_users=6, duration_days=14.0, seed=21)
 
@@ -163,11 +161,9 @@ def test_prebuilt_indexes_render_identical_figures(output_dir):
         )
 
     lazy = StudyEnergy(generate_study(config))
-    pooled = StudyEnergy(
-        generate_study(config), workers=max(available_cpus(), 2)
-    )
-    pooled.prepare_indexes()
+    prepared = StudyEnergy(generate_study(config))
+    prepared.prepare_indexes()
     assert all(
-        trace.index().is_grouped for trace in pooled.dataset
+        trace.index().is_grouped for trace in prepared.dataset
     ), "prepare_indexes left an index unbuilt"
-    assert render(pooled) == render(lazy)
+    assert render(prepared) == render(lazy)

@@ -13,7 +13,7 @@
 Every analysis command accepts either ``--dataset FILE`` (a saved
 study) or generation parameters (``--users/--days/--seed``), in which
 case the study is generated on the fly. All of them also take
-``--workers N`` (parallel generation + attribution; 0 = one per CPU)
+``--workers N`` (processes for study generation; 0 = one per CPU)
 and ``--metrics-json FILE`` (timings, throughput and counters; ``-``
 for stdout).
 

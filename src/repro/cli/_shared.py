@@ -36,10 +36,34 @@ TABLE2_APPS = (
 )
 
 
+def _at_least(cast, minimum, *, strict: bool = False):
+    """An argparse ``type=`` casting with ``cast`` and bounding below.
+
+    ``strict`` excludes ``minimum`` itself. An uncastable value keeps
+    argparse's own "invalid int value" message; an out-of-range one is
+    a usage error naming the bound, never a traceback from inside the
+    command.
+    """
+
+    def parse(text: str):
+        value = cast(text)
+        if not (value > minimum if strict else value >= minimum):
+            bound = ">" if strict else ">="
+            raise argparse.ArgumentTypeError(
+                f"must be {bound} {minimum}: {text!r}"
+            )
+        return value
+
+    parse.__name__ = cast.__name__
+    return parse
+
+
 def _add_study_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", help="load a saved study (.npz)")
-    parser.add_argument("--users", type=int, default=20)
-    parser.add_argument("--days", type=float, default=28.0)
+    parser.add_argument("--users", type=_at_least(int, 1), default=20)
+    parser.add_argument(
+        "--days", type=_at_least(float, 0, strict=True), default=28.0
+    )
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--model",
@@ -54,9 +78,9 @@ def _add_study_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_at_least(int, 0),
         default=1,
-        help="processes for generation and attribution (0 = one per CPU)",
+        help="processes for study generation (0 = one per CPU)",
     )
     parser.add_argument(
         "--metrics-json",
@@ -108,7 +132,6 @@ def _study(
     return StudyEnergy(
         dataset,
         model=get_model(getattr(args, "model", "lte")),
-        workers=getattr(args, "workers", 1),
         metrics=_metrics(args),
         lazy=lazy,
     )

@@ -270,7 +270,6 @@ def _report_models(args: argparse.Namespace) -> int:
         study = StudyEnergy(
             dataset,
             model=get_model(name),
-            workers=getattr(args, "workers", 1),
             metrics=metrics,
         )
         print(f"=== model: {name} ===")

@@ -39,6 +39,7 @@ from repro.shard.transport import TRANSPORT_NAMES
 from repro.stream import DEFAULT_CHUNK_SIZE
 
 from repro.cli._shared import (
+    _at_least,
     _metrics,
     _print_readout_summary,
     _stream_source,
@@ -317,7 +318,7 @@ def add_shard(sub) -> None:
     )
     sp.add_argument(
         "--chunk-size",
-        type=int,
+        type=_at_least(int, 1),
         default=DEFAULT_CHUNK_SIZE,
         help="maximum packets held in memory per chunk",
     )
@@ -367,7 +368,7 @@ def add_shard(sub) -> None:
     )
     sp.add_argument(
         "--shard-workers",
-        type=int,
+        type=_at_least(int, 0),
         default=0,
         metavar="N",
         help="shard processes at once (0 = one per CPU)",
@@ -383,21 +384,21 @@ def add_shard(sub) -> None:
     )
     sp.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_at_least(int, 0),
         default=0,
         metavar="N",
         help="checkpoint each shard every N chunks (0 = only at the end)",
     )
     sp.add_argument(
         "--retries",
-        type=int,
+        type=_at_least(int, 0),
         default=0,
         metavar="N",
         help="retry a failed shard N times before reporting it",
     )
     sp.add_argument(
         "--task-timeout",
-        type=float,
+        type=_at_least(float, 0, strict=True),
         metavar="SECONDS",
         help="per-chunk hang timeout inside each shard",
     )
@@ -459,7 +460,7 @@ def add_shard(sub) -> None:
     )
     sp.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_at_least(int, 0),
         default=0,
         metavar="N",
         help="checkpoint each shard every N chunks (0 = only at the end)",

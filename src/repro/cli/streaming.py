@@ -27,7 +27,7 @@ from repro.shard.transport import parse_worker_spec
 from repro.store import ResultStore
 from repro.stream import DEFAULT_CHUNK_SIZE, StreamIngestor
 
-from repro.cli._shared import _metrics, _stream_source
+from repro.cli._shared import _at_least, _metrics, _stream_source
 from repro.cli.sharding import _add_transport_args, _ingest_sharded
 
 
@@ -44,8 +44,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         workers = parse_worker_spec(args.workers)
     except ValueError:
         print(
-            f"ingest --workers must be a process count or a worker-URL "
-            f"list: {args.workers!r}",
+            f"ingest --workers must be a process count (>= 0) or a "
+            f"worker-URL list: {args.workers!r}",
             file=sys.stderr,
         )
         return 2
@@ -199,7 +199,7 @@ def add_follow(sub) -> None:
     )
     p.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_at_least(int, 1),
         default=16,
         metavar="N",
         help="checkpoint every N processed chunks (and on SIGTERM/SIGINT)",
@@ -255,7 +255,7 @@ def add_follow(sub) -> None:
     )
     p.add_argument(
         "--chunk-size",
-        type=int,
+        type=_at_least(int, 1),
         default=DEFAULT_CHUNK_SIZE,
         help="maximum packets held in memory per chunk",
     )
@@ -286,7 +286,7 @@ def add_ingest(sub) -> None:
     )
     p.add_argument(
         "--chunk-size",
-        type=int,
+        type=_at_least(int, 1),
         default=DEFAULT_CHUNK_SIZE,
         help="maximum packets held in memory per chunk",
     )
@@ -303,7 +303,7 @@ def add_ingest(sub) -> None:
     )
     p.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_at_least(int, 0),
         default=0,
         metavar="N",
         help="write a checkpoint every N chunks (0 = only at the end)",
@@ -333,14 +333,14 @@ def add_ingest(sub) -> None:
     _add_transport_args(p)
     p.add_argument(
         "--retries",
-        type=int,
+        type=_at_least(int, 0),
         default=0,
         metavar="N",
         help="retry a failed/crashed chunk task N times before giving up",
     )
     p.add_argument(
         "--task-timeout",
-        type=float,
+        type=_at_least(float, 0, strict=True),
         metavar="SECONDS",
         help="declare a chunk task hung after this long and rebuild the pool",
     )

@@ -5,14 +5,13 @@ packet timeline once (the radio is shared per device, so attribution
 must happen device-wide) and keeps the per-packet attribution in
 memory. All figure/table analyses then reduce those arrays.
 
-The engine has two independent speed knobs, both off by default:
-
-* ``workers`` — per-user attribution fans out over a process pool
-  (users are independent; results are identical for any worker count);
-* ``lazy`` — nothing is computed at construction; each user's
-  attribution is computed on first access and memoized, and any
-  study-wide reduction materializes the remaining users in one
-  (possibly parallel) batch.
+Each user is attributed by one in-process
+:func:`~repro.radio.attribution.attribute_energy` call: a few numpy
+passes over the packets, cheaper than shipping the result back from a
+worker pool (docs/PERFORMANCE.md, "Why batch attribution has no pool").
+With ``lazy=True`` nothing is computed at construction; each user's
+attribution is computed on first access and memoized, and any
+study-wide reduction materializes the remaining users.
 
 A :class:`~repro.metrics.RunMetrics` instance (own or injected) records
 attribution time and user/packet counts, plus the shared per-user
@@ -20,7 +19,7 @@ attribution time and user/packet counts, plus the shared per-user
 (``index.build`` stage) and reuse counts (``index.hits``). Every
 per-app reduction here goes through :meth:`StudyEnergy.index_for`
 rather than re-scanning the packet arrays; ``prepare_indexes()``
-batch-builds the indexes across the worker pool.
+builds every index up front.
 
 The paper's invariant holds by construction and is property-tested: the
 total cellular energy of a device equals the sum over apps of the
@@ -33,6 +32,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro import faults
 from repro.core.readout import (
     DEFAULT_FLOW_GAP,
     AppCadence,
@@ -51,18 +51,13 @@ from repro.core.periodicity import (
 )
 from repro.errors import AnalysisError
 from repro.metrics import RunMetrics
-from repro.parallel import map_tasks, resolve_workers
-from repro.radio.attribution import (
-    AttributionResult,
-    AttributionTask,
-    TailPolicy,
-    result_from_payload,
-)
+from repro.radio import attribution  # attribute_energy, looked up per call
+from repro.radio.attribution import AttributionResult, TailPolicy
 from repro.radio.base import RadioModel
 from repro.radio.lte import LTE_DEFAULT
 from repro.trace.dataset import Dataset
 from repro.trace.flow import reconstruct_flows
-from repro.trace.index import IndexTask, TraceIndex
+from repro.trace.index import TraceIndex
 from repro.trace.trace import UserTrace
 from repro.units import DAY
 
@@ -74,8 +69,8 @@ class StudyEnergy:
         dataset: The study to attribute.
         model: Radio power model (default: the paper's LTE constants).
         policy: Tail-energy attribution rule.
-        workers: Process count for batch attribution; ``0`` or ``None``
-            means one per available CPU, ``1`` stays in process.
+        workers: Must be ``1``, the only value accepted: attribution
+            runs in process.
         lazy: Defer all computation to first access.
         metrics: A shared :class:`RunMetrics` to record into; a private
             one is created when omitted.
@@ -92,14 +87,18 @@ class StudyEnergy:
         model: RadioModel = LTE_DEFAULT,
         policy: TailPolicy = TailPolicy.LAST_PACKET,
         *,
-        workers: Optional[int] = 1,
+        workers: int = 1,
         lazy: bool = False,
         metrics: Optional[RunMetrics] = None,
     ) -> None:
+        if workers != 1:
+            raise ValueError(
+                f"workers must be 1, got {workers!r}: batch attribution "
+                "runs in process"
+            )
         self.dataset = dataset
         self.model = model
         self.policy = policy
-        self.workers = resolve_workers(workers)
         self.metrics = metrics if metrics is not None else RunMetrics()
         self._order: List[int] = [t.user_id for t in dataset]
         self._traces: Dict[int, UserTrace] = {t.user_id: t for t in dataset}
@@ -117,25 +116,15 @@ class StudyEnergy:
     def materialize(self) -> "StudyEnergy":
         """Compute every user not yet attributed (idempotent).
 
-        The pending users are computed in one batch — across
-        ``self.workers`` processes when that pays. Called implicitly by
-        every study-wide reduction, so lazy instances never observe a
-        partially-attributed dataset.
+        Called implicitly by every study-wide reduction, so lazy
+        instances never observe a partially-attributed dataset.
         """
         pending = [uid for uid in self._order if uid not in self._results]
         if not pending:
             return self
         with self.metrics.stage("attribute"):
-            task = AttributionTask(
-                self.model,
-                self.policy,
-                {
-                    uid: (self._traces[uid].packets, self._window(uid))
-                    for uid in pending
-                },
-            )
-            for uid, payload in map_tasks(task, pending, self.workers):
-                self._adopt(uid, payload)
+            for uid in pending:
+                self._attribute(self._traces[uid])
         return self
 
     def index_for(self, user_id: int) -> TraceIndex:
@@ -148,54 +137,46 @@ class StudyEnergy:
         (``index.build`` stage, ``index.hits`` counter). The index is
         derived state: it never enters the study's provenance key.
         """
+        return self._trace(user_id).index(metrics=self.metrics)
+
+    def prepare_indexes(self) -> "StudyEnergy":
+        """Build every user's index now (app grouping and state masks).
+
+        Optional warm-up for full figure/table suites; each build is
+        timed under the ``index.build`` stage. Users whose index is
+        already grouped are skipped.
+        """
+        for uid in self._order:
+            index = self.index_for(uid)
+            if not index.is_grouped:
+                index.build()
+        return self
+
+    def _trace(self, user_id: int) -> UserTrace:
         trace = self._traces.get(user_id)
         if trace is None:
             raise AnalysisError(f"unknown user id {user_id}")
-        return trace.index(metrics=self.metrics)
+        return trace
 
-    def prepare_indexes(self) -> "StudyEnergy":
-        """Batch-build every user's index, across the worker pool.
-
-        Optional warm-up for full figure/table suites: with
-        ``workers > 1`` the per-user sorts and state masks are computed
-        in the pool (only the order arrays and masks ship back) and
-        adopted here. Users whose index is already grouped are skipped.
-        """
-        pending = [
-            uid
-            for uid in self._order
-            if not self._traces[uid].index(metrics=self.metrics).is_grouped
-        ]
-        if not pending:
-            return self
-        with self.metrics.stage("index.build"):
-            task = IndexTask({uid: self._traces[uid].packets for uid in pending})
-            for uid, payload in map_tasks(task, pending, self.workers):
-                self._traces[uid].index(metrics=self.metrics).adopt_payload(
-                    payload
-                )
-        return self
-
-    def _window(self, user_id: int) -> Tuple[float, float]:
-        trace = self._traces[user_id]
-        return (trace.start, trace.end)
-
-    def _adopt(
-        self, user_id: int, payload: Dict[str, object]
-    ) -> AttributionResult:
-        packets = self._traces[user_id].packets
-        result = result_from_payload(self.model, packets, self.policy, payload)
-        self._results[user_id] = result
+    def _attribute(self, trace: UserTrace) -> AttributionResult:
+        """Attribute one user's device timeline and memoize the result."""
+        # Fault site for chaos tests: an armed plan raises here, before
+        # anything is memoized.
+        faults.fire("attribute.task")
+        result = attribution.attribute_energy(
+            self.model, trace.packets, (trace.start, trace.end), self.policy
+        )
+        self._results[trace.user_id] = result
         self.metrics.count("attribution.users")
-        self.metrics.count("attribution.packets", len(packets))
+        self.metrics.count("attribution.packets", len(trace.packets))
         return result
 
     def _iter_results(self) -> Iterator[AttributionResult]:
         """All results, in dataset order regardless of access history.
 
         Keeps every study-wide float reduction bit-identical between
-        eager, lazy and parallel instances (dict insertion order would
-        follow first-access order on a lazy engine).
+        eager and lazy instances (dict insertion order would follow
+        first-access order on a lazy engine).
         """
         self.materialize()
         return (self._results[uid] for uid in self._order)
@@ -208,17 +189,9 @@ class StudyEnergy:
         result = self._results.get(user_id)
         if result is not None:
             return result
-        trace = self._traces.get(user_id)
-        if trace is None:
-            raise AnalysisError(f"unknown user id {user_id}")
+        trace = self._trace(user_id)
         with self.metrics.stage("attribute"):
-            task = AttributionTask(
-                self.model,
-                self.policy,
-                {user_id: (trace.packets, self._window(user_id))},
-            )
-            _, payload = task(user_id)
-            return self._adopt(user_id, payload)
+            return self._attribute(trace)
 
     @property
     def user_ids(self) -> List[int]:
@@ -254,10 +227,7 @@ class StudyEnergy:
 
     def duration_days(self, user_id: int) -> float:
         """One user's observation window length in days."""
-        trace = self._traces.get(user_id)
-        if trace is None:
-            raise AnalysisError(f"unknown user id {user_id}")
-        return trace.duration_days
+        return self._trace(user_id).duration_days
 
     def user_totals(self, user_id: int) -> UserTotalsView:
         """One user's totals-tier view (memoized).
@@ -395,7 +365,7 @@ class StudyEnergy:
         Day ``d`` covers ``[d*86400, (d+1)*86400)`` seconds of study
         time; the returned array spans the full trace duration.
         """
-        trace = self.dataset.user(user_id)
+        trace = self._trace(user_id)
         result = self.user_result(user_id)
         n_days = int(np.ceil((trace.end - trace.start) / DAY))
         ts = trace.packets.timestamps
@@ -415,7 +385,7 @@ class StudyEnergy:
         Foreground means packets labelled FOREGROUND or VISIBLE;
         background the other three states (the paper's grouping).
         """
-        trace = self.dataset.user(user_id)
+        trace = self._trace(user_id)
         n_days = int(np.ceil((trace.end - trace.start) / DAY))
         index = self.index_for(user_id)
         ts = trace.packets.timestamps

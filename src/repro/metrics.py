@@ -7,7 +7,7 @@ StudyEnergy`; library users can do the same::
     from repro import RunMetrics, StudyEnergy
 
     metrics = RunMetrics()
-    study = StudyEnergy(dataset, workers=4, metrics=metrics)
+    study = StudyEnergy(dataset, metrics=metrics)
     study.total_energy
     print(metrics.to_json())
 

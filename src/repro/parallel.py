@@ -1,8 +1,10 @@
 """Shared multiprocessing helpers, hardened against worker failure.
 
-Both the workload generator and the energy-attribution engine fan
-per-user work out over a process pool; the streaming ingestor fans the
-same chunk task out once per round for hours. The selection logic (how
+The workload generator fans per-user generation out over a process
+pool; the streaming ingestor fans the same chunk task out once per
+round for hours, and the shard executors run whole shards. Batch
+attribution stays in process: shipping a user's result back costs
+about as much as computing it. The selection logic (how
 many workers make sense, which start method to use, when a pool is not
 worth its overhead) lives here once — and so does the failure handling,
 because on a 22-month ingestion job workers *do* die, tasks *do* hang
@@ -21,11 +23,10 @@ so a retry changes nothing but wall time: grouped totals stay
 bit-identical.
 
 Tasks handed to :func:`map_tasks` must be picklable callables (see
-``workload.generator._GenerateUserTask`` and
-``radio.attribution.AttributionTask``). The task may carry bulky shared
-state: it reaches workers copy-on-write under ``fork`` and is shipped
-once per worker (via the pool initializer) under ``spawn`` — never once
-per item, so per-item payloads stay small.
+``workload.generator._GenerateUserTask``). The task may carry bulky
+shared state: it reaches workers copy-on-write under ``fork`` and is
+shipped once per worker (via the pool initializer) under ``spawn`` —
+never once per item, so per-item payloads stay small.
 """
 
 from __future__ import annotations

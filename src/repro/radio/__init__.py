@@ -38,20 +38,10 @@ from repro.radio.streaming import (
     StreamingAttribution,
 )
 from repro.radio.vectorized import PacketEnergy, blocked_sum, compute_packet_energy
-from repro.radio.attribution import (
-    AttributionResult,
-    AttributionTask,
-    TailPolicy,
-    attribute_energy,
-    result_from_payload,
-    result_payload,
-)
+from repro.radio.attribution import AttributionResult, TailPolicy, attribute_energy
 
 __all__ = [
     "AttributionResult",
-    "AttributionTask",
-    "result_from_payload",
-    "result_payload",
     "FinalizedChunk",
     "LTE_DEFAULT",
     "NR_DEFAULT",

@@ -18,15 +18,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro import faults
 from repro.radio.base import RadioModel
-from repro.radio.vectorized import (
-    PacketEnergy,
-    compute_packet_energy,
-    packet_gaps,
-    promotion_energy_vector,
-    transfer_energy_vector,
-)
+from repro.radio.vectorized import PacketEnergy, compute_packet_energy
 from repro.trace.arrays import PacketArray
 
 
@@ -130,82 +123,3 @@ def attribute_energy(
     energy = compute_packet_energy(model, packets, window)
     tail = _apply_tail_policy(energy.tail, policy)
     return AttributionResult(packets, energy, policy, tail)
-
-
-# ----------------------------------------------------------------------
-# Process-pool boundary
-# ----------------------------------------------------------------------
-# An AttributionResult drags its PacketArray along, but the parent of a
-# worker pool already has the packets on its side of the boundary — so
-# only the tail array crosses it. Transfer and promotion energies are
-# each a single cheap vectorised pass over the packets and are
-# recomputed on receipt (same expressions as the engine, so
-# bit-identical); the multi-phase tail profile is the part worth
-# shipping. The policy-adjusted tail is likewise
-# rebuilt from the raw tail, so a tail/policy mismatch cannot occur.
-
-def result_payload(result: AttributionResult) -> Dict[str, object]:
-    """The expensive-to-recompute parts of ``result``, packet-free."""
-    return {
-        "tail": result.energy.tail,
-        "idle_energy": result.energy.idle_energy,
-        "window": result.energy.window,
-    }
-
-
-def result_from_payload(
-    model: RadioModel,
-    packets: PacketArray,
-    policy: TailPolicy,
-    payload: Dict[str, object],
-) -> AttributionResult:
-    """Rebuild an :class:`AttributionResult` from :func:`result_payload`."""
-    window = (float(payload["window"][0]), float(payload["window"][1]))
-    raw_tail = np.asarray(payload["tail"], dtype=np.float64)
-    if len(packets):
-        ts = packets.timestamps.astype(np.float64)
-        transfer = transfer_energy_vector(model, packets)
-        promotion = promotion_energy_vector(model, packet_gaps(ts, window[1]))
-    else:
-        transfer = np.zeros(0)
-        promotion = np.zeros(0)
-    energy = PacketEnergy(
-        model, window, transfer, raw_tail, promotion,
-        float(payload["idle_energy"]),
-    )
-    tail = _apply_tail_policy(energy.tail, policy)
-    return AttributionResult(packets, energy, policy, tail)
-
-
-class AttributionTask:
-    """Picklable per-user attribution task for worker pools.
-
-    Holds the (model, policy) configuration plus the ``(packets,
-    window)`` of every user it may attribute; each call takes a bare
-    user id and returns ``(user_id, payload)`` with the payload of
-    :func:`result_payload`. Keeping the bulky packet arrays on the task
-    and only ids in the item stream lets a ``fork`` pool inherit the
-    packets copy-on-write instead of pickling them per job (see
-    :func:`repro.parallel.map_tasks`); only the computed tail array
-    ships back.
-    """
-
-    def __init__(
-        self,
-        model: RadioModel,
-        policy: TailPolicy,
-        traces: Dict[int, Tuple[PacketArray, Tuple[float, float]]],
-    ) -> None:
-        self.model = model
-        self.policy = policy
-        self.traces = traces
-
-    def __call__(self, user_id: int) -> Tuple[int, Dict[str, object]]:
-        # Fault site for chaos tests: attribution is pure, so a retried
-        # call lands on identical numbers.
-        faults.fire("attribute.task")
-        packets, window = self.traces[user_id]
-        result = attribute_energy(
-            self.model, packets, window=window, policy=self.policy
-        )
-        return user_id, result_payload(result)

@@ -78,9 +78,8 @@ def transfer_energy_vector(
 ) -> np.ndarray:
     """Per-packet transfer energy: linear in bytes, by direction.
 
-    One cheap vectorised pass; the pool boundary recomputes this
-    rather than shipping it (see ``radio.attribution.result_payload``),
-    so it must stay a pure function of (model, packets).
+    One cheap vectorised pass, shared with the streaming engine, so it
+    must stay a pure function of (model, packets).
     """
     sizes = packets.sizes.astype(np.float64)
     is_up = packets.directions == int(Direction.UPLINK)
@@ -101,7 +100,7 @@ def promotion_energy_vector(
     model: RadioModel, gaps: np.ndarray
 ) -> np.ndarray:
     """Per-packet promotion energy: first packet, and any packet after
-    a demoted gap. Also recomputed at the pool boundary."""
+    a demoted gap."""
     promoted = np.empty(len(gaps), dtype=bool)
     promoted[0] = True
     promoted[1:] = gaps[:-1] > model.tail_duration
@@ -138,7 +137,7 @@ def compute_packet_energy(
             np.zeros(0),
             np.zeros(0),
             np.zeros(0),
-            idle_energy=(w1 - w0) * model.idle_power,
+            idle_energy=float((w1 - w0) * model.idle_power),
         )
 
     tail_d = model.tail_duration
@@ -160,6 +159,6 @@ def compute_packet_energy(
     idle_inner = np.clip(inner - tail_d - model.promotion_duration, 0.0, None)
     idle_time += blocked_sum(idle_inner)
     idle_time += max(gaps[-1] - tail_d, 0.0)
-    idle_energy = idle_time * model.idle_power
+    idle_energy = float(idle_time * model.idle_power)
 
     return PacketEnergy(model, window, transfer, tail, promotion, idle_energy)

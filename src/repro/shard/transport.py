@@ -202,17 +202,19 @@ def parse_worker_spec(value: Union[str, int, None]) -> Union[int, List[str]]:
 
     A value containing ``://`` is a comma-separated worker-URL list
     (the ``--transport http`` pool); anything else is the familiar
-    integer process count. Raises ``ValueError`` on a malformed count,
-    exactly like ``int()`` — argparse turns that into a usage error.
+    integer process count (``0`` = one per CPU). Raises ``ValueError``
+    on a malformed or negative count; the CLI reports it as a usage
+    error.
     """
     if value is None:
         return 1
-    if isinstance(value, int):
-        return value
     text = str(value).strip()
     if "://" in text:
         return [u.strip().rstrip("/") for u in text.split(",") if u.strip()]
-    return int(text)
+    count = int(text)
+    if count < 0:
+        raise ValueError(f"worker count must be >= 0: {count}")
+    return count
 
 
 def make_transport(

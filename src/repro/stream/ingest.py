@@ -70,9 +70,8 @@ __all__ = [
 class StreamChunkTask:
     """Picklable per-chunk radio step for :class:`~repro.parallel.TaskPool`.
 
-    Unlike the batch :class:`~repro.radio.attribution.AttributionTask`,
-    per-round data cannot live on the task (the pool ships the task
-    once, at creation) — each item carries ``(user_id, window, carry
+    Per-round data cannot live on the task (the pool ships the task
+    once, at creation), so each item carries ``(user_id, window, carry
     payload, chunk records)`` and returns the settled arrays plus the
     advanced carry. No accumulation happens here, so any worker count
     yields identical results.

@@ -20,7 +20,7 @@ from repro.trace.events import (
     foreground_state_values,
 )
 from repro.trace.arrays import PacketArray
-from repro.trace.index import IndexTask, TraceIndex, build_index_payload
+from repro.trace.index import TraceIndex
 from repro.trace.flow import Flow, FlowTable, reconstruct_flows
 from repro.trace.intervals import (
     StateInterval,
@@ -77,9 +77,7 @@ __all__ = [
     "background_transitions",
     "label_packet_states",
     "reconstruct_flows",
-    "IndexTask",
     "TraceIndex",
     "background_state_values",
-    "build_index_payload",
     "foreground_state_values",
 ]

@@ -27,11 +27,6 @@ observable (``hits`` / ``build_seconds``, mirrored into an attached
 :class:`~repro.metrics.RunMetrics` as the ``index.build`` stage and the
 ``index.hits`` counter). The index is derived state — it is never
 persisted and takes no part in any store key.
-
-For batch pipelines, :func:`build_index_payload` / :class:`IndexTask`
-are the picklable pool boundary: workers ship back only the order
-array, group boundaries and state masks, and the parent adopts them
-via :meth:`TraceIndex.adopt_payload`.
 """
 
 from __future__ import annotations
@@ -81,25 +76,6 @@ def _compute_state_masks(packets: PacketArray) -> Tuple[np.ndarray, np.ndarray]:
         np.isin(states, foreground_state_values()),
         np.isin(states, background_state_values()),
     )
-
-
-def build_index_payload(packets: PacketArray) -> Dict[str, np.ndarray]:
-    """The shippable form of a built index (grouping + state masks).
-
-    Everything here is derived from the packet array alone, so a worker
-    holding the packets can build it and send only these arrays back;
-    the parent re-attaches them with :meth:`TraceIndex.adopt_payload`.
-    Background episodes need the event log and stay lazy in the parent.
-    """
-    order, app_ids, starts = _compute_grouping(packets)
-    fg_mask, bg_mask = _compute_state_masks(packets)
-    return {
-        "order": order,
-        "app_ids": app_ids,
-        "starts": starts,
-        "fg_mask": fg_mask,
-        "bg_mask": bg_mask,
-    }
 
 
 class TraceIndex:
@@ -166,8 +142,18 @@ class TraceIndex:
     # ------------------------------------------------------------------
     @property
     def is_grouped(self) -> bool:
-        """True once the app grouping has been built (or adopted)."""
+        """True once the app grouping has been built."""
         return self._order is not None
+
+    def build(self) -> "TraceIndex":
+        """Build the app grouping and the state masks now.
+
+        The batch warm-up: both are packet-only and read by every
+        figure, so later accesses are memo hits.
+        """
+        self._ensure_grouping()
+        self._ensure_masks()
+        return self
 
     def _ensure_grouping(self) -> None:
         if self._order is not None:
@@ -366,23 +352,8 @@ class TraceIndex:
         return cached
 
     # ------------------------------------------------------------------
-    # Pool boundary / invalidation
+    # Invalidation
     # ------------------------------------------------------------------
-    def adopt_payload(self, payload: Dict[str, np.ndarray]) -> "TraceIndex":
-        """Install a :func:`build_index_payload` result (pool ship-back)."""
-        self._order = np.asarray(payload["order"], dtype=np.int64)
-        self._app_ids = np.asarray(payload["app_ids"])
-        self._starts = np.asarray(payload["starts"], dtype=np.int64)
-        self._slices = {
-            int(app): slice(int(lo), int(hi))
-            for app, lo, hi in zip(
-                self._app_ids, self._starts[:-1], self._starts[1:]
-            )
-        }
-        self._fg_mask = np.asarray(payload["fg_mask"], dtype=bool)
-        self._bg_mask = np.asarray(payload["bg_mask"], dtype=bool)
-        return self
-
     def invalidate_states(self) -> None:
         """Drop state-derived memos (after relabelling packet states).
 
@@ -400,20 +371,3 @@ class TraceIndex:
             f"TraceIndex(n={len(self.packets)}, {built}, "
             f"hits={self.hits}, build_s={self.build_seconds:.4f})"
         )
-
-
-class IndexTask:
-    """Picklable per-user index build for worker pools.
-
-    Mirrors :class:`~repro.radio.attribution.AttributionTask`: the bulky
-    packet arrays ride on the task (copy-on-write under ``fork``, once
-    per worker under ``spawn``) and the item stream is bare user ids;
-    each call returns ``(user_id, payload)`` for
-    :meth:`TraceIndex.adopt_payload`.
-    """
-
-    def __init__(self, traces: Dict[int, PacketArray]) -> None:
-        self.traces = traces
-
-    def __call__(self, user_id: int) -> Tuple[int, Dict[str, np.ndarray]]:
-        return user_id, build_index_payload(self.traces[user_id])

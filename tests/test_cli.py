@@ -265,3 +265,63 @@ def test_ingest_no_cadence_table1_fails_typed(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "cadence" in captured.err
+
+
+#: (argv, option): each is a usage error naming the option, never a
+#: traceback. ``{study}`` is a saved study, ``{ck}`` a temporary path.
+BAD_NUMBERS = [
+    (["generate", "--workers", "-1"], "--workers"),
+    (["generate", "--users", "0"], "--users"),
+    (["generate", "--days", "-1"], "--days"),
+    (["figure", "3", "--dataset", "{study}", "--workers", "-3"], "--workers"),
+    (
+        ["report", "--dataset", "{study}", "--models", "lte,nr",
+         "--workers", "-1"],
+        "--workers",
+    ),
+    (["ingest", "--dataset", "{study}", "--workers", "-1"], "--workers"),
+    (["ingest", "--dataset", "{study}", "--retries", "-1"], "--retries"),
+    (
+        ["ingest", "--dataset", "{study}", "--task-timeout", "0"],
+        "--task-timeout",
+    ),
+    (["ingest", "--dataset", "{study}", "--chunk-size", "0"], "--chunk-size"),
+    (
+        ["ingest", "--dataset", "{study}", "--checkpoint-every", "-1",
+         "--checkpoint", "{ck}"],
+        "--checkpoint-every",
+    ),
+    (
+        ["follow", "--drops", ".", "--checkpoint", "{ck}",
+         "--chunk-size", "0"],
+        "--chunk-size",
+    ),
+    (
+        ["shard", "plan", "--dataset", "{study}", "--shards", "2",
+         "--chunk-size", "0"],
+        "--chunk-size",
+    ),
+    (["shard", "run", "plan.json", "--shard-workers", "-1"], "--shard-workers"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    BAD_NUMBERS,
+    ids=[f"{argv[0]} {option}" for argv, option in BAD_NUMBERS],
+)
+def test_invalid_numeric_option_is_usage_error(
+    checkpointed, tmp_path, capsys, argv, option
+):
+    study, _ = checkpointed
+    capsys.readouterr()
+    argv = [arg.format(study=study, ck=tmp_path / "c.npz") for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert option in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "c.npz").exists()

@@ -1,18 +1,22 @@
-"""The parallel / lazy attribution engine.
+"""The in-process, optionally lazy attribution engine.
 
-Contract under test: every knob combination (workers, lazy) produces
-*bit-identical* results to the plain serial engine — the knobs may only
-change when and where the work happens, never the numbers.
+Contract under test: each user's attribution is exactly one direct
+:func:`~repro.radio.attribution.attribute_energy` call, eager or lazy
+— laziness may only change when the work happens, never the numbers —
+and ``prepare_indexes`` only changes when the indexes are built.
 """
+
+import time
 
 import numpy as np
 import pytest
 
 import repro.radio.attribution as attribution
-from repro import StudyEnergy
+from repro import StudyConfig, StudyEnergy, generate_study
 from repro.errors import AnalysisError
 from repro.parallel import map_tasks, resolve_workers
-from repro.radio import TailPolicy
+from repro.radio import TailPolicy, available_models, get_model
+from repro.store import render_analysis
 
 
 @pytest.fixture
@@ -30,25 +34,76 @@ def counted_attribute(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Parallel == serial
+# One direct attribute_energy call per user
 # ----------------------------------------------------------------------
-def test_parallel_identical_to_serial(small_dataset, small_study):
-    parallel = StudyEnergy(small_dataset, workers=2)
-    for uid in small_study.user_ids:
-        a = small_study.user_result(uid)
-        b = parallel.user_result(uid)
-        assert np.array_equal(a.per_packet, b.per_packet)
-        assert np.array_equal(a.tail, b.tail)
-        assert a.energy.idle_energy == b.energy.idle_energy
-        assert a.energy.window == b.energy.window
-    assert parallel.total_energy == small_study.total_energy
-    assert parallel.energy_by_app() == small_study.energy_by_app()
+@pytest.mark.parametrize("policy", list(TailPolicy), ids=lambda p: p.value)
+@pytest.mark.parametrize("name", available_models())
+def test_user_results_equal_direct_attribution(small_dataset, name, policy):
+    model = get_model(name)
+    study = StudyEnergy(small_dataset, model=model, policy=policy)
+    for trace in small_dataset:
+        got = study.user_result(trace.user_id)
+        want = attribution.attribute_energy(
+            model, trace.packets, (trace.start, trace.end), policy
+        )
+        assert np.array_equal(got.per_packet, want.per_packet)
+        assert np.array_equal(got.tail, want.tail)
+        assert np.array_equal(got.energy.transfer, want.energy.transfer)
+        assert np.array_equal(got.energy.promotion, want.energy.promotion)
+        assert np.array_equal(got.energy.tail, want.energy.tail)
+        assert got.energy.idle_energy == want.energy.idle_energy
+        assert got.energy.window == want.energy.window
+    # Study totals stay Python floats, so their repr is unchanged.
+    assert type(study.idle_energy) is float
+    assert type(study.total_energy) is float
 
 
-def test_workers_zero_means_cpu_count(small_dataset):
-    study = StudyEnergy(small_dataset, workers=0)
-    assert study.workers >= 1
-    assert study.total_energy > 0
+@pytest.mark.parametrize("workers", [0, 2, None])
+def test_workers_other_than_one_raise(small_dataset, workers):
+    with pytest.raises(ValueError, match="in process"):
+        StudyEnergy(small_dataset, workers=workers)
+
+
+def test_workers_one_is_accepted(small_dataset, small_study):
+    study = StudyEnergy(small_dataset, workers=1)
+    assert study.total_energy == small_study.total_energy
+
+
+# ----------------------------------------------------------------------
+# prepare_indexes: a serial warm-up that changes no output
+# ----------------------------------------------------------------------
+_INDEXED_ANALYSES = ("fig1", "fig2", "fig3", "table1")
+
+
+def test_prepare_indexes_builds_everything_once():
+    # A private dataset: indexes are memoized on the traces, and the
+    # session fixtures' indexes may already be built.
+    config = StudyConfig(n_users=3, duration_days=5.0, seed=4321)
+    study = StudyEnergy(generate_study(config))
+    assert not any(trace.index().is_grouped for trace in study.dataset)
+
+    started = time.perf_counter()
+    study.prepare_indexes()
+    wall = time.perf_counter() - started
+    for trace in study.dataset:
+        index = trace.index()
+        assert index.is_grouped
+        assert index._fg_mask is not None and index._bg_mask is not None
+    assert 0.0 < study.metrics.stage_seconds("index.build") <= wall
+
+    def build_calls():
+        return study.metrics.as_dict()["stages"]["index.build"]["calls"]
+
+    calls, hits = build_calls(), study.metrics.counter("index.hits")
+    study.prepare_indexes()
+    assert build_calls() == calls
+    assert study.metrics.counter("index.hits") == hits
+
+    lazy = StudyEnergy(generate_study(config))
+    for analysis in _INDEXED_ANALYSES:
+        assert render_analysis(analysis, study) == render_analysis(
+            analysis, lazy
+        )
 
 
 # ----------------------------------------------------------------------
@@ -94,6 +149,30 @@ def test_lazy_unknown_user_raises_without_computing(
     with pytest.raises(AnalysisError):
         study.user_result(999)
     assert counted_attribute == []
+
+
+_USER_ACCESSORS = {
+    "user_result": lambda study, uid: study.user_result(uid),
+    "index_for": lambda study, uid: study.index_for(uid),
+    "duration_days": lambda study, uid: study.duration_days(uid),
+    "user_totals": lambda study, uid: study.user_totals(uid),
+    "user_app_energy": lambda study, uid: study.user_app_energy(uid, 1),
+    "daily_energy": lambda study, uid: study.daily_energy(uid),
+    "app_days_with_traffic": (
+        lambda study, uid: study.app_days_with_traffic(uid, 1)
+    ),
+}
+
+
+@pytest.mark.parametrize("accessor", sorted(_USER_ACCESSORS))
+def test_unknown_user_raises_analysis_error_from_every_accessor(
+    small_dataset, counted_attribute, accessor
+):
+    study = StudyEnergy(small_dataset, lazy=True)
+    with pytest.raises(AnalysisError, match="unknown user id 999"):
+        _USER_ACCESSORS[accessor](study, 999)
+    assert counted_attribute == []
+    assert not study._results
 
 
 def test_lazy_user_ids_and_dataset_iteration_untouched(small_dataset):

@@ -21,6 +21,9 @@ spell a ``.prev``/``.tmp`` name.
 The fourth keeps event streams in one form: only
 ``repro.trace.events`` converts between event objects and the
 columnar arrays an ``EventLog`` holds.
+
+The fifth keeps process pools where they pay: only study generation,
+stream chunk rounds and shard execution import ``repro.parallel``.
 """
 
 from __future__ import annotations
@@ -301,4 +304,49 @@ def test_only_trace_events_converts_event_objects():
         "event objects or event dtypes outside repro.trace.events — read "
         "EventLog.process/.screen/.input or process_for_app():\n"
         + "\n".join(offending)
+    )
+
+
+#: The modules whose process pools pay for themselves: study
+#: generation, stream chunk rounds and shard execution.
+_POOL_USERS = (
+    SRC / "workload" / "generator.py",
+    SRC / "stream" / "ingest.py",
+    SRC / "shard" / "execute.py",
+    SRC / "shard" / "coordinator.py",
+)
+
+
+def _parallel_imports(path):
+    """Lines of ``path`` that import :mod:`repro.parallel` or from it."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+            if node.module == "repro":
+                names += [f"repro.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[:2] == ["repro", "parallel"] for name in names):
+            found.append(node.lineno)
+    return [f"{path.relative_to(SRC)}:{line}" for line in found]
+
+
+def test_only_pool_users_import_repro_parallel():
+    """Batch attribution and index builds once crossed a worker pool
+    that cost about as much as the work it shipped; they now run in
+    process. A pool elsewhere must first show that it pays."""
+    for path in _POOL_USERS:
+        assert _parallel_imports(path), f"guard matches nothing in {path}"
+    offending = [
+        hit
+        for path in sorted(SRC.rglob("*.py"))
+        if path not in _POOL_USERS
+        for hit in _parallel_imports(path)
+    ]
+    assert not offending, (
+        "repro.parallel imported outside generation, stream ingest and "
+        "shard execution:\n" + "\n".join(offending)
     )

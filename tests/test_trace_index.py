@@ -24,7 +24,7 @@ from repro.trace.events import (
     background_state_values,
     foreground_state_values,
 )
-from repro.trace.index import IndexTask, TraceIndex, build_index_payload
+from repro.trace.index import TraceIndex
 from repro.trace.trace import UserTrace
 
 
@@ -133,35 +133,6 @@ def test_interned_state_values_match_enum_groups():
     assert background_state_values().dtype == np.uint8
     with pytest.raises(ValueError):
         background_state_values()[0] = 0  # interned arrays are read-only
-
-
-def test_payload_roundtrip_equals_local_build():
-    rng = np.random.default_rng(5)
-    packets = _random_packets(rng, 400, 9)
-    local = TraceIndex(packets)
-    adopted = TraceIndex(packets).adopt_payload(build_index_payload(packets))
-    assert adopted.is_grouped
-    np.testing.assert_array_equal(adopted.app_ids, local.app_ids)
-    for app in local:
-        np.testing.assert_array_equal(
-            adopted.app_indices(app), local.app_indices(app)
-        )
-        np.testing.assert_array_equal(
-            adopted.app_background_indices(app),
-            local.app_background_indices(app),
-        )
-    np.testing.assert_array_equal(adopted.background_mask, local.background_mask)
-
-
-def test_index_task_is_pool_shaped():
-    rng = np.random.default_rng(6)
-    traces = {uid: _random_packets(rng, 50, 4) for uid in (1, 2)}
-    task = IndexTask(traces)
-    uid, payload = task(2)
-    assert uid == 2
-    expected = build_index_payload(traces[2])
-    for key in expected:
-        np.testing.assert_array_equal(payload[key], expected[key])
 
 
 def test_lazy_build_hits_and_metrics():
