@@ -96,6 +96,12 @@ def _ingest_sharded(
         )
         return 2
     manifest_path = Path(str(args.checkpoint) + ".plan.json")
+    args._manifest_path = manifest_path
+    try:
+        transport = _resolve_transport(args, workers)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     with metrics.stage("shard.plan"):
         if manifest_path.exists():
             manifest = ShardManifest.load(manifest_path)
@@ -119,12 +125,6 @@ def _ingest_sharded(
             )
             manifest.save(manifest_path)
     shard_dir = default_shard_dir(manifest_path)
-    args._manifest_path = manifest_path
-    try:
-        transport = _resolve_transport(args, workers)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     transport.dispatch(manifest, shard_dir, metrics=metrics)
     merge_to_checkpoint(
         manifest,
@@ -313,7 +313,7 @@ def add_shard(sub) -> None:
         help="shard one user's PACKETS_CSV[:EVENTS_CSV] (repeatable)",
     )
     sp.add_argument(
-        "--shards", type=int, required=True, metavar="N",
+        "--shards", type=_at_least(int, 1), required=True, metavar="N",
         help="number of shards to plan",
     )
     sp.add_argument(
@@ -400,7 +400,11 @@ def add_shard(sub) -> None:
         "--task-timeout",
         type=_at_least(float, 0, strict=True),
         metavar="SECONDS",
-        help="per-chunk hang timeout inside each shard",
+        help=(
+            "per-shard hang timeout: the shard pool kills a shard worker "
+            "that runs this long and retries or reports the shard (needs "
+            "a local pool of 2 or more processes)"
+        ),
     )
     sp.add_argument(
         "--quarantine",

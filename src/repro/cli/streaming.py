@@ -33,13 +33,6 @@ from repro.cli.sharding import _add_transport_args, _ingest_sharded
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     metrics = _metrics(args)
-    source = _stream_source(args)
-    if source is None:
-        print(
-            "ingest needs --dataset FILE or --user PACKETS_CSV[:EVENTS_CSV]",
-            file=sys.stderr,
-        )
-        return 2
     try:
         workers = parse_worker_spec(args.workers)
     except ValueError:
@@ -49,24 +42,37 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.shards:
-        return _ingest_sharded(args, source, metrics, workers)
-    if isinstance(workers, list) or getattr(args, "transport", None) == "http":
+    if not args.shards:
+        if isinstance(workers, list) or args.transport == "http":
+            print(
+                "a remote worker pool executes *shards*: add --shards N to "
+                "use --transport http / --workers URL[,URL...]",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
+        if workers != 1 or args.retries or args.task_timeout is not None:
+            print(
+                "an unsharded ingest runs in process: --workers, --retries "
+                "and --task-timeout set up the shard pool, so add --shards N "
+                "to use them",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
+    source = _stream_source(args)
+    if source is None:
         print(
-            "a remote worker pool executes *shards*: add --shards N to "
-            "use --transport http / --workers URL[,URL...]",
+            "ingest needs --dataset FILE or --user PACKETS_CSV[:EVENTS_CSV]",
             file=sys.stderr,
         )
-        return EXIT_USAGE
+        return 2
+    if args.shards:
+        return _ingest_sharded(args, source, metrics, workers)
     ingestor = StreamIngestor(
         source,
         model=get_model(args.model),
-        workers=workers,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         metrics=metrics,
-        retries=args.retries,
-        task_timeout=args.task_timeout,
         quarantine=args.quarantine,
         cadence=not args.no_cadence,
     )
@@ -223,26 +229,26 @@ def add_follow(sub) -> None:
     )
     p.add_argument(
         "--poll-interval",
-        type=float,
+        type=_at_least(float, 0),
         default=1.0,
         metavar="SECONDS",
         help="sleep this long between polls that found no new data",
     )
     p.add_argument(
         "--max-polls",
-        type=int,
+        type=_at_least(int, 1),
         metavar="N",
         help="stop after N poll iterations (for tests and smoke runs)",
     )
     p.add_argument(
         "--idle-exit",
-        type=int,
+        type=_at_least(int, 1),
         metavar="N",
         help="exit once N consecutive polls found no new data",
     )
     p.add_argument(
         "--max-pending",
-        type=int,
+        type=_at_least(int, 1),
         default=64,
         metavar="N",
         help=(
@@ -251,7 +257,10 @@ def add_follow(sub) -> None:
         ),
     )
     p.add_argument(
-        "--top-n", type=int, default=5, help="headline top-N size"
+        "--top-n",
+        type=_at_least(int, 1),
+        default=5,
+        help="headline top-N size",
     )
     p.add_argument(
         "--chunk-size",
@@ -310,7 +319,7 @@ def add_ingest(sub) -> None:
     )
     p.add_argument(
         "--max-chunks",
-        type=int,
+        type=_at_least(int, 1),
         metavar="N",
         help="stop after N chunks, checkpoint, and exit (bounded slice)",
     )
@@ -325,9 +334,9 @@ def add_ingest(sub) -> None:
         default="1",
         metavar="N|URL[,URL...]",
         help=(
-            "chunk workers / users in flight (0 = one per CPU), or — "
-            "with --shards — the `repro shard worker` URL pool to "
-            "execute shards on"
+            "with --shards: shard processes (0 = one per CPU) or the "
+            "`repro shard worker` URL pool to execute shards on; an "
+            "unsharded ingest runs in process and takes only 1"
         ),
     )
     _add_transport_args(p)
@@ -336,20 +345,28 @@ def add_ingest(sub) -> None:
         type=_at_least(int, 0),
         default=0,
         metavar="N",
-        help="retry a failed/crashed chunk task N times before giving up",
+        help=(
+            "with --shards: retry a failed, crashed or hung shard N "
+            "times before reporting it"
+        ),
     )
     p.add_argument(
         "--task-timeout",
         type=_at_least(float, 0, strict=True),
         metavar="SECONDS",
-        help="declare a chunk task hung after this long and rebuild the pool",
+        help=(
+            "with --shards and --workers 2 or more: per-shard hang "
+            "timeout; the shard pool kills a shard worker that runs this "
+            "long and retries the shard"
+        ),
     )
     p.add_argument(
         "--quarantine",
         action="store_true",
         help=(
             "keep going past bad input: drop malformed CSV rows and "
-            "retry-exhausted users, reporting both via faults.* counters"
+            "users whose chunks the radio layer rejects, reporting both "
+            "via faults.* counters"
         ),
     )
     p.add_argument(
@@ -362,7 +379,7 @@ def add_ingest(sub) -> None:
     )
     p.add_argument(
         "--shards",
-        type=int,
+        type=_at_least(int, 1),
         metavar="N",
         help=(
             "one-box sharded ingest: plan N user-shards, run them in "
@@ -370,7 +387,9 @@ def add_ingest(sub) -> None:
             "into --checkpoint — bit-identical to the unsharded run"
         ),
     )
-    p.add_argument("--top", type=int, default=15, help="apps to print")
+    p.add_argument(
+        "--top", type=_at_least(int, 1), default=15, help="apps to print"
+    )
     p.add_argument(
         "--metrics-json",
         metavar="FILE",

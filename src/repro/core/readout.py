@@ -30,7 +30,7 @@ Table 1 needs more than totals (flows per app, burst intervals); that
 is the *cadence* tier: :class:`AppCadence` summaries that the batch
 engine computes from packets on demand and the streaming engine tracks
 incrementally at the paper's default gaps (see
-:class:`repro.stream.ingest.CadenceTracker`).
+:class:`repro.stream.cadence.CadenceTracker`).
 """
 
 from __future__ import annotations
@@ -607,6 +607,9 @@ def readout_from_checkpoint(path) -> TotalsReadout:
 
 def readout_from_loaded_checkpoint(checkpoint) -> TotalsReadout:
     """Build the readout from an already-loaded ``StreamCheckpoint``."""
+    # Deferred for the same import cycle as readout_from_checkpoint's.
+    from repro.stream.cadence import CadenceTracker
+
     shard = getattr(checkpoint, "shard", None)
     if shard is not None:
         raise StreamError(
@@ -655,36 +658,11 @@ def readout_from_loaded_checkpoint(checkpoint) -> TotalsReadout:
             )
         )
         if cadences is not None:
-            per_app: Dict[int, Tuple[int, int, np.ndarray]] = {}
-            cad = user.cadence or {}
-            apps = np.asarray(
-                cad.get("burst_apps", np.empty(0, np.int64)), np.int64
+            cadences[uid] = (
+                CadenceTracker.from_payload(user.cadence).summary()
+                if user.cadence is not None
+                else {}
             )
-            counts = np.asarray(
-                cad.get("burst_counts", np.empty(0, np.int64)), np.int64
-            )
-            flow_counts = {
-                int(a): int(c)
-                for a, c in zip(
-                    cad.get("flow_count_apps", np.empty(0, np.int64)),
-                    cad.get("flow_counts", np.empty(0, np.int64)),
-                )
-            }
-            offsets = np.asarray(
-                cad.get("interval_offsets", np.zeros(1, np.int64)), np.int64
-            )
-            intervals = np.asarray(
-                cad.get("intervals", np.empty(0, np.float64)), np.float64
-            )
-            for i, app in enumerate(apps):
-                app = int(app)
-                lo, hi = int(offsets[i]), int(offsets[i + 1])
-                per_app[app] = (
-                    int(flow_counts.get(app, 0)),
-                    int(counts[i]),
-                    intervals[lo:hi].copy(),
-                )
-            cadences[uid] = per_app
     return TotalsReadout(
         totals,
         registry=registry,

@@ -8,10 +8,11 @@ monitor. Each loop iteration:
    the ``follow.lag_chunks`` gauge — when attribution falls behind,
    the queue fills and polling stops until it drains (backpressure at
    the source, not unbounded memory).
-2. **Attributes** every pending chunk through the exact streaming
-   radio engine (:class:`~repro.radio.streaming.StreamingAttribution`
-   resumed from each user's checkpointable carry), folds the settled
-   packets into both the whole-stream accumulators and every
+2. **Attributes** every pending chunk through its user's
+   :meth:`UserStreamAccumulator.feed
+   <repro.stream.accumulate.UserStreamAccumulator.feed>` — the exact
+   streaming radio engine and the whole-stream totals, the same step
+   ``repro ingest`` runs — and folds the settled packets into every
    :class:`~repro.follow.WindowRing`.
 3. **Advances** windows: the per-user watermarks (last packet seen,
    pending included) define the stream's low-watermark ``t_seal``;
@@ -51,7 +52,6 @@ from repro.metrics import RunMetrics
 from repro.radio.attribution import TailPolicy
 from repro.radio.base import RadioModel
 from repro.radio.lte import LTE_DEFAULT
-from repro.radio.streaming import RadioCarry, StreamingAttribution
 from repro.stream.accumulate import UserStreamAccumulator
 from repro.stream.checkpoint import StreamCheckpoint
 from repro.store.keys import StoreKey
@@ -282,7 +282,11 @@ class Follower:
     def _accumulator_for(self, uid: int) -> UserStreamAccumulator:
         if uid not in self._accumulators:
             self._accumulators[uid] = UserStreamAccumulator(
-                uid, self.source.window(uid), cadence=False
+                uid,
+                self.source.window(uid),
+                self.model,
+                self.policy,
+                cadence=False,
             )
         return self._accumulators[uid]
 
@@ -290,31 +294,13 @@ class Follower:
         self, uid: int, chunk: PacketArray, snapshot: dict
     ) -> None:
         acc = self._accumulator_for(uid)
-        carry = (
-            RadioCarry.from_payload(acc.carry)
-            if acc.carry is not None
-            else None
-        )
-        had_pending = carry is not None and carry.n_packets > 0
-        pending_ts = carry.pending_ts if had_pending else 0.0
-        sim = StreamingAttribution(
-            self.model, self.policy, acc.window, carry
-        )
+        had_pending = acc.radio.carry.n_packets > 0
+        pending_ts = acc.radio.carry.pending_ts
         with self.metrics.stage("follow.attribute"):
-            settled = sim.feed(chunk)
+            settled = acc.feed(chunk)
             ts = settled_timestamps(
                 chunk.timestamps, had_pending, pending_ts
             )
-            acc.adopt(
-                (
-                    settled.apps,
-                    settled.states,
-                    settled.sizes,
-                    settled.per_packet,
-                ),
-                sim.carry.to_payload(),
-            )
-            acc.rows_consumed += len(chunk)
             for ring in self.rings.values():
                 ring.ingest(
                     uid,
@@ -549,7 +535,10 @@ class Follower:
         for user in checkpoint.users:
             self._accumulators[user.user_id] = (
                 UserStreamAccumulator.from_checkpoint(
-                    user, self.source.window(user.user_id)
+                    user,
+                    self.source.window(user.user_id),
+                    self.model,
+                    self.policy,
                 )
             )
         self.source.restore(self._cursors, checkpoint.registry_json)

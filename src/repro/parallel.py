@@ -1,10 +1,10 @@
 """Shared multiprocessing helpers, hardened against worker failure.
 
 The workload generator fans per-user generation out over a process
-pool; the streaming ingestor fans the same chunk task out once per
-round for hours, and the shard executors run whole shards. Batch
-attribution stays in process: shipping a user's result back costs
-about as much as computing it. The selection logic (how
+pool, and the shard executors run whole shards of users, one process
+each. Batch attribution and streaming ingestion stay in process:
+shipping a user's result, or a chunk and its carry, costs about as
+much as computing it. The selection logic (how
 many workers make sense, which start method to use, when a pool is not
 worth its overhead) lives here once — and so does the failure handling,
 because on a 22-month ingestion job workers *do* die, tasks *do* hang
@@ -207,17 +207,17 @@ class TaskPool:
     """A process pool that survives many :meth:`map` rounds — and its
     own workers' failures.
 
-    :func:`map_tasks` pays pool startup on every call, which is fine
-    for one batch fan-out but not for a streaming ingestor that fans
-    the *same* task out once per chunk round. ``TaskPool`` starts the
-    workers once and reuses them; unlike :func:`map_tasks`, per-round
-    data must ride on the **items** (the task is shipped once, at pool
-    creation), so streaming callers pass ``(uid, carry, chunk)`` tuples
-    as items. With ``workers`` resolved to 1 the pool is never created
-    and every map runs in process — where ``task_timeout`` cannot be
-    enforced and a crash is the caller's crash, since both protections
-    need a process boundary; with ``workers > 1`` every round, even a
-    one-item round, goes through the pool so the policy always holds.
+    :func:`map_tasks` pays pool startup on every call; ``TaskPool``
+    starts the workers once and reuses them across :meth:`map` rounds,
+    and reports each slot as it settles, which is what the shard
+    executors need. Unlike :func:`map_tasks`, per-round data must ride
+    on the **items** (the task is shipped once, at pool creation): the
+    shard executor's items are shard indices. With ``workers`` resolved
+    to 1 the pool is never created and every map runs in process —
+    where ``task_timeout`` cannot be enforced and a crash is the
+    caller's crash, since both protections need a process boundary;
+    with ``workers > 1`` every round, even a one-item round, goes
+    through the pool so the policy always holds.
 
     Failure policy, applied per item:
 
@@ -353,8 +353,8 @@ class TaskPool:
         if self.workers <= 1:
             return self._map_serial(items, on_result)
         # Even a one-item round goes through the pool: the failure
-        # policy (task_timeout, crash isolation) must hold on the final
-        # rounds of a streaming run, where one user is left active.
+        # policy (task_timeout, crash isolation) must hold for a lone
+        # shard too.
         return self._map_pool(items, on_result)
 
     def _map_serial(
@@ -490,8 +490,7 @@ class TaskPool:
     def _scheduler(self) -> RetryScheduler:
         """A fresh :class:`RetryScheduler` for one map round.
 
-        Attempt counts reset per round (a retried streaming chunk is a
-        new round, not a continuation); quarantined failures accumulate
+        Attempt counts reset per round; quarantined failures accumulate
         across rounds through the shared :attr:`failures` list.
         """
         return RetryScheduler(

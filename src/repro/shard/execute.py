@@ -4,8 +4,8 @@ One shard's execution is an ordinary :class:`~repro.stream.ingest.
 StreamIngestor` run over a :class:`~repro.shard.plan.ShardSource`, with
 its checkpoint stamped by the shard header — so everything the
 streaming stack already proves (bit-identical accounting for any chunk
-size or worker count, checkpoint/resume with no recomputation, row and
-user quarantine) holds per shard for free. Execution is **idempotent**:
+size, checkpoint/resume with no recomputation, row and user
+quarantine) holds per shard for free. Execution is **idempotent**:
 a shard whose checkpoint is already complete is skipped, a shard with a
 partial checkpoint resumes from it, and a fresh shard starts clean —
 `repro shard run` after any number of kills converges to N complete
@@ -17,7 +17,10 @@ coordinator/probe split of measure-x scaled down to one host). Worker
 metrics ride back on each report and are absorbed into the parent's
 :class:`~repro.metrics.RunMetrics` as slots settle, so ``stream.*``
 counters and the ``shard_packets_per_s`` rate describe the whole run.
-A shard that fails even after the pool's retries surfaces as a typed
+The pool is where a sharded run's worker isolation lives: a crashed
+shard worker is rebuilt, a shard silent for ``task_timeout`` seconds is
+killed, and either is retried ``retries`` times. A shard that fails
+even after the pool's retries surfaces as a typed
 :class:`~repro.errors.ShardError` naming the shards to re-run — never
 a silent gap for the merger to trip on.
 """
@@ -115,11 +118,8 @@ def run_shard(
     shard_dir: PathLike,
     *,
     source=None,
-    workers: Optional[int] = 1,
     checkpoint_every: int = 0,
     metrics: Optional[RunMetrics] = None,
-    retries: int = 0,
-    task_timeout: Optional[float] = None,
     quarantine: bool = False,
     max_chunks: Optional[int] = None,
 ) -> Dict[str, Any]:
@@ -160,12 +160,9 @@ def run_shard(
         shard_source,
         model=manifest.model(),
         policy=manifest.policy(),
-        workers=workers,
         checkpoint_path=path,
         checkpoint_every=checkpoint_every,
         metrics=metrics,
-        retries=retries,
-        task_timeout=task_timeout,
         quarantine=quarantine,
         cadence=manifest.cadence,
         shard_info=shard_header(manifest, index),
@@ -201,15 +198,11 @@ class ShardExecTask:
         shard_dir: str,
         *,
         checkpoint_every: int = 0,
-        retries: int = 0,
-        task_timeout: Optional[float] = None,
         quarantine: bool = False,
     ) -> None:
         self.manifest = manifest
         self.shard_dir = str(shard_dir)
         self.checkpoint_every = checkpoint_every
-        self.retries = retries
-        self.task_timeout = task_timeout
         self.quarantine = quarantine
 
     def __call__(self, index: int) -> Dict[str, Any]:
@@ -217,12 +210,28 @@ class ShardExecTask:
             self.manifest,
             index,
             self.shard_dir,
-            workers=1,
             checkpoint_every=self.checkpoint_every,
-            retries=self.retries,
-            task_timeout=self.task_timeout,
             quarantine=self.quarantine,
         )
+
+
+def shard_pool_workers(
+    shard_workers: Optional[int], task_timeout: Optional[float] = None
+) -> int:
+    """Resolve the shard pool's process count (``None``/``0``: one per CPU).
+
+    A pool of one process runs its shards in process, where nothing can
+    time them out, so a ``task_timeout`` there raises ``ValueError``
+    instead of being silently ignored.
+    """
+    workers = resolve_workers(shard_workers)
+    if task_timeout is not None and workers < 2:
+        raise ValueError(
+            "a task timeout needs a shard pool of at least 2 worker "
+            f"processes, got {workers}: a shard run in process cannot be "
+            "timed out"
+        )
+    return workers
 
 
 def run_all_shards(
@@ -242,10 +251,14 @@ def run_all_shards(
 
     Shards fan out over one :class:`~repro.parallel.TaskPool` process
     each (``shard_workers`` caps how many run at once; default one per
-    CPU). Each worker's metrics payload is absorbed into ``metrics`` as
-    its slot settles. Raises :class:`~repro.errors.ShardError` naming
-    the failed shards when any shard neither completed nor checkpointed
-    cleanly — rerunning the same command resumes exactly those.
+    CPU). ``task_timeout`` is a per-shard hang timeout: the pool kills
+    a shard worker that has not answered within it, then retries the
+    shard up to ``retries`` times. It needs ``shard_workers`` of 2 or
+    more (:func:`shard_pool_workers`). Each worker's metrics payload is
+    absorbed into ``metrics`` as its slot settles. Raises
+    :class:`~repro.errors.ShardError` naming the failed shards when any
+    shard neither completed nor checkpointed cleanly — rerunning the
+    same command resumes exactly those.
     """
     metrics = metrics if metrics is not None else RunMetrics()
     shard_dir = Path(shard_dir)
@@ -257,12 +270,14 @@ def run_all_shards(
         manifest,
         str(shard_dir),
         checkpoint_every=checkpoint_every,
-        retries=retries,
-        task_timeout=task_timeout,
         quarantine=quarantine,
     )
-    workers = resolve_workers(shard_workers)
-    workers = min(workers, max(len(indices), 1))
+    # At most one process per shard, but a timeout keeps a pool even for
+    # a lone shard: only a shard worker process can be timed out.
+    workers = min(
+        shard_pool_workers(shard_workers, task_timeout),
+        max(len(indices), 1 if task_timeout is None else 2),
+    )
 
     def _settle(slot: int, result) -> None:
         if isinstance(result, TaskFailure):
@@ -278,7 +293,7 @@ def run_all_shards(
             task,
             workers,
             retries=retries,
-            task_timeout=None,
+            task_timeout=task_timeout,
             quarantine=True,
             metrics=metrics,
         ) as pool:

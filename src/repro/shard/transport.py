@@ -43,7 +43,7 @@ from typing import (
 
 from repro.metrics import RunMetrics
 from repro.shard.coordinator import ShardCoordinator
-from repro.shard.execute import run_all_shards
+from repro.shard.execute import run_all_shards, shard_pool_workers
 from repro.shard.plan import ShardManifest
 
 PathLike = Union[str, Path]
@@ -88,7 +88,9 @@ class LocalTransport:
     A construction-time capture of :func:`~repro.shard.execute.
     run_all_shards`'s keyword surface; ``dispatch`` delegates verbatim,
     so outputs — checkpoints, reports, metrics, error behaviour — are
-    bit-identical to the pre-transport code path.
+    bit-identical to the pre-transport code path. ``retries`` and
+    ``task_timeout`` apply per shard, in that pool: each shard's own
+    ingest runs in process.
     """
 
     name = "local"
@@ -235,7 +237,8 @@ def make_transport(
     to ``local``, a bare count to ``http``) raise ``ValueError`` with
     the fix spelled out. The http transport floors ``retries`` at 2:
     reassignment after a worker death *is* a retry, so a zero budget
-    would turn every transient network blip into exit 8.
+    would turn every transient network blip into exit 8. Only a local
+    pool of two or more processes takes a ``task_timeout``.
     """
     if name == "local":
         if isinstance(workers, list):
@@ -243,6 +246,7 @@ def make_transport(
                 "worker URLs require --transport http; --transport local "
                 "takes a process count"
             )
+        shard_pool_workers(workers, task_timeout)
         return LocalTransport(
             shard_workers=workers,
             checkpoint_every=checkpoint_every,
@@ -255,6 +259,11 @@ def make_transport(
             raise ValueError(
                 "--transport http needs --workers URL[,URL...] naming the "
                 "`repro shard worker` pool"
+            )
+        if task_timeout is not None:
+            raise ValueError(
+                "--task-timeout times out local shard workers; --transport "
+                "http marks a worker that stops answering dead instead"
             )
         return HttpTransport(
             workers,

@@ -233,7 +233,6 @@ class _WorkerHandler(HttpResponder, BaseHTTPRequestHandler):
                     manifest,
                     index,
                     shard_dir,
-                    workers=1,
                     checkpoint_every=self.server.checkpoint_every,
                 )
 

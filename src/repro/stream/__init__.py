@@ -9,7 +9,10 @@ accounting whose results are bit-identical to
 ``allclose``). Radio state and the pending tail owner cross chunk
 boundaries inside a :class:`~repro.radio.streaming.RadioCarry`; the
 carry plus all partial totals persist in a :class:`StreamCheckpoint`,
-so a killed run resumes with no recomputation.
+so a killed run resumes with no recomputation. An ingest runs in
+process, one chunk at a time through each user's
+:meth:`UserStreamAccumulator.feed`; users run in parallel only as
+shards (:mod:`repro.shard`).
 
 Typical use::
 
@@ -36,7 +39,7 @@ from repro.stream.chunks import (
     NpzStreamSource,
     RowQuarantine,
 )
-from repro.stream.ingest import StreamChunkTask, StreamIngestor
+from repro.stream.ingest import StreamIngestor
 
 __all__ = [
     "CadenceTracker",
@@ -44,7 +47,6 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "NpzStreamSource",
     "RowQuarantine",
-    "StreamChunkTask",
     "StreamCheckpoint",
     "StreamIngestor",
     "StreamResult",

@@ -27,24 +27,39 @@ from repro.core.readout import (
 from repro.errors import StreamError, TaskFailure
 from repro.radio.attribution import TailPolicy
 from repro.radio.base import RadioModel
-from repro.radio.streaming import RadioCarry, StreamingAttribution
+from repro.radio.streaming import (
+    FinalizedChunk,
+    RadioCarry,
+    StreamingAttribution,
+)
 from repro.stream.cadence import CadenceTracker
 from repro.stream.checkpoint import UserCheckpoint
 from repro.trace.arrays import PacketArray
 
 
 class UserStreamAccumulator:
-    """One user's in-flight state: radio carry plus partial totals."""
+    """One user's in-flight state: a live radio simulation plus partials.
+
+    :meth:`feed` is the one per-user streaming step, which the ingestor
+    and the follower both call: the user's own
+    :class:`~repro.radio.streaming.StreamingAttribution` settles the
+    chunk, the settled packets fold into the
+    :class:`~repro.core.readout.KeyedTotals` partials and the raw chunk
+    into the cadence tracker.
+    """
 
     def __init__(
         self,
         user_id: int,
         window: Tuple[float, float],
+        model: RadioModel,
+        policy: TailPolicy,
         cadence: bool = True,
+        carry: Optional[RadioCarry] = None,
     ) -> None:
         self.user_id = user_id
         self.window = window
-        self.carry: Optional[Dict[str, np.ndarray]] = None
+        self.radio = StreamingAttribution(model, policy, window, carry)
         self.rows_consumed = 0
         self.done = False
         self.idle_energy = 0.0
@@ -54,50 +69,51 @@ class UserStreamAccumulator:
         self.cadence: Optional[CadenceTracker] = (
             CadenceTracker() if cadence else None
         )
+        #: A done user's checkpointed carry: the one it had before
+        #: :meth:`finish`, which is what checkpoints have always held.
+        self._done_carry: Optional[Dict[str, np.ndarray]] = None
 
-    def adopt(
-        self,
-        settled: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        carry: Optional[Dict[str, np.ndarray]],
-    ) -> None:
-        """Fold one round's settled packets in; take the new carry."""
-        apps, states, sizes, per_packet = settled
-        self.energy.add(apps, per_packet)
-        self.app_state.add(combined_app_state_keys(apps, states), per_packet)
-        self.bytes.add(
-            combined_app_state_keys(apps, states), sizes.astype(np.int64)
-        )
-        if carry is not None:
-            self.carry = carry
+    def feed(self, chunk: PacketArray) -> FinalizedChunk:
+        """Attribute one time-ordered chunk; return the packets it settled.
 
-    def observe_chunk(self, packets: PacketArray) -> None:
-        """Feed one raw chunk to the cadence tracker (if enabled)."""
+        Raises the radio layer's typed error on a chunk it cannot
+        accept, before any state changes.
+        """
+        settled = self.radio.feed(chunk)
+        self._add(settled)
         if self.cadence is not None:
-            self.cadence.observe(packets)
+            self.cadence.observe(chunk)
+        self.rows_consumed += len(chunk)
+        return settled
 
-    def finish(self, model: RadioModel, policy: TailPolicy) -> None:
+    def finish(self) -> None:
         """Settle the pending packet and the idle floor."""
-        carry = (
-            RadioCarry.from_payload(self.carry)
-            if self.carry is not None
-            else None
-        )
-        sim = StreamingAttribution(model, policy, self.window, carry)
-        settled, idle = sim.finish()
-        self.adopt(
-            (settled.apps, settled.states, settled.sizes, settled.per_packet),
-            None,
-        )
-        self.idle_energy = idle
+        self._done_carry = self._carry_payload()
+        settled, self.idle_energy = self.radio.finish()
+        self._add(settled)
         self.done = True
+
+    def _add(self, settled: FinalizedChunk) -> None:
+        keys = combined_app_state_keys(settled.apps, settled.states)
+        self.energy.add(settled.apps, settled.per_packet)
+        self.app_state.add(keys, settled.per_packet)
+        self.bytes.add(keys, settled.sizes.astype(np.int64))
+
+    def _carry_payload(self) -> Optional[Dict[str, np.ndarray]]:
+        """The carry as a checkpoint stores it: none before any packet."""
+        if self.done:
+            return self._done_carry
+        carry = self.radio.carry
+        return carry.to_payload() if carry.n_packets else None
 
     # ------------------------------------------------------------------
     # Checkpoint round-trip
     # ------------------------------------------------------------------
     def to_checkpoint(self) -> UserCheckpoint:
+        carry = self._carry_payload()
         if self.done:
             status = "done"
-        elif self.rows_consumed or self.carry is not None:
+        elif self.rows_consumed or carry is not None:
             status = "running"
         else:
             status = "pending"
@@ -108,7 +124,7 @@ class UserStreamAccumulator:
             user_id=self.user_id,
             status=status,
             rows_consumed=self.rows_consumed,
-            carry=self.carry,
+            carry=carry,
             energy_keys=energy_keys,
             energy_values=energy_values,
             state_keys=state_keys,
@@ -124,12 +140,28 @@ class UserStreamAccumulator:
 
     @classmethod
     def from_checkpoint(
-        cls, saved: UserCheckpoint, window: Tuple[float, float]
+        cls,
+        saved: UserCheckpoint,
+        window: Tuple[float, float],
+        model: RadioModel,
+        policy: TailPolicy,
     ) -> "UserStreamAccumulator":
-        acc = cls(saved.user_id, window, cadence=saved.cadence is not None)
+        acc = cls(
+            saved.user_id,
+            window,
+            model,
+            policy,
+            cadence=saved.cadence is not None,
+            carry=(
+                RadioCarry.from_payload(saved.carry)
+                if saved.carry is not None
+                else None
+            ),
+        )
         acc.rows_consumed = saved.rows_consumed
-        acc.carry = saved.carry
         acc.done = saved.status == "done"
+        if acc.done:
+            acc._done_carry = saved.carry
         acc.idle_energy = saved.idle_energy
         acc.energy = KeyedTotals(saved.energy_keys, saved.energy_values)
         acc.app_state = KeyedTotals(saved.state_keys, saved.state_values)

@@ -2,10 +2,13 @@
 
 Every test arms a deterministic :class:`~repro.faults.FaultPlan` —
 worker crashes, task hangs, corrupted CSV rows, torn checkpoint writes
-— and runs a real ingestion through it. The contract under test is the
-acceptance bar from the issue: each plan must end either in a
-structured failure (:class:`~repro.errors.TaskFailure` or
-:class:`~repro.errors.StreamError`) with on-disk state intact enough to
+— and runs a real ingestion through it. Worker crashes and hangs strike
+the shard pool, the one process boundary an ingest crosses: the crash,
+hang and random plans run a sharded plan over two shard workers and
+check which of their faults struck. The contract under test: each plan
+must end either in a structured failure
+(:class:`~repro.errors.StreamError` or
+:class:`~repro.errors.ShardError`) with on-disk state intact enough to
 recover from, or in a completed run — and in *both* cases the final
 grouped totals must be ``array_equal`` to the fault-free batch
 reference. Faults may cost retries, rebuilds and resumes; they may
@@ -27,7 +30,6 @@ from repro.errors import (
     ShardError,
     ShardIncomplete,
     StreamError,
-    TaskFailure,
 )
 from repro.faults import FaultPlan, FaultSpec
 from repro import faults
@@ -99,28 +101,58 @@ def csv_study(tmp_path_factory):
     return pairs, StudyEnergy(dataset_from_csv(pairs))
 
 
-def run_with_recovery(plan, make_ingestor, max_chunks=None):
+class RecordingPlan(FaultPlan):
+    """A plan that appends every spec it strikes to ``log``.
+
+    Fault counters are per process, so a strike inside a shard worker
+    is invisible to the test process. ``fork`` shard workers inherit
+    this armed plan object, and each strike is written (and closed)
+    before the spec acts, so the record survives a crash too.
+    """
+
+    def __init__(self, plan, log):
+        super().__init__(plan.specs, seed=plan.seed)
+        self.log = str(log)
+
+    def match(self, site, n):
+        spec = super().match(site, n)
+        if spec is not None:
+            with open(self.log, "a") as handle:
+                handle.write(f"{spec.site}:{spec.action}:{spec.hit}\n")
+        return spec
+
+
+def run_shards_with_recovery(
+    plan, path, tmp_path, shards, metrics=None, **pool
+):
     """The chaos harness: armed run, then the documented recovery path.
 
-    Phase 1 runs under the plan and is allowed exactly two outcomes —
-    completion, or a structured ``TaskFailure``/``StreamError`` abort
-    (anything else, a hang included, fails the test). Phase 2 recovers
-    disarmed: resume from the checkpoint the abort left behind, falling
-    back to a fresh run when the checkpoint itself was the casualty.
+    ``shards`` is a shard count or an explicit partition of the study's
+    users. Phase 1 runs that plan over two shard workers under the
+    fault plan and is allowed exactly two outcomes — completion, or a
+    typed ``ShardError`` naming the shards that crashed, hung or failed
+    (anything else, a hang included, fails the test). Phase 2 reruns
+    the plan disarmed: complete shards are skipped and the rest resume
+    from their checkpoints. Returns the merged readout and the set of
+    ``site:action:hit`` specs that struck in phase 1.
     """
-    with faults.installed(plan):
+    source = NpzStreamSource(path, chunk_size=CHUNK)
+    if isinstance(shards, int):
+        manifest = ShardManifest.plan(source, shards)
+    else:
+        manifest = ShardManifest.plan(source, len(shards), shards=shards)
+    shard_dir = tmp_path / "shards"
+    log = tmp_path / "struck.log"
+    with faults.installed(RecordingPlan(plan, log)):
         try:
-            result = make_ingestor().run(max_chunks=max_chunks)
-        except (TaskFailure, StreamError):
-            result = None
-    if result is None:
-        try:
-            result = make_ingestor().run(resume=True)
-        except StreamError:
-            result = make_ingestor().run()
-    assert result is not None
-    assert not result.failures
-    return result
+            run_all_shards(
+                manifest, shard_dir, shard_workers=2, metrics=metrics, **pool
+            )
+        except ShardError:
+            pass
+    run_all_shards(manifest, shard_dir, shard_workers=2)
+    struck = set(log.read_text().split()) if log.exists() else set()
+    return merged_readout(manifest, shard_dir), struck
 
 
 def test_seed_census():
@@ -140,32 +172,27 @@ def test_seed_census():
 
 
 # ----------------------------------------------------------------------
-# Worker crashes (os._exit from inside a fork pool worker)
+# Worker crashes (os._exit from inside a fork shard worker)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", CRASH_SEEDS)
 def test_crash_plans(seed, npz_study, tmp_path):
     path, study = npz_study
     rng = random.Random(seed)
-    plan = FaultPlan(
-        [FaultSpec("parallel.worker", "crash", hit=1 + seed % 3)], seed=seed
+    hit = 1 + seed % 3
+    plan = FaultPlan([FaultSpec("parallel.worker", "crash", hit=hit)], seed=seed)
+    metrics = RunMetrics()
+    # Six shards over two workers: some worker runs at least three, so
+    # every hit in 1..3 is reached (empty shards merge cleanly).
+    result, struck = run_shards_with_recovery(
+        plan, path, tmp_path, 6, metrics, retries=rng.randint(0, 2)
     )
-    ckpt = tmp_path / "run.ckpt.npz"
-    retries = rng.randint(0, 2)
-
-    def make_ingestor():
-        return StreamIngestor(
-            NpzStreamSource(path, chunk_size=CHUNK),
-            workers=2,
-            retries=retries,
-            checkpoint_path=ckpt,
-        )
-
-    result = run_with_recovery(plan, make_ingestor)
+    assert struck == {f"parallel.worker:crash:{hit}"}
+    assert metrics.counter("faults.worker_deaths") >= 1
     assert_streams_equal_batch(result, study)
 
 
 # ----------------------------------------------------------------------
-# Hung tasks (worker sleeps far past the per-task timeout)
+# Hung shards (worker sleeps far past the per-shard timeout)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", HANG_SEEDS)
 def test_hang_plans(seed, npz_study, tmp_path):
@@ -174,19 +201,18 @@ def test_hang_plans(seed, npz_study, tmp_path):
     plan = FaultPlan(
         [FaultSpec("parallel.worker", "hang", hit=1, arg=30.0)], seed=seed
     )
-    ckpt = tmp_path / "run.ckpt.npz"
-    retries = rng.randint(0, 1)
-
-    def make_ingestor():
-        return StreamIngestor(
-            NpzStreamSource(path, chunk_size=CHUNK),
-            workers=2,
-            retries=retries,
-            task_timeout=0.75,
-            checkpoint_path=ckpt,
-        )
-
-    result = run_with_recovery(plan, make_ingestor)
+    metrics = RunMetrics()
+    result, struck = run_shards_with_recovery(
+        plan,
+        path,
+        tmp_path,
+        3,
+        metrics,
+        retries=rng.randint(0, 1),
+        task_timeout=1.0,
+    )
+    assert struck == {"parallel.worker:hang:1"}
+    assert metrics.counter("faults.task_timeouts") >= 1
     assert_streams_equal_batch(result, study)
 
 
@@ -602,20 +628,26 @@ def test_follow_killed_during_partial_tail_read(
 # ----------------------------------------------------------------------
 # Randomised plans (multiple faults, sites and hit counts per seed)
 # ----------------------------------------------------------------------
+#: The specs of each random plan that strike, all others being out of
+#: reach of a local sharded ingest: ``follow.*`` fires only in ``repro
+#: follow``, ``transport.*`` only in the http coordinator and its
+#: workers, ``attribute.task`` only in batch attribution, and
+#: ``shard.manifest`` only when a manifest is saved, which the harness
+#: never does. Seed 101's ``npz.member`` hit 4 and seed 105's
+#: ``checkpoint.save`` hit 3 count past the three members one worker
+#: reads and the two checkpoints a worker writes (one per shard).
+RANDOM_STRUCK = {104: {"npz.member:truncate:3"}}
+
+
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
 def test_random_plans(seed, npz_study, tmp_path):
     path, study = npz_study
     plan = FaultPlan.random(seed)
-    ckpt = tmp_path / "run.ckpt.npz"
-
-    def make_ingestor():
-        return StreamIngestor(
-            NpzStreamSource(path, chunk_size=CHUNK),
-            workers=2,
-            retries=3,
-            task_timeout=1.0,
-            checkpoint_path=ckpt,
-        )
-
-    result = run_with_recovery(plan, make_ingestor)
+    users = list(NpzStreamSource(path, chunk_size=CHUNK).user_ids)
+    # One shard holds every user, so one worker reads the whole study
+    # and each per-process hit count lands on the read it always did.
+    result, struck = run_shards_with_recovery(
+        plan, path, tmp_path, [users, []], retries=3, task_timeout=1.0
+    )
+    assert struck == RANDOM_STRUCK.get(seed, set())
     assert_streams_equal_batch(result, study)

@@ -302,7 +302,102 @@ BAD_NUMBERS = [
         "--chunk-size",
     ),
     (["shard", "run", "plan.json", "--shard-workers", "-1"], "--shard-workers"),
+    (["shard", "plan", "--dataset", "{study}", "--shards", "0"], "--shards"),
+    (
+        ["ingest", "--dataset", "{study}", "--shards", "-1",
+         "--checkpoint", "{ck}"],
+        "--shards",
+    ),
+    (
+        ["ingest", "--dataset", "{study}", "--max-chunks", "0",
+         "--checkpoint", "{ck}"],
+        "--max-chunks",
+    ),
+    (["ingest", "--dataset", "{study}", "--top", "-1"], "--top"),
+    (
+        ["follow", "--drops", ".", "--checkpoint", "{ck}",
+         "--max-pending", "0"],
+        "--max-pending",
+    ),
+    (
+        ["follow", "--drops", ".", "--checkpoint", "{ck}",
+         "--poll-interval", "-1", "--idle-exit", "2"],
+        "--poll-interval",
+    ),
+    (
+        ["follow", "--drops", ".", "--checkpoint", "{ck}", "--top-n", "-2",
+         "--idle-exit", "1"],
+        "--top-n",
+    ),
+    (
+        ["follow", "--drops", ".", "--checkpoint", "{ck}",
+         "--max-polls", "0"],
+        "--max-polls",
+    ),
+    (
+        ["follow", "--drops", ".", "--checkpoint", "{ck}",
+         "--idle-exit", "-1"],
+        "--idle-exit",
+    ),
 ]
+
+
+#: Options that set up the shard pool, which an unsharded ingest lacks.
+SHARD_POOL_OPTIONS = [
+    ["--workers", "2"],
+    ["--retries", "1"],
+    ["--task-timeout", "5"],
+]
+
+
+@pytest.mark.parametrize(
+    "option", SHARD_POOL_OPTIONS, ids=[o[0] for o in SHARD_POOL_OPTIONS]
+)
+def test_unsharded_ingest_rejects_shard_pool_options(
+    checkpointed, tmp_path, capsys, option
+):
+    """An unsharded ingest runs in process: the pool options are a usage
+    error naming ``--shards``, and with ``--shards`` over a two-process
+    shard pool they run."""
+    study, _ = checkpointed
+    capsys.readouterr()
+    ck = tmp_path / "c.npz"
+    code = main(["ingest", "--dataset", study, "--checkpoint", str(ck), *option])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--shards" in err
+    assert not ck.exists()
+    code = main(
+        ["ingest", "--dataset", study, "--checkpoint", str(ck),
+         "--shards", "2", "--workers", "2", *option]
+    )
+    assert code == 0
+    assert ck.exists()
+
+
+@pytest.mark.parametrize(
+    "workers",
+    [["--workers", "1"], ["--workers", "http://127.0.0.1:9"]],
+    ids=["one-process", "http"],
+)
+def test_task_timeout_needs_a_local_shard_pool(
+    checkpointed, tmp_path, capsys, workers
+):
+    """Only a shard worker process can be timed out: ``--task-timeout``
+    over a one-process pool or the http transport is a usage error,
+    raised before any plan is written, never silently ignored."""
+    study, _ = checkpointed
+    capsys.readouterr()
+    ck = tmp_path / "c.npz"
+    code = main(
+        ["ingest", "--dataset", study, "--checkpoint", str(ck),
+         "--shards", "2", *workers, "--task-timeout", "5"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "timeout" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -308,10 +308,9 @@ def test_only_trace_events_converts_event_objects():
 
 
 #: The modules whose process pools pay for themselves: study
-#: generation, stream chunk rounds and shard execution.
+#: generation and shard execution.
 _POOL_USERS = (
     SRC / "workload" / "generator.py",
-    SRC / "stream" / "ingest.py",
     SRC / "shard" / "execute.py",
     SRC / "shard" / "coordinator.py",
 )
@@ -335,9 +334,10 @@ def _parallel_imports(path):
 
 
 def test_only_pool_users_import_repro_parallel():
-    """Batch attribution and index builds once crossed a worker pool
-    that cost about as much as the work it shipped; they now run in
-    process. A pool elsewhere must first show that it pays."""
+    """Batch attribution, index builds and stream chunk rounds once
+    crossed a worker pool that cost about as much as the work it
+    shipped; they now run in process. A pool elsewhere must first show
+    that it pays."""
     for path in _POOL_USERS:
         assert _parallel_imports(path), f"guard matches nothing in {path}"
     offending = [
@@ -347,6 +347,49 @@ def test_only_pool_users_import_repro_parallel():
         for hit in _parallel_imports(path)
     ]
     assert not offending, (
-        "repro.parallel imported outside generation, stream ingest and "
-        "shard execution:\n" + "\n".join(offending)
+        "repro.parallel imported outside generation and shard "
+        "execution:\n" + "\n".join(offending)
+    )
+
+
+def _radio_steps(path):
+    """``StreamingAttribution(...)`` and ``RadioCarry.from_payload(...)``
+    calls in ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "StreamingAttribution":
+            found.append((node.lineno, "StreamingAttribution(...)"))
+        elif (
+            isinstance(func, ast.Attribute)
+            and func.attr == "from_payload"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "RadioCarry"
+        ):
+            found.append((node.lineno, "RadioCarry.from_payload(...)"))
+    return [
+        f"{path.relative_to(SRC)}:{line}: {what}" for line, what in sorted(found)
+    ]
+
+
+def test_one_per_user_streaming_step():
+    """The ingestor and the follower each once rebuilt a radio
+    simulation from the carry payload on every chunk. Both now call
+    ``UserStreamAccumulator.feed``, which owns the live simulation;
+    only :mod:`repro.stream.accumulate` builds one, besides
+    :mod:`repro.radio.streaming`, which defines them."""
+    owner = SRC / "stream" / "accumulate.py"
+    defining = SRC / "radio" / "streaming.py"
+    assert _radio_steps(owner), "guard matches nothing"
+    offending = [
+        hit
+        for path in sorted(SRC.rglob("*.py"))
+        if path not in (owner, defining)
+        for hit in _radio_steps(path)
+    ]
+    assert not offending, (
+        "a streaming radio step outside repro.stream.accumulate — feed "
+        "chunks through UserStreamAccumulator.feed:\n" + "\n".join(offending)
     )

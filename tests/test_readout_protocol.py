@@ -4,7 +4,7 @@ Every totals-tier analysis must produce identical results — dict-equal
 floats, byte-identical rendered text — whether it reads the in-memory
 batch :class:`StudyEnergy`, a live :class:`StreamResult`, or a
 :class:`TotalsReadout` loaded from a finished ingest checkpoint, across
-chunk sizes and worker counts. Per-packet analyses must fail fast on
+chunk sizes and a sharded run's merge. Per-packet analyses must fail fast on
 totals-only readouts with the typed :class:`NeedsPacketDetail`.
 """
 
@@ -29,6 +29,12 @@ from repro.core.statefrac import state_energy_fractions
 from repro.policy import kill_policy_savings
 from repro.errors import AnalysisError, NeedsPacketDetail, StreamError
 from repro import StudyConfig, generate_study
+from repro.shard import (
+    ShardManifest,
+    merge_to_checkpoint,
+    merged_readout,
+    run_all_shards,
+)
 from repro.stream import NpzStreamSource, StreamIngestor
 
 CASE_APP = "com.sec.spp.push"
@@ -44,21 +50,30 @@ def corpus(tmp_path_factory):
     return path, StudyEnergy(dataset), root
 
 
-def _ingest(corpus, chunk_size, workers, tag):
+def _ingest(corpus, chunk_size, shards, tag):
+    """One ingest: the in-memory readout plus its checkpoint on disk.
+
+    With ``shards`` the study runs as a plan over the shard pool, and
+    the in-memory readout is the merge of the shard checkpoints.
+    """
     path, _, root = corpus
     ck = root / f"ck_{tag}.npz"
     source = NpzStreamSource(path, chunk_size=chunk_size)
-    result = StreamIngestor(
-        source, workers=workers, checkpoint_path=ck
-    ).run()
-    return result, ck
+    if shards is None:
+        result = StreamIngestor(source, checkpoint_path=ck).run()
+        return result, ck
+    manifest = ShardManifest.plan(source, shards)
+    shard_dir = root / f"shards_{tag}"
+    run_all_shards(manifest, shard_dir, shard_workers=shards)
+    merge_to_checkpoint(manifest, shard_dir, ck)
+    return merged_readout(manifest, shard_dir), ck
 
 
-@pytest.fixture(scope="module", params=[(64, 1), (257, 1), (64, 2)])
+@pytest.fixture(scope="module", params=[(64, None), (257, None), (64, 2)])
 def readouts(request, corpus):
     """(study, stream result, checkpoint readout) for one config."""
-    chunk_size, workers = request.param
-    result, ck = _ingest(corpus, chunk_size, workers, f"{chunk_size}_{workers}")
+    chunk_size, shards = request.param
+    result, ck = _ingest(corpus, chunk_size, shards, f"{chunk_size}_{shards}")
     return corpus[1], result, readout_from_checkpoint(ck)
 
 

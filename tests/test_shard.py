@@ -23,14 +23,16 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import numpy as np
 import pytest
 
-from repro import StudyConfig, StudyEnergy, generate_study
+from repro import StudyConfig, StudyEnergy, faults, generate_study
 from repro.cli import EXIT_SHARD_INCOMPLETE, main
 from repro.core.readout import readout_from_checkpoint
 from repro.errors import ShardError, ShardIncomplete, StreamError
+from repro.faults import FaultPlan, FaultSpec
 from repro.metrics import RunMetrics
 from repro.shard import (
     ShardManifest,
@@ -418,6 +420,52 @@ def test_empty_shard_merges_cleanly(study_npz, unsharded, tmp_path):
     assert [r["users"] for r in reports] == [len(users), 0, 0]
     _, plain = unsharded
     assert_readouts_identical(merged_readout(manifest, shard_dir), plain)
+
+
+@pytest.mark.parametrize("indices", [None, [0]], ids=["all", "lone"])
+def test_shard_pool_enforces_task_timeout(
+    study_npz, unsharded, tmp_path, indices
+):
+    """``task_timeout`` is a per-shard hang timeout that the shard pool
+    enforces: a hung shard worker is killed and its shard reported
+    long before the hang would end, and a disarmed rerun merges
+    exactly. A lone shard keeps its pool too, or nothing could time it
+    out."""
+    path, _ = study_npz
+    manifest = make_manifest(path, 3)
+    shard_dir = tmp_path / "shards"
+    metrics = RunMetrics()
+    plan = FaultPlan(
+        [FaultSpec("parallel.worker", "hang", hit=1, arg=5.0)], seed=0
+    )
+    start = time.perf_counter()
+    with faults.installed(plan):
+        with pytest.raises(ShardError, match="shard 0: timeout"):
+            run_all_shards(
+                manifest,
+                shard_dir,
+                indices=indices,
+                shard_workers=2,
+                task_timeout=0.5,
+                metrics=metrics,
+            )
+    assert time.perf_counter() - start < 3.0
+    assert metrics.counter("faults.task_timeouts") >= 1
+    run_all_shards(manifest, shard_dir, shard_workers=2)
+    _, plain = unsharded
+    assert_readouts_identical(merged_readout(manifest, shard_dir), plain)
+
+
+def test_task_timeout_needs_a_shard_pool(study_npz, tmp_path):
+    """A one-process pool runs its shards in process, where no timeout
+    can reach them: asking for one there is an error, not a no-op."""
+    path, _ = study_npz
+    manifest = make_manifest(path, 2)
+    with pytest.raises(ValueError, match="at least 2 worker processes"):
+        run_all_shards(
+            manifest, tmp_path / "shards", shard_workers=1, task_timeout=5.0
+        )
+    assert not (tmp_path / "shards").exists()
 
 
 def test_run_all_shards_range_checks_indices(study_npz, tmp_path):

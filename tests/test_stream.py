@@ -2,14 +2,16 @@
 
 The subsystem's contract is the repo's established standard: every
 streamed total must equal the batch :class:`StudyEnergy` value
-bit-for-bit (``array_equal``, never ``allclose``), for any chunk size,
-any worker count, and across a kill + resume. The edge cases the issue
-calls out — a tail window spanning a chunk split, an app whose only
-packet is the last of a chunk, an empty chunk, resume mid-tail — each
-get a dedicated test.
+bit-for-bit (``array_equal``, never ``allclose``), for any chunk size
+and across a kill + resume. The edge cases — a tail window spanning a
+chunk split, an app whose only packet is the last of a chunk, an empty
+chunk, resume mid-tail — each get a dedicated test.
 """
 
 from __future__ import annotations
+
+import io
+import zipfile
 
 import numpy as np
 import pytest
@@ -268,11 +270,13 @@ def test_npz_stream_identical_to_batch(saved_study, chunk_size):
     assert_streams_equal_batch(result, study)
 
 
-def test_npz_stream_parallel_workers_identical(saved_study):
-    path, study = saved_study
-    source = NpzStreamSource(path, chunk_size=1500)
-    result = StreamIngestor(source, workers=3).run()
-    assert_streams_equal_batch(result, study)
+@pytest.mark.parametrize("workers", [0, 2, None])
+def test_workers_other_than_one_raise(saved_study, workers):
+    """The ingestor runs in process; users run in parallel only as
+    shards, whose partitions tests/test_shard.py holds identical."""
+    path, _ = saved_study
+    with pytest.raises(ValueError, match="repro.shard"):
+        StreamIngestor(NpzStreamSource(path), workers=workers)
 
 
 def test_split_policy_stream_identical(saved_study):
@@ -436,6 +440,97 @@ def test_resume_after_completion_returns_same_result(saved_study, tmp_path):
         NpzStreamSource(path, chunk_size=512), checkpoint_path=ckpt
     ).run(resume=True)
     assert_streams_equal_batch(result, study)
+
+
+def test_done_users_keep_their_pre_finish_carry(saved_study, tmp_path):
+    """A finished user's checkpoint holds the carry it had after its
+    last chunk, not the one ``finish()`` flushed, and a resume re-saves
+    it unchanged: the bytes checkpoints have always held."""
+    path, _ = saved_study
+    source = NpzStreamSource(path, chunk_size=512)
+    expected = {}
+    for uid in source.user_ids:
+        sim = StreamingAttribution(
+            LTE_DEFAULT, TailPolicy.LAST_PACKET, source.window(uid)
+        )
+        for chunk in source.iter_chunks(uid):
+            sim.feed(chunk)
+        expected[uid] = sim.carry.to_payload()
+    ckpt = tmp_path / "final.ckpt.npz"
+    StreamIngestor(source, checkpoint_path=ckpt).run()
+    for run in ("fresh", "resumed"):
+        users = StreamCheckpoint.load(ckpt).users
+        assert [u.user_id for u in users] == list(expected), run
+        for user in users:
+            assert user.status == "done", run
+            want = expected[user.user_id]
+            assert sorted(user.carry) == sorted(want), run
+            for name, value in want.items():
+                assert user.carry[name].dtype == value.dtype, (run, name)
+                assert np.array_equal(user.carry[name], value), (run, name)
+        StreamIngestor(source, checkpoint_path=ckpt).run(resume=True)
+
+
+# ----------------------------------------------------------------------
+# User quarantine (a chunk the radio layer rejects)
+# ----------------------------------------------------------------------
+def _unsort_member(src, dst, uid):
+    """Copy a saved study, reversing the back half of one user's
+    ``packets_<uid>`` member so a later chunk is out of time order."""
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(
+        dst, "w", zipfile.ZIP_DEFLATED
+    ) as zout:
+        for info in zin.infolist():
+            data = zin.read(info.filename)
+            if info.filename == f"packets_{uid}.npy":
+                packets = np.load(io.BytesIO(data))
+                half = len(packets) // 2
+                packets[half:] = packets[half:][::-1].copy()
+                buffer = io.BytesIO()
+                np.save(buffer, packets)
+                data = buffer.getvalue()
+            zout.writestr(info.filename, data)
+
+
+def test_user_quarantine_in_process(saved_study, tmp_path):
+    """With ``quarantine=True`` a user whose chunk the radio layer
+    rejects is dropped and counted, and every other user's totals stay
+    exact; without it the run writes its checkpoint and re-raises."""
+    from repro.metrics import RunMetrics
+
+    path, study = saved_study
+    bad = study.user_ids[1]
+    unsorted = tmp_path / "unsorted.npz"
+    _unsort_member(path, unsorted, bad)
+
+    metrics = RunMetrics()
+    result = StreamIngestor(
+        NpzStreamSource(unsorted, chunk_size=500),
+        metrics=metrics,
+        quarantine=True,
+    ).run()
+    assert list(result.failures) == [bad]
+    assert "time-sorted" in result.failures[bad].cause
+    assert metrics.counter("faults.users_quarantined") == 1
+    good = [uid for uid in study.user_ids if uid != bad]
+    assert result.user_ids == good
+    for uid in good:
+        want, got = study.user_totals(uid), result.user_totals(uid)
+        for name in ("energy_by_app", "energy_by_app_state"):
+            a, b = getattr(want, name)(), getattr(got, name)()
+            assert list(a) == list(b)
+            assert np.array_equal(list(a.values()), list(b.values()))
+        assert want.bytes_by_app_state() == got.bytes_by_app_state()
+        assert want.idle_energy == got.idle_energy
+
+    ckpt = tmp_path / "abort.ckpt.npz"
+    with pytest.raises(StreamError, match="time-sorted"):
+        StreamIngestor(
+            NpzStreamSource(unsorted, chunk_size=500), checkpoint_path=ckpt
+        ).run()
+    statuses = {u.user_id: u.status for u in StreamCheckpoint.load(ckpt).users}
+    assert statuses[study.user_ids[0]] == "done"
+    assert statuses[bad] == "running"
 
 
 # ----------------------------------------------------------------------
