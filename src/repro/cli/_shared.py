@@ -246,6 +246,16 @@ def _stream_source(args: argparse.Namespace):
     return None
 
 
+def _print_quarantine_tally(dropped_rows: int, failed_users: int) -> None:
+    """The ingest summary's quarantine line, when anything was dropped."""
+    if dropped_rows or failed_users:
+        print(
+            f"quarantined: {dropped_rows} malformed row(s), "
+            f"{failed_users} user(s) "
+            "(see faults.* counters in --metrics-json)"
+        )
+
+
 def _print_readout_summary(result, registry, top: int, title: str) -> None:
     """The per-app table + totals footer shared by the ingest paths."""
     energy = result.energy_by_app()

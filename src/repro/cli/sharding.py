@@ -41,6 +41,7 @@ from repro.stream import DEFAULT_CHUNK_SIZE
 from repro.cli._shared import (
     _at_least,
     _metrics,
+    _print_quarantine_tally,
     _print_readout_summary,
     _stream_source,
 )
@@ -145,6 +146,10 @@ def _ingest_sharded(
         f"\nusers: {len(manifest.users)}  shards: {manifest.n_shards}  "
         f"chunks: {counters.get('stream.chunks', 0)}  "
         f"merged checkpoint: {args.checkpoint}"
+    )
+    _print_quarantine_tally(
+        counters.get("faults.rows_quarantined", 0),
+        counters.get("faults.users_quarantined", 0),
     )
     return 0
 

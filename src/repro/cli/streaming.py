@@ -27,7 +27,12 @@ from repro.shard.transport import parse_worker_spec
 from repro.store import ResultStore
 from repro.stream import DEFAULT_CHUNK_SIZE, StreamIngestor
 
-from repro.cli._shared import _at_least, _metrics, _stream_source
+from repro.cli._shared import (
+    _at_least,
+    _metrics,
+    _print_quarantine_tally,
+    _stream_source,
+)
 from repro.cli.sharding import _add_transport_args, _ingest_sharded
 
 
@@ -103,13 +108,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         f"{counters.get('stream.chunks', 0)}  checkpoints: "
         f"{counters.get('stream.checkpoints', 0)}"
     )
-    dropped_rows = counters.get("faults.rows_quarantined", 0)
-    if dropped_rows or result.failures:
-        print(
-            f"quarantined: {dropped_rows} malformed row(s), "
-            f"{len(result.failures)} user(s) "
-            "(see faults.* counters in --metrics-json)"
-        )
+    _print_quarantine_tally(
+        counters.get("faults.rows_quarantined", 0), len(result.failures)
+    )
     print(
         f"attributed: {result.attributed_energy / 1e3:.1f} kJ  "
         f"idle: {result.idle_energy / 1e3:.1f} kJ  "

@@ -390,8 +390,9 @@ class ShardSource:
 
     Restricts the parent source's user set to the shard's list (kept
     in parent order by the planner) and delegates every data access —
-    registry, windows, packet counts, chunk iteration, quarantine —
-    to the parent. The registry is the *whole study's* registry (the
+    registry, windows, packet counts, chunk iteration — to the parent,
+    and reports only its own users' share of the parent's quarantined
+    rows. The registry is the *whole study's* registry (the
     CSV prepass registers apps across all users, the npz header stores
     them all), which is what lets per-shard checkpoints merge into one
     readout with consistent app ids.
@@ -421,7 +422,9 @@ class ShardSource:
                 "source does not have"
             )
         self.registry = parent.registry
-        self.quarantine = parent.quarantine
+        # Every shard rebuilds the whole parent prepass; only its own
+        # users' dropped rows are its to report.
+        self.quarantine = parent.quarantine.for_users(self._users)
 
     @property
     def user_ids(self) -> List[int]:

@@ -21,6 +21,22 @@ from repro.trace.arrays import PacketArray
 from repro.trace.events import state_background_mask
 
 
+def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values."""
+    return np.flatnonzero(
+        np.concatenate(([True], sorted_values[1:] != sorted_values[:-1]))
+    )
+
+
+def _carried(
+    state: Dict[int, float], keys: List[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each key's carried value (NaN when absent) and whether it has one."""
+    values = np.array([state.get(k, np.nan) for k in keys], dtype=np.float64)
+    known = np.array([k in state for k in keys], dtype=bool)
+    return values, known
+
+
 class CadenceTracker:
     """Incremental background flow/burst cadence for one user.
 
@@ -31,12 +47,17 @@ class CadenceTracker:
     silence — the strict ``>`` rule of
     :func:`~repro.trace.flow.reconstruct_flows`) and per-app burst
     starts plus inter-burst intervals (the strict ``>`` rule of
-    :func:`~repro.core.periodicity.burst_starts`). Counts are integers,
-    so chunking-exact; intervals are differences of the same ``float64``
-    timestamps the batch path subtracts, so the pooled arrays are
-    bit-identical too. The carried last-timestamps make every
-    chunk-boundary gap the identical subtraction the whole-trace
-    ``np.diff`` performs.
+    :func:`~repro.core.periodicity.burst_starts`).
+
+    :meth:`observe` costs a fixed number of numpy passes per chunk,
+    however many apps and connections the chunk holds: one stable sort
+    per rule, one gap test over the whole sorted chunk, and one dict
+    lookup per group for the carried state. Counts are integers, so
+    chunking-exact; every gap and interval is a single ``float64``
+    subtraction of the same two timestamps the whole-trace ``np.diff``
+    subtracts (a group's first packet against the carried last
+    timestamp, an app's first start against its carried last start),
+    so the pooled intervals are bit-identical too.
     """
 
     def __init__(
@@ -67,77 +88,83 @@ class CadenceTracker:
         if not mask.any():
             return
         ts = packets.timestamps[mask]
-        apps = packets.apps.astype(np.int64)[mask]
-        conns = packets.conns.astype(np.int64)[mask]
+        apps = packets.apps[mask]
         self._observe_bursts(apps, ts)
-        self._observe_flows(apps, conns, ts)
+        self._observe_flows(apps, packets.conns[mask], ts)
 
     def _observe_bursts(self, apps: np.ndarray, ts: np.ndarray) -> None:
+        # Stable, so each app's packets keep their time order.
         order = np.argsort(apps, kind="stable")
-        s_apps = apps[order]
         s_ts = ts[order]
-        group_starts = np.flatnonzero(
-            np.concatenate([[True], s_apps[1:] != s_apps[:-1]])
-        )
-        bounds = np.append(group_starts, len(s_apps))
-        for i, lo in enumerate(group_starts):
-            app = int(s_apps[lo])
-            t = s_ts[lo : bounds[i + 1]]
-            last_ts = self._burst_last_ts.get(app)
-            if last_ts is None:
-                is_start = np.concatenate(
-                    [[True], np.diff(t) > self.burst_gap]
-                )
-            else:
-                prev = np.concatenate([[last_ts], t[:-1]])
-                is_start = (t - prev) > self.burst_gap
-            starts = t[is_start]
-            if len(starts):
-                last_start = self._burst_last_start.get(app)
-                seq = (
-                    starts
-                    if last_start is None
-                    else np.concatenate([[last_start], starts])
-                )
-                intervals = np.diff(seq)
-                if len(intervals):
-                    self._intervals.setdefault(app, []).append(intervals)
-                self._burst_counts[app] = self._burst_counts.get(
-                    app, 0
-                ) + len(starts)
-                self._burst_last_start[app] = float(starts[-1])
-            self._burst_last_ts[app] = float(t[-1])
+        first = _run_starts(apps[order])
+        last = np.append(first[1:], len(s_ts)) - 1
+        group_apps = apps[order[first]].tolist()
+        # Each packet's predecessor within its app; an app's first packet
+        # here follows its carried last timestamp, or opens a burst.
+        last_ts, seen = _carried(self._burst_last_ts, group_apps)
+        prev = np.empty_like(s_ts)
+        prev[1:] = s_ts[:-1]
+        prev[first] = last_ts
+        is_start = (s_ts - prev) > self.burst_gap
+        is_start[first[~seen]] = True
+        self._burst_last_ts.update(zip(group_apps, s_ts[last].tolist()))
+
+        n_starts = np.add.reduceat(is_start, first, dtype=np.int64)
+        hi = np.cumsum(n_starts)
+        lo = hi - n_starts
+        opened = np.flatnonzero(n_starts)
+        starts = s_ts[is_start]
+        # Each start's interval runs from the previous start of its app;
+        # an app's first start here runs from its carried last start.
+        last_start, started = _carried(self._burst_last_start, group_apps)
+        before = np.empty_like(starts)
+        before[1:] = starts[:-1]
+        before[lo[opened]] = last_start[opened]
+        intervals = starts - before
+        lo += ~started  # an app's first start ever has no interval
+        for g, a, b, n, start in zip(
+            opened.tolist(),
+            lo[opened].tolist(),
+            hi[opened].tolist(),
+            n_starts[opened].tolist(),
+            starts[hi[opened] - 1].tolist(),
+        ):
+            app = group_apps[g]
+            if b > a:
+                self._intervals.setdefault(app, []).append(intervals[a:b])
+            self._burst_counts[app] = self._burst_counts.get(app, 0) + n
+            self._burst_last_start[app] = start
 
     def _observe_flows(
         self, apps: np.ndarray, conns: np.ndarray, ts: np.ndarray
     ) -> None:
-        order = np.lexsort((conns, apps))
-        s_apps = apps[order]
-        s_conns = conns[order]
+        keys = (apps.astype(np.int64) << 32) | conns
+        # Stable, so each (app, conn) group keeps its time order.
+        order = np.argsort(keys, kind="stable")
+        s_keys = keys[order]
         s_ts = ts[order]
-        group_starts = np.flatnonzero(
-            np.concatenate(
-                [
-                    [True],
-                    (s_apps[1:] != s_apps[:-1])
-                    | (s_conns[1:] != s_conns[:-1]),
-                ]
-            )
-        )
-        bounds = np.append(group_starts, len(s_apps))
-        for i, lo in enumerate(group_starts):
-            app = int(s_apps[lo])
-            key = (app << 32) | int(s_conns[lo])
-            t = s_ts[lo : bounds[i + 1]]
-            new_flows = int(np.count_nonzero(np.diff(t) > self.flow_gap))
-            last = self._flow_last.get(key)
-            if last is None or (t[0] - last) > self.flow_gap:
-                new_flows += 1
-            if new_flows:
-                self._flow_counts[app] = (
-                    self._flow_counts.get(app, 0) + new_flows
-                )
-            self._flow_last[key] = float(t[-1])
+        first = _run_starts(s_keys)
+        last = np.append(first[1:], len(s_ts)) - 1
+        group_keys = s_keys[first].tolist()
+        # A packet opens a flow after flow_gap of silence on its (app,
+        # conn); a group's first packet here is timed from the carried
+        # last packet, and opens one when the pair is new.
+        last_ts, seen = _carried(self._flow_last, group_keys)
+        prev = np.empty_like(s_ts)
+        prev[1:] = s_ts[:-1]
+        prev[first] = last_ts
+        is_new = (s_ts - prev) > self.flow_gap
+        is_new[first[~seen]] = True
+        self._flow_last.update(zip(group_keys, s_ts[last].tolist()))
+
+        group_apps = s_keys[first] >> 32
+        app_first = _run_starts(group_apps)
+        per_app = np.add.reduceat(is_new, first[app_first], dtype=np.int64)
+        opened = np.flatnonzero(per_app)
+        for app, n in zip(
+            group_apps[app_first[opened]].tolist(), per_app[opened].tolist()
+        ):
+            self._flow_counts[app] = self._flow_counts.get(app, 0) + n
 
     def summary(self) -> Dict[int, Tuple[int, int, np.ndarray]]:
         """app -> (n_flows, n_bursts, intervals), for the readout."""

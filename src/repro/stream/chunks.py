@@ -20,11 +20,21 @@ Both expose the same protocol: ``registry``, ``user_ids``,
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import zipfile
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -52,9 +62,10 @@ class RowQuarantine:
 
     Real collection logs contain garbage lines; with
     ``quarantine_rows=True`` a :class:`CsvStreamSource` records each one
-    here — a count plus the first few error messages — and the run
-    continues bit-identical on the surviving rows.
-    :meth:`flush_to` reports the tally into a
+    here under its user — a count plus the first few error messages —
+    and the run continues bit-identical on the surviving rows.
+    :meth:`for_users` cuts out one shard's share, so a sharded run
+    counts each row once; :meth:`flush_to` reports the tally into a
     :class:`~repro.metrics.RunMetrics` exactly once.
     """
 
@@ -62,15 +73,38 @@ class RowQuarantine:
     SAMPLE_LIMIT = 5
 
     def __init__(self) -> None:
-        self.count = 0
-        self.samples: List[str] = []
+        #: user id (``None`` when the reader named none) -> rows dropped.
+        self._counts: Dict[Optional[int], int] = {}
+        #: ``(user_id, message)`` of each user's first few rows, in
+        #: recording order.
+        self._kept: List[Tuple[Optional[int], str]] = []
         self._flushed = False
 
-    def record(self, error: Exception) -> None:
-        """Count one dropped row, keeping the first few messages."""
-        self.count += 1
-        if len(self.samples) < self.SAMPLE_LIMIT:
-            self.samples.append(str(error))
+    @property
+    def count(self) -> int:
+        """Rows dropped, over all users."""
+        return sum(self._counts.values())
+
+    @property
+    def samples(self) -> List[str]:
+        """The first :attr:`SAMPLE_LIMIT` messages, in recording order."""
+        return [message for _, message in self._kept[: self.SAMPLE_LIMIT]]
+
+    def record(self, error: Exception, user_id: Optional[int] = None) -> None:
+        """Count one dropped row of ``user_id``, keeping its message if
+        it is among that user's first few."""
+        seen = self._counts.get(user_id, 0)
+        self._counts[user_id] = seen + 1
+        if seen < self.SAMPLE_LIMIT:
+            self._kept.append((user_id, str(error)))
+
+    def for_users(self, user_ids: Iterable[int]) -> "RowQuarantine":
+        """A fresh, unflushed tally of only ``user_ids``' rows."""
+        wanted = set(user_ids)
+        share = RowQuarantine()
+        share._counts = {u: n for u, n in self._counts.items() if u in wanted}
+        share._kept = [(u, m) for u, m in self._kept if u in wanted]
+        return share
 
     def flush_to(self, metrics) -> None:
         """Report count + samples into ``metrics`` (idempotent)."""
@@ -128,15 +162,19 @@ class CsvStreamSource:
         self.registry = AppRegistry()
         self.quarantine = RowQuarantine()
         self._quarantine_rows = bool(quarantine_rows)
-        #: The prepass records dropped rows; re-iteration must skip the
-        #: same rows without counting them twice.
-        on_bad = self.quarantine.record if self._quarantine_rows else None
         self._events: Dict[int, EventLog] = {}
         self._counts: Dict[int, int] = {}
         horizon = 0.0
         for uid, (packets_path, events_path) in enumerate(
             self._files, start=1
         ):
+            # The prepass records dropped rows; re-iteration must skip
+            # the same rows without counting them twice.
+            on_bad = (
+                functools.partial(self.quarantine.record, user_id=uid)
+                if self._quarantine_rows
+                else None
+            )
             count = 0
             last_ts = -np.inf
             for block in self._packet_blocks(packets_path, on_bad_row=on_bad):

@@ -4,6 +4,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from test_shard import write_csv_study_with_bad_rows
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -420,3 +422,15 @@ def test_invalid_numeric_option_is_usage_error(
     assert option in err
     assert "Traceback" not in err
     assert not (tmp_path / "c.npz").exists()
+
+
+def test_cli_sharded_ingest_prints_quarantine_line(tmp_path, capsys):
+    pairs = write_csv_study_with_bad_rows(tmp_path, bad_users={2})
+    argv = ["ingest", "--quarantine"]
+    for p, e in pairs:
+        argv += ["--user", f"{p}:{e}"]
+    for extra in ([], ["--shards", "3"]):
+        ck = tmp_path / f"ck{len(extra)}.npz"
+        assert main(argv + ["--checkpoint", str(ck), *extra]) == 0
+        out = capsys.readouterr().out
+        assert "quarantined: 1 malformed row(s), 0 user(s)" in out

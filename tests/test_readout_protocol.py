@@ -35,6 +35,7 @@ from repro.shard import (
     merged_readout,
     run_all_shards,
 )
+from repro.store.render import render_analysis
 from repro.stream import NpzStreamSource, StreamIngestor
 
 CASE_APP = "com.sec.spp.push"
@@ -156,6 +157,38 @@ def test_background_cadence_exact(readouts):
             assert mine.n_bursts == ref.n_bursts
             assert np.array_equal(mine.intervals, ref.intervals)
         assert got.update_frequency() == want.update_frequency()
+
+
+def test_background_cadence_exact_for_every_app(readouts):
+    """Every app with background traffic, not just the case-study one,
+    plus the Table 1 text rendered from the cadence."""
+    study, result, loaded = readouts
+    apps = sorted(
+        {
+            int(app)
+            for uid in study.user_ids
+            for app in study.index_for(uid).app_ids
+            if len(study.index_for(uid).app_background_indices(int(app)))
+        }
+    )
+    assert len(apps) > 1
+    for app_id in apps:
+        want = study.background_cadence(app_id)
+        for other in (result, loaded):
+            got = other.background_cadence(app_id)
+            assert [u.user_id for u in got.per_user] == [
+                u.user_id for u in want.per_user
+            ]
+            for mine, ref in zip(got.per_user, want.per_user):
+                assert (mine.n_flows, mine.n_bursts) == (
+                    ref.n_flows,
+                    ref.n_bursts,
+                ), app_id
+                assert mine.intervals.tobytes() == ref.intervals.tobytes()
+            assert got.update_frequency() == want.update_frequency()
+    table1 = render_analysis("table1", study)
+    assert render_analysis("table1", result) == table1
+    assert render_analysis("table1", loaded) == table1
 
 
 def test_cadence_non_default_gaps_need_packets(readouts):

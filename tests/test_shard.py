@@ -51,7 +51,13 @@ from repro.shard import (
     shard_signature,
 )
 from repro.store import store_key_for
-from repro.stream import NpzStreamSource, StreamCheckpoint, StreamIngestor
+from repro.stream import (
+    CsvStreamSource,
+    NpzStreamSource,
+    StreamCheckpoint,
+    StreamIngestor,
+)
+from repro.trace.io_text import write_events_csv, write_packets_csv
 
 from test_stream import assert_streams_equal_batch
 
@@ -558,3 +564,63 @@ def test_cli_ingest_shards_one_shot(study_npz, unsharded, tmp_path):
          "--checkpoint", str(ckpt)]
     ) == 0
     assert ShardManifest.load(plan).digest() == digest
+
+
+# ----------------------------------------------------------------------
+# Row quarantine: each dropped row is counted once, however sharded
+# ----------------------------------------------------------------------
+def write_csv_study_with_bad_rows(root, bad_users):
+    """A 3-user × 1-day CSV study; one row of each ``bad_users`` packets
+    file gets a size that does not parse."""
+    dataset = generate_study(StudyConfig(n_users=3, duration_days=1.0, seed=5))
+    pairs = []
+    for trace in dataset:
+        p = root / f"p{trace.user_id}.csv"
+        e = root / f"e{trace.user_id}.csv"
+        write_packets_csv(p, trace.packets, dataset.registry)
+        write_events_csv(e, trace.events, dataset.registry)
+        if trace.user_id in bad_users:
+            lines = p.read_text().splitlines(keepends=True)
+            fields = lines[10].split(",")
+            fields[1] = "notanint"
+            lines[10] = ",".join(fields)
+            p.write_text("".join(lines))
+        pairs.append((p, e))
+    return pairs
+
+
+@pytest.mark.parametrize("shard_workers", [1, 2])
+def test_sharded_quarantine_counts_each_row_once(tmp_path, shard_workers):
+    pairs = write_csv_study_with_bad_rows(tmp_path, bad_users={1, 3})
+    plain_metrics = RunMetrics()
+    plain_ck = tmp_path / "plain.npz"
+    StreamIngestor(
+        CsvStreamSource(pairs, chunk_size=CHUNK, quarantine_rows=True),
+        checkpoint_path=plain_ck,
+        metrics=plain_metrics,
+        quarantine=True,
+    ).run()
+    samples = plain_metrics.samples("faults.rows_quarantined")
+    assert plain_metrics.counter("faults.rows_quarantined") == 2
+    assert [s.split(":")[0] for s in samples] == ["p1.csv", "p3.csv"]
+
+    source = CsvStreamSource(pairs, chunk_size=CHUNK, quarantine_rows=True)
+    manifest = ShardManifest.plan(source, 3, shards=[[1], [2], [3]])
+    shard_dir = tmp_path / "shards"
+    metrics = RunMetrics()
+    run_all_shards(
+        manifest,
+        shard_dir,
+        shard_workers=shard_workers,
+        metrics=metrics,
+        quarantine=True,
+    )
+    assert metrics.counter("faults.rows_quarantined") == 2
+    assert sorted(metrics.samples("faults.rows_quarantined")) == samples
+    assert [
+        ShardSource(source, manifest, i).quarantine.count for i in range(3)
+    ] == [1, 0, 1]
+    assert_readouts_identical(
+        merged_readout(manifest, shard_dir), readout_from_checkpoint(plain_ck)
+    )
+
