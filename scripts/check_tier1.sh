@@ -10,9 +10,11 @@
 # coverage and fails below 90% line coverage of src/repro/policy,
 # src/repro/radio, src/repro/durable.py and src/repro/stream/cadence.py
 # — the code whose correctness rests on a property/differential layer
-# (docs/POLICIES.md; tests/test_cadence.py pins the streaming cadence
-# tracker to its frozen per-group reference), and the file protocol
-# every checkpoint, manifest, blob and saved dataset goes through.
+# (docs/POLICIES.md; tests/test_policy_transforms.py pins the policy
+# transforms to their frozen per-burst/per-packet/per-day loops, and
+# tests/test_cadence.py the streaming cadence tracker to its frozen
+# per-group reference), and the file protocol every checkpoint,
+# manifest, blob and saved dataset goes through.
 # Needs pytest-cov; skipped (exit 0, with a note) where it is not
 # installed, so plain containers stay green.
 set -e
@@ -31,7 +33,8 @@ if [ "$1" = "--cov" ]; then
         --cov=repro.policy --cov=repro.radio --cov=repro.durable \
         --cov=repro.stream.cadence \
         --cov-report=term-missing --cov-fail-under=90 \
-        tests/test_policy_properties.py tests/test_core_whatif.py \
+        tests/test_policy_properties.py tests/test_policy_transforms.py \
+        tests/test_core_whatif.py \
         tests/test_radio_agreement.py tests/test_radio_vectorized.py \
         tests/test_radio_machine.py tests/test_stream.py \
         tests/test_durable.py tests/test_store.py \

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Tuple
 
 from repro import StudyEnergy
 from repro.core import (
@@ -129,6 +130,13 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+def _table2_breakout(dataset) -> Tuple[str, ...]:
+    """The Table 2 apps a policy table breaks out: those the study's
+    registry holds. An imported study registers only the apps its files
+    name; Table 1 skips absent case-study apps the same way."""
+    return tuple(app for app in TABLE2_APPS if app in dataset.registry)
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.store and args.number == 1:
         return _store_render(args, _store_source(args), "table1")
@@ -150,7 +158,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
             except AnalysisError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_USAGE
-            result = evaluate_policy(study, policy, apps=TABLE2_APPS)
+            result = evaluate_policy(
+                study, policy, apps=_table2_breakout(dataset)
+            )
             print(report.render_policy_table(result))
         else:
             results = [kill_policy_savings(study, app) for app in TABLE2_APPS]
@@ -337,7 +347,7 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
                 "study (no 3-day idle stretch)"
             )
         return 0
-    detail = (args.app,) if args.app else TABLE2_APPS
+    detail = (args.app,) if args.app else _table2_breakout(dataset)
     result = evaluate_policy(study, policy, apps=detail)
     print(report.render_policy_table(result))
     return 0

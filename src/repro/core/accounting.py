@@ -383,23 +383,16 @@ class StudyEnergy:
         """(has-foreground-traffic, has-background-traffic) day masks.
 
         Foreground means packets labelled FOREGROUND or VISIBLE;
-        background the other three states (the paper's grouping).
+        background the other three states (the paper's grouping). The
+        kill policy's classification
+        (:func:`repro.policy.kill.app_traffic_days`).
         """
+        from repro.policy.kill import app_traffic_days
+
         trace = self._trace(user_id)
-        n_days = int(np.ceil((trace.end - trace.start) / DAY))
-        index = self.index_for(user_id)
-        ts = trace.packets.timestamps
-        fg = np.zeros(n_days, dtype=bool)
-        bg = np.zeros(n_days, dtype=bool)
-        fg_days = (
-            (ts[index.app_foreground_indices(app_id)] - trace.start) // DAY
-        ).astype(np.int64)
-        bg_days = (
-            (ts[index.app_background_indices(app_id)] - trace.start) // DAY
-        ).astype(np.int64)
-        fg[np.unique(fg_days)] = True
-        bg[np.unique(bg_days)] = True
-        return fg, bg
+        return app_traffic_days(
+            self.index_for(user_id), trace.start, trace.end, app_id
+        )
 
     def users_with_app(self, app_id: int) -> List[int]:
         """Users whose trace contains at least one packet of the app."""

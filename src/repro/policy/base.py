@@ -64,6 +64,16 @@ class PolicyContext:
             return tuple(int(a) for a in self.index.app_ids)
         return resolved
 
+    def background_rows(
+        self, apps: Optional[Iterable[str]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The candidate apps' background packet positions, stacked in
+        candidate order by :func:`stacked_rows`."""
+        return stacked_rows(
+            self.index.app_background_indices(a)
+            for a in self.candidate_apps(apps)
+        )
+
 
 @dataclass(frozen=True)
 class PolicyTransform:
@@ -117,6 +127,22 @@ class PolicyParams:
             f"{k}={v!r}" for k, v in sorted(self.params().items())
         )
         return f"{self.name}({inner})"
+
+
+def stacked_rows(groups: Iterable[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-app packet positions, concatenated in the given app order.
+
+    Returns ``(rows, bounds)``: app ``k``'s positions are
+    ``rows[bounds[k]:bounds[k + 1]]``. Transforms use it to run one
+    numpy pass over every candidate app instead of one per app.
+    """
+    groups = list(groups)
+    bounds = np.concatenate(
+        ([0], np.cumsum([len(g) for g in groups], dtype=np.int64))
+    )
+    if not groups:
+        return np.empty(0, dtype=np.int64), bounds
+    return np.concatenate(groups).astype(np.int64, copy=False), bounds
 
 
 def unchanged(packets: PacketArray) -> PolicyTransform:

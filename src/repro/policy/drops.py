@@ -26,6 +26,7 @@ from repro.policy.base import (
     PolicyParams,
     PolicyTransform,
     drop_packets,
+    unchanged,
 )
 from repro.policy.engine import TotalSavings, evaluate_policy
 
@@ -34,6 +35,19 @@ BURST_WINDOW_S = 30.0
 
 #: Silence that separates two background bursts of one app.
 DEFAULT_BURST_GAP_S = 60.0
+
+
+def burst_bounds(ts: np.ndarray, app_bounds: np.ndarray, gap: float) -> np.ndarray:
+    """Burst offsets over stacked background rows (see ``stacked_rows``).
+
+    A burst starts at each app's first row and after every silence
+    longer than ``gap``; burst ``b`` is ``ts[out[b]:out[b + 1]]``.
+    """
+    is_start = np.zeros(len(ts), dtype=bool)
+    is_start[1:] = np.diff(ts) > gap
+    firsts = app_bounds[:-1]
+    is_start[firsts[firsts < len(ts)]] = True
+    return np.append(np.flatnonzero(is_start), len(ts))
 
 
 @dataclass(frozen=True)
@@ -60,6 +74,9 @@ class DozePolicy(PolicyParams):
         ts = packets.timestamps
         # Time since the screen last turned off (0 while on).
         screen = context.index.events.screen
+        if len(screen) == 0:
+            # No screen events: the screen is never known to be off.
+            return unchanged(packets)
         ev_times = screen["timestamp"]
         idx = np.searchsorted(ev_times, ts, side="right") - 1
         off_since = np.where(
@@ -90,27 +107,60 @@ class FrequencyCapPolicy(PolicyParams):
     apps: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.min_period <= 0:
+        if not self.min_period > 0:  # NaN too: no window could open
             raise AnalysisError(
                 f"min_period must be positive: {self.min_period}"
             )
 
     def transform(self, packets, context: PolicyContext) -> PolicyTransform:
-        index = context.index
-        keep = np.ones(len(packets), dtype=bool)
-        ts = packets.timestamps
-        for app_id in context.candidate_apps(self.apps):
-            idx = index.app_background_indices(app_id)
-            if len(idx) == 0:
-                continue
-            app_ts = ts[idx]
-            last_kept = -np.inf
-            for i, t in enumerate(app_ts):
-                if t - last_kept >= self.min_period:
-                    last_kept = t  # a new permitted task window opens
-                elif t - last_kept > BURST_WINDOW_S:
-                    keep[idx[i]] = False  # outside the task's burst
-        return drop_packets(packets, ~keep)
+        rows, apps = context.background_rows(self.apps)
+        if len(rows) == 0:
+            return unchanged(packets)
+        ts = packets.timestamps[rows]
+        # Each app's first packet opens a window, and each window's
+        # first packet at least min_period later opens the next: one
+        # step per permitted window, not per packet.
+        step = _window_successors(ts, apps, self.min_period)
+        is_open = np.zeros(len(ts), dtype=bool)
+        i = 0
+        while i < len(ts):
+            is_open[i] = True
+            i = step.item(i)
+        opener = np.maximum.accumulate(
+            np.where(is_open, np.arange(len(ts)), 0)
+        )
+        drop = np.zeros(len(packets), dtype=bool)
+        drop[rows[ts - ts[opener] > BURST_WINDOW_S]] = True  # outside the burst
+        return drop_packets(packets, drop)
+
+
+def _window_successors(
+    ts: np.ndarray, app_bounds: np.ndarray, min_period: float
+) -> np.ndarray:
+    """Per row ``i``: the first later row of its app with
+    ``ts[j] - ts[i] >= min_period``, else the app's end offset."""
+    out = np.empty(len(ts), dtype=np.int64)
+    for lo, hi in zip(app_bounds[:-1].tolist(), app_bounds[1:].tolist()):
+        app_ts = ts[lo:hi]
+        out[lo:hi] = np.searchsorted(app_ts, app_ts + min_period) + lo
+    # ``ts + min_period`` rounds, so the search can land a row off the
+    # exact subtraction test. The test is monotone in ts: step each
+    # miss towards the first row that passes it.
+    i = np.arange(len(ts))
+    ends = np.repeat(app_bounds[1:], np.diff(app_bounds))
+    back = i[out - 1 > i]
+    back = back[ts[out[back] - 1] - ts[back] >= min_period]
+    while len(back):
+        out[back] -= 1
+        back = back[out[back] - 1 > back]
+        back = back[ts[out[back] - 1] - ts[back] >= min_period]
+    ahead = i[out < ends]
+    ahead = ahead[~(ts[out[ahead]] - ts[ahead] >= min_period)]
+    while len(ahead):
+        out[ahead] += 1
+        ahead = ahead[out[ahead] < ends[ahead]]
+        ahead = ahead[~(ts[out[ahead]] - ts[ahead] >= min_period)]
+    return out
 
 
 @dataclass(frozen=True)
@@ -143,24 +193,18 @@ class PushConversionPolicy(PolicyParams):
             )
 
     def transform(self, packets, context: PolicyContext) -> PolicyTransform:
-        index = context.index
-        ts = packets.timestamps
-        sizes = packets.sizes.astype(np.int64)
+        rows, apps = context.background_rows(self.apps)
+        if len(rows) == 0:
+            return unchanged(packets)
+        bursts = burst_bounds(packets.timestamps[rows], apps, self.burst_gap)
+        burst_bytes = np.add.reduceat(
+            packets.sizes[rows].astype(np.int64), bursts[:-1]
+        )
+        empty = np.repeat(
+            burst_bytes <= self.min_payload_bytes, np.diff(bursts)
+        )
         drop = np.zeros(len(packets), dtype=bool)
-        for app_id in context.candidate_apps(self.apps):
-            idx = index.app_background_indices(app_id)
-            if len(idx) == 0:
-                continue
-            app_ts = ts[idx]
-            starts = np.flatnonzero(
-                np.concatenate(
-                    ([True], np.diff(app_ts) > self.burst_gap)
-                )
-            )
-            bounds = np.append(starts, len(app_ts))
-            burst_bytes = np.add.reduceat(sizes[idx], starts)
-            for b in np.flatnonzero(burst_bytes <= self.min_payload_bytes):
-                drop[idx[bounds[b] : bounds[b + 1]]] = True
+        drop[rows[empty]] = True
         return drop_packets(packets, drop)
 
 

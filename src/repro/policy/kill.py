@@ -22,6 +22,7 @@ from repro.policy.base import (
     PolicyParams,
     PolicyTransform,
     drop_packets,
+    stacked_rows,
 )
 from repro.policy.engine import TotalSavings, evaluate_policy
 from repro.radio.attribution import attribute_energy
@@ -60,22 +61,51 @@ def killed_days(fg: np.ndarray, bg: np.ndarray, idle_days: int) -> np.ndarray:
     The idle counter counts consecutive days without foreground use
     while the app is emitting background traffic; once it reaches
     ``idle_days`` the app is killed until the next foreground day.
+    Until the kill, the counter is the number of background days since
+    the last foreground day; after it, that number only grows — so a
+    day is killed exactly when it is not a foreground day and that
+    number has reached ``idle_days``.
+
+    ``fg``/``bg`` are day masks along the last axis: one app's days, or
+    an app x day matrix.
     """
-    n = len(fg)
-    killed = np.zeros(n, dtype=bool)
-    idle = 0
-    dead = False
-    for day in range(n):
-        if fg[day]:
-            idle = 0
-            dead = False
-            continue
-        if bg[day] or dead:
-            idle += 1
-        if idle >= idle_days:
-            dead = True
-            killed[day] = True
-    return killed
+    fg = np.asarray(fg, dtype=bool)
+    counted = np.cumsum(np.asarray(bg, dtype=bool) & ~fg, axis=-1)
+    since_fg = counted - np.maximum.accumulate(
+        np.where(fg, counted, 0), axis=-1
+    )
+    return ~fg & (since_fg >= idle_days)
+
+
+def _traffic_day_masks(
+    index: TraceIndex, start: float, end: float, app_ids
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(has-foreground-traffic, has-background-traffic) app x day masks.
+
+    Row ``k`` classifies ``app_ids[k]``'s days; day ``d`` covers
+    ``[start + d*DAY, start + (d+1)*DAY)``, and a packet at ``end``
+    counts in the last day. Pure over the trace index and window.
+    """
+    n_days = int(np.ceil((end - start) / DAY))
+    ts = index.packets.timestamps
+    masks = []
+    for group in (index.app_foreground_indices, index.app_background_indices):
+        rows, bounds = stacked_rows(group(a) for a in app_ids)
+        days = ((ts[rows] - start) // DAY).astype(np.int64)
+        mask = np.zeros((len(app_ids), n_days), dtype=bool)
+        mask[_row_apps(bounds), np.minimum(days, n_days - 1)] = True
+        masks.append(mask)
+    return masks[0], masks[1]
+
+
+def app_traffic_days(
+    index: TraceIndex, start: float, end: float, app_id: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(has-foreground-traffic, has-background-traffic) day masks of one
+    app, as :func:`_traffic_day_masks` classifies its days (and
+    ``StudyEnergy.app_days_with_traffic`` returns them)."""
+    fg, bg = _traffic_day_masks(index, start, end, (app_id,))
+    return fg[0], bg[0]
 
 
 def killed_drop_mask(
@@ -83,36 +113,26 @@ def killed_drop_mask(
 ) -> np.ndarray:
     """Boolean drop mask over the trace's original packets: the app's
     background packets on killed days."""
-    packets = index.packets
-    idx = index.app_background_indices(app_id)
-    days = ((packets.timestamps[idx] - start) // DAY).astype(np.int64)
-    days = np.clip(days, 0, len(killed) - 1)
-    drop = np.zeros(len(packets), dtype=bool)
-    drop[idx[killed[days]]] = True
+    return _killed_rows_mask(index, (app_id,), killed[np.newaxis], start)
+
+
+def _killed_rows_mask(
+    index: TraceIndex, app_ids, killed: np.ndarray, start: float
+) -> np.ndarray:
+    """The drop mask for an app x day ``killed`` matrix: each app's
+    background packets on its killed days (days clipped to the window)."""
+    rows, bounds = stacked_rows(index.app_background_indices(a) for a in app_ids)
+    days = ((index.packets.timestamps[rows] - start) // DAY).astype(np.int64)
+    days = np.clip(days, 0, killed.shape[1] - 1)
+    drop = np.zeros(len(index.packets), dtype=bool)
+    drop[rows[killed[_row_apps(bounds), days]]] = True
     return drop
 
 
-def app_traffic_days(
-    index: TraceIndex, start: float, end: float, app_id: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(has-foreground-traffic, has-background-traffic) day masks.
-
-    Pure over the trace index and window — the same classification
-    ``StudyEnergy.app_days_with_traffic`` computes.
-    """
-    n_days = int(np.ceil((end - start) / DAY))
-    ts = index.packets.timestamps
-    fg = np.zeros(n_days, dtype=bool)
-    bg = np.zeros(n_days, dtype=bool)
-    fg_days = (
-        (ts[index.app_foreground_indices(app_id)] - start) // DAY
-    ).astype(np.int64)
-    bg_days = (
-        (ts[index.app_background_indices(app_id)] - start) // DAY
-    ).astype(np.int64)
-    fg[np.unique(fg_days)] = True
-    bg[np.unique(bg_days)] = True
-    return fg, bg
+def _row_apps(bounds: np.ndarray) -> np.ndarray:
+    """For stacked rows: the position of each row's app in the app list."""
+    counts = np.diff(bounds)
+    return np.repeat(np.arange(len(counts)), counts)
 
 
 @dataclass(frozen=True)
@@ -133,19 +153,15 @@ class KillIdlePolicy(PolicyParams):
             raise AnalysisError(f"idle_days must be >= 1: {self.idle_days}")
 
     def transform(self, packets, context: PolicyContext) -> PolicyTransform:
-        drop = np.zeros(len(packets), dtype=bool)
-        for app_id in context.candidate_apps(self.apps):
-            fg, bg = app_traffic_days(
-                context.index, context.start, context.end, app_id
-            )
-            killed = killed_days(fg, bg, self.idle_days)
-            if killed.any():
-                # Each app's drop mask touches only that app's rows, so
-                # the union equals applying the drops one after another.
-                drop |= killed_drop_mask(
-                    context.index, app_id, killed, context.start
-                )
-        return drop_packets(packets, drop)
+        app_ids = context.candidate_apps(self.apps)
+        fg, bg = _traffic_day_masks(
+            context.index, context.start, context.end, app_ids
+        )
+        killed = killed_days(fg, bg, self.idle_days)
+        return drop_packets(
+            packets,
+            _killed_rows_mask(context.index, app_ids, killed, context.start),
+        )
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from repro.policy.base import (
     PolicyTransform,
     unchanged,
 )
-from repro.policy.drops import DEFAULT_BURST_GAP_S
+from repro.policy.drops import DEFAULT_BURST_GAP_S, burst_bounds
 from repro.policy.engine import evaluate_policy
 from repro.trace.arrays import PacketArray
 
@@ -149,45 +149,53 @@ class DelayTolerantPolicy(PolicyParams):
             )
 
     def transform(self, packets, context: PolicyContext) -> PolicyTransform:
-        index = context.index
-        fg_times = packets.timestamps[index.foreground_mask]
+        ts = packets.timestamps
+        fg_times = ts[context.index.foreground_mask]
         if len(fg_times) == 0 or self.deadline == 0:
             return unchanged(packets)
-        data = None
-        moved = 0
-        delay = 0.0
-        for app_id in context.candidate_apps(self.apps):
-            idx = index.app_background_indices(app_id)
-            if len(idx) == 0:
-                continue
-            app_ts = packets.timestamps[idx]
-            starts = np.flatnonzero(
-                np.concatenate(([True], np.diff(app_ts) > self.burst_gap))
-            )
-            bounds = np.append(starts, len(app_ts))
-            pos = np.searchsorted(fg_times, app_ts[starts], side="left")
-            for b in range(len(starts)):
-                if pos[b] >= len(fg_times):
-                    continue
-                delta = float(fg_times[pos[b]] - app_ts[starts[b]])
-                if not 0.0 < delta <= self.deadline:
-                    continue
-                if data is None:
-                    data = packets.data.copy()
-                rows = idx[bounds[b] : bounds[b + 1]]
-                shifted = np.minimum(
-                    packets.timestamps[rows] + delta, context.end - 1e-6
-                )
-                delay += float((shifted - packets.timestamps[rows]).sum())
-                moved += len(rows)
-                data["timestamp"][rows] = shifted
-        if data is None:
+        rows, apps = context.background_rows(self.apps)
+        bursts = burst_bounds(ts[rows], apps, self.burst_gap)
+        first = ts[rows[bursts[:-1]]]
+        pos = np.searchsorted(fg_times, first, side="left")
+        delta = fg_times[np.minimum(pos, len(fg_times) - 1)] - first
+        move = (pos < len(fg_times)) & (0.0 < delta) & (delta <= self.deadline)
+        if not move.any():
             return unchanged(packets)
+        lengths = np.diff(bursts)[move]
+        moved = rows[np.repeat(move, np.diff(bursts))]
+        before = ts[moved]
+        shifted = np.minimum(
+            before + np.repeat(delta[move], lengths), context.end - 1e-6
+        )
+        data = packets.data.copy()
+        data["timestamp"][moved] = shifted
+        # A running total of per-burst sums, in burst order within each
+        # app and candidate order across apps.
+        delay = np.cumsum(_burst_sums(shifted - before, lengths))[-1]
         return PolicyTransform(
             packets=PacketArray(data).sorted_by_time(),
-            moved_packets=moved,
-            delay_seconds=delay,
+            moved_packets=len(moved),
+            delay_seconds=float(delay),
         )
+
+
+def _burst_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``values`` split into consecutive bursts of ``lengths``: each
+    burst's ``ndarray.sum()``, bit for bit.
+
+    Bursts of one length are summed as the rows of one C-contiguous
+    matrix, which numpy reduces in the same (pairwise) order as each
+    burst alone. ``np.add.reduceat`` does not: it computes
+    ``a0 + (a1 + a2 + ...)``.
+    """
+    offsets = np.cumsum(lengths) - lengths
+    sums = np.empty(len(lengths))
+    order = np.argsort(lengths, kind="stable")
+    cuts = np.flatnonzero(np.diff(lengths[order])) + 1
+    for group in np.split(order, cuts):
+        span = np.arange(lengths[group[0]])
+        sums[group] = values[offsets[group, None] + span].sum(axis=1)
+    return sums
 
 
 @dataclass(frozen=True)

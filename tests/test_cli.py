@@ -434,3 +434,50 @@ def test_cli_sharded_ingest_prints_quarantine_line(tmp_path, capsys):
         assert main(argv + ["--checkpoint", str(ck), *extra]) == 0
         out = capsys.readouterr().out
         assert "quarantined: 1 malformed row(s), 0 user(s)" in out
+
+
+def _imported_study_without_screen_events(tmp_path):
+    """A 2-user x 2-day study imported from CSVs whose events files hold
+    no screen rows: its registry names only the apps the files use."""
+    from repro import StudyConfig, generate_study
+    from repro.trace.io_text import write_events_csv, write_packets_csv
+
+    dataset = generate_study(StudyConfig(n_users=2, duration_days=2.0, seed=3))
+    pairs = []
+    for trace in dataset:
+        p = tmp_path / f"p{trace.user_id}.csv"
+        e = tmp_path / f"e{trace.user_id}.csv"
+        write_packets_csv(p, trace.packets, dataset.registry)
+        write_events_csv(e, trace.events, dataset.registry)
+        e.write_text(
+            "".join(
+                line
+                for line in e.read_text().splitlines(keepends=True)
+                if ",screen," not in line
+            )
+        )
+        pairs.append(f"{p}:{e}")
+    out_file = str(tmp_path / "s.npz")
+    assert main(["import", *pairs, "--out", out_file]) == 0
+    return out_file
+
+
+def test_cli_policies_run_on_an_imported_study(tmp_path, capsys):
+    """Policy tables break out only the Table 2 apps the study holds, and
+    doze runs without screen events."""
+    study = _imported_study_without_screen_events(tmp_path)
+    capsys.readouterr()
+    code, out = run(
+        capsys, "whatif", "--policy", "doze",
+        "--app", "com.android.chrome", "--dataset", study,
+    )
+    assert code == 0
+    assert "packets dropped: 0 (0 bytes)" in out
+    for argv in (
+        ["whatif", "--policy", "push", "--dataset", study],
+        ["table", "2", "--policy", "deadline", "--dataset", study],
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        # Weibo never appears in these files; the accuweather widget does.
+        assert "weibo" not in out and "accuweather" in out

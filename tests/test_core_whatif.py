@@ -190,3 +190,97 @@ class TestFrequencyCap:
 
         with pytest.raises(AnalysisError):
             frequency_cap_savings(medium_study, min_period=0.0)
+
+
+def _without_screen_events(dataset):
+    """The same study with every screen event removed."""
+    from repro.trace.dataset import Dataset
+    from repro.trace.events import EventLog
+    from repro.trace.trace import UserTrace
+
+    users = []
+    for trace in dataset:
+        events = trace.events
+        users.append(
+            UserTrace(
+                trace.user_id,
+                trace.start,
+                trace.end,
+                trace.packets,
+                EventLog.from_arrays(
+                    events.process, events.screen[:0], events.input
+                ),
+            )
+        )
+    return Dataset(dataset.registry, users)
+
+
+def test_doze_without_screen_events_drops_nothing():
+    """No screen event means no screen-off time: the identity transform."""
+    from repro import StudyConfig, StudyEnergy, generate_study
+    from repro.policy import DozePolicy, PolicyContext, evaluate_policy
+
+    study = StudyEnergy(
+        _without_screen_events(
+            generate_study(StudyConfig(n_users=2, duration_days=2.0, seed=3))
+        )
+    )
+    for trace in study.dataset:
+        context = PolicyContext(
+            index=study.index_for(trace.user_id),
+            start=trace.start,
+            end=trace.end,
+            id_of=study.dataset.registry.id_of,
+        )
+        out = DozePolicy(screen_off_threshold=60.0).transform(
+            trace.packets, context
+        )
+        assert out.packets is trace.packets
+    result = evaluate_policy(study, DozePolicy())
+    assert result.savings.total_after == result.savings.total_before
+    assert result.dropped_packets == 0
+
+
+def _study_with_packet_at_end(tmp_path):
+    """One user whose last packet sits exactly at the window end, as
+    ``repro import`` builds it (the horizon rounds up to a whole day)."""
+    from repro import StudyEnergy
+    from repro.trace.io_text import dataset_from_csv
+
+    packets = tmp_path / "edge_p.csv"
+    events = tmp_path / "edge_e.csv"
+    packets.write_text(
+        "timestamp,size,direction,app,conn\n"
+        "10.0,1000,down,com.a,1\n"
+        "20.0,400,up,com.b,2\n"
+        "43200.0,1500,down,com.a,1\n"
+        "86400.0,300,down,com.a,1\n"
+    )
+    events.write_text(
+        "timestamp,kind,app,value\n"
+        "0.0,process,com.a,foreground\n"
+        "0.0,process,com.b,service\n"
+        "30.0,process,com.a,background\n"
+    )
+    dataset = dataset_from_csv([(packets, events)])
+    trace = next(iter(dataset))
+    assert trace.end == trace.packets.timestamps[-1] == 86400.0
+    return StudyEnergy(dataset)
+
+
+def test_kill_counts_a_packet_at_end_in_the_last_day(tmp_path):
+    from repro.policy import KillIdlePolicy, evaluate_policy
+
+    study = _study_with_packet_at_end(tmp_path)
+    app_id = study.dataset.registry.id_of("com.a")
+    fg, bg = study.app_days_with_traffic(1, app_id)
+    assert fg.tolist() == [True] and bg.tolist() == [True]
+    result = kill_policy_savings(study, "com.a", idle_days=1)
+    assert result.per_user[0].killed_days == 0
+    assert result.avg_energy_reduction_pct == 0.0
+    # com.b only ever runs in the background: its one day is killed.
+    savings = total_savings(study, idle_days=1)
+    assert savings.total_after < savings.total_before
+    evaluated = evaluate_policy(study, KillIdlePolicy(idle_days=1))
+    assert evaluated.savings == savings
+    assert evaluated.dropped_packets == 1
