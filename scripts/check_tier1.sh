@@ -6,15 +6,17 @@
 # baked into tests/test_chaos.py, so every invocation replays the same
 # fault schedule); see docs/ROBUSTNESS.md.
 #
-# --cov runs the policy/radio/durable/cadence test subset under
+# --cov runs the policy/radio/durable/cadence/keyed test subset under
 # coverage and fails below 90% line coverage of src/repro/policy,
-# src/repro/radio, src/repro/durable.py and src/repro/stream/cadence.py
-# — the code whose correctness rests on a property/differential layer
-# (docs/POLICIES.md; tests/test_policy_transforms.py pins the policy
-# transforms to their frozen per-burst/per-packet/per-day loops, and
-# tests/test_cadence.py the streaming cadence tracker to its frozen
-# per-group reference), and the file protocol every checkpoint,
-# manifest, blob and saved dataset goes through.
+# src/repro/radio, src/repro/durable.py, src/repro/stream/cadence.py
+# and src/repro/keyed.py — the code whose correctness rests on a
+# property/differential layer (docs/POLICIES.md;
+# tests/test_policy_transforms.py pins the policy transforms to their
+# frozen per-burst/per-packet/per-day loops, tests/test_cadence.py the
+# streaming cadence tracker to its frozen per-group reference, and
+# tests/test_keyed_fold.py the keyed fold to its frozen np.unique
+# group-bys), and the file protocol every checkpoint, manifest, blob
+# and saved dataset goes through.
 # Needs pytest-cov; skipped (exit 0, with a note) where it is not
 # installed, so plain containers stay green.
 set -e
@@ -31,13 +33,13 @@ if [ "$1" = "--cov" ]; then
     fi
     set -- \
         --cov=repro.policy --cov=repro.radio --cov=repro.durable \
-        --cov=repro.stream.cadence \
+        --cov=repro.stream.cadence --cov=repro.keyed \
         --cov-report=term-missing --cov-fail-under=90 \
         tests/test_policy_properties.py tests/test_policy_transforms.py \
         tests/test_core_whatif.py \
         tests/test_radio_agreement.py tests/test_radio_vectorized.py \
         tests/test_radio_machine.py tests/test_stream.py \
         tests/test_durable.py tests/test_store.py \
-        tests/test_cadence.py "$@"
+        tests/test_cadence.py tests/test_keyed_fold.py "$@"
 fi
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} exec python -m pytest -x -q "$@"

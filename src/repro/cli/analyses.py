@@ -137,6 +137,21 @@ def _table2_breakout(dataset) -> Tuple[str, ...]:
     return tuple(app for app in TABLE2_APPS if app in dataset.registry)
 
 
+def _render_table2(study, dataset) -> str:
+    """Table 2 over the Table 2 apps the study registers and gives
+    energy to: ``kill_policy_savings`` refuses any other, and a small
+    or imported study may lack some."""
+    energy = study.energy_by_app()
+    apps = [
+        app
+        for app in _table2_breakout(dataset)
+        if energy.get(dataset.registry.id_of(app), 0.0) > 0
+    ]
+    if not apps:
+        return "Table 2: no Table 2 app has energy in this study"
+    return report.render_table2([kill_policy_savings(study, app) for app in apps])
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.store and args.number == 1:
         return _store_render(args, _store_source(args), "table1")
@@ -163,8 +178,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             )
             print(report.render_policy_table(result))
         else:
-            results = [kill_policy_savings(study, app) for app in TABLE2_APPS]
-            print(report.render_table2(results))
+            print(_render_table2(study, dataset))
     else:
         print(f"unknown table {args.number}", file=sys.stderr)
         return 2
@@ -239,8 +253,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print()
     print(report.render_table1(case_study_table(study)))
     print()
-    results = [kill_policy_savings(study, app) for app in TABLE2_APPS]
-    print(report.render_table2(results))
+    print(_render_table2(study, dataset))
     return 0
 
 

@@ -29,7 +29,6 @@ from repro.core.accounting import StudyEnergy
 from repro.core.readout import (
     AppCadence,
     EnergyReadout,
-    KeyedTotals,
     TotalsReadout,
     UserCadence,
     UserTotalsView,
@@ -37,6 +36,7 @@ from repro.core.readout import (
     readout_from_checkpoint,
     require_packet_detail,
 )
+from repro.keyed import KeyedTotals
 from repro.core.popularity import (
     category_energy,
     top10_appearance_counts,

@@ -36,12 +36,9 @@ from repro import faults
 from repro.core.readout import (
     DEFAULT_FLOW_GAP,
     AppCadence,
-    KeyedTotals,
     ReadoutProvenance,
     UserCadence,
     UserTotalsView,
-    combine_app_state,
-    combined_app_state_keys,
     merge_keyed_totals,
 )
 from repro.core.periodicity import (
@@ -50,6 +47,7 @@ from repro.core.periodicity import (
     inter_burst_intervals,
 )
 from repro.errors import AnalysisError
+from repro.keyed import KeyedTotals
 from repro.metrics import RunMetrics
 from repro.radio import attribution  # attribute_energy, looked up per call
 from repro.radio.attribution import AttributionResult, TailPolicy
@@ -242,19 +240,14 @@ class StudyEnergy:
             return view
         result = self.user_result(user_id)
         packets = self._traces[user_id].packets
-        app_state = {
-            combine_app_state(a, s): v
-            for (a, s), v in result.energy_by_app_state().items()
-        }
+        app_state = KeyedTotals()
+        app_state.add(packets.apps, result.per_packet, packets.states)
         bytes_state = KeyedTotals(dtype=np.int64)
-        bytes_state.add(
-            combined_app_state_keys(packets.apps, packets.states),
-            packets.sizes.astype(np.int64),
-        )
+        bytes_state.add(packets.apps, packets.sizes, packets.states)
         view = UserTotalsView(
             user_id,
             result.energy_by_app(),
-            app_state,
+            app_state.as_dict(),
             bytes_state.as_dict(),
             result.energy.idle_energy,
         )

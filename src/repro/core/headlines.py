@@ -97,8 +97,10 @@ def headline_stats(study: StudyEnergy) -> List[Headline]:
                 savings_on_affected_days(study, "com.sina.weibo"),
             )
         )
-    except AnalysisError:
-        pass  # small studies may never activate the policy
+    except (AnalysisError, TraceError):
+        # Small studies may never activate the policy, and an imported
+        # study registers only the apps its files name.
+        pass
     return headlines
 
 

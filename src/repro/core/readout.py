@@ -22,8 +22,9 @@ analyses one surface over both:
   totals-only readout fails fast with a typed, actionable
   :class:`~repro.errors.NeedsPacketDetail` instead of an
   ``AttributeError`` three reductions deep.
-* :class:`KeyedTotals` — the one keyed accumulator both engines share
-  (float64 carry-first bincount; int64 exact addition), and
+* :class:`~repro.keyed.KeyedTotals` — the one keyed accumulator both
+  engines share (float64 carry-first bincount; int64 exact addition;
+  defined in :mod:`repro.keyed` beside the fold it carries), and
   :func:`merge_keyed_totals`, the one study-wide fold.
 
 Table 1 needs more than totals (flows per app, burst intervals); that
@@ -55,6 +56,7 @@ from repro.core.periodicity import (
     frequency_from_intervals,
 )
 from repro.errors import NeedsPacketDetail, StreamError
+from repro.keyed import KeyedTotals, split_app_state
 from repro.trace.dataset import AppRegistry
 from repro.trace.events import background_state_values
 
@@ -62,24 +64,7 @@ from repro.trace.events import background_state_values
 #: the case-study apps hold connections across several updates).
 DEFAULT_FLOW_GAP = 3600.0
 
-#: App-state keys are combined as ``app * _STATE_BASE + state``.
-_STATE_BASE = 256
-
 _BG_VALUES = frozenset(int(v) for v in background_state_values())
-
-
-def combined_app_state_keys(
-    apps: np.ndarray, states: np.ndarray
-) -> np.ndarray:
-    """Combine app/state arrays into the shared ``app*256+state`` keys."""
-    return np.asarray(apps, np.int64) * _STATE_BASE + np.asarray(
-        states, np.int64
-    )
-
-
-def combine_app_state(app_id: int, state: int) -> int:
-    """Combine one (app id, state) pair into its shared scalar key."""
-    return int(app_id) * _STATE_BASE + int(state)
 
 
 def merge_keyed_totals(parts, zero=0.0):
@@ -98,79 +83,6 @@ def merge_keyed_totals(parts, zero=0.0):
         for key, value in part.items():
             totals[key] = totals.get(key, zero) + value
     return totals
-
-
-class KeyedTotals:
-    """The shared streaming per-key accumulator, float or int.
-
-    **float64** (default): ``np.bincount`` accumulates its weights
-    sequentially in input-array order, and the batch path's per-key
-    sums are exactly one bincount over the whole trace
-    (:meth:`~repro.radio.attribution.AttributionResult._group_sum`).
-    Adding the running totals as *leading pseudo-entries* of the next
-    chunk's bincount therefore replays the whole-trace addition
-    sequence exactly: each key's partial enters first, then its chunk
-    values in order, and ``0.0 + x == x`` keeps the very first chunk
-    unperturbed. That makes the accumulated totals bit-identical to
-    the batch result for any chunk sizes.
-
-    **int64**: integer addition is associative, so no ordering trick is
-    needed — any chunking lands on the identical integers the batch
-    :meth:`~repro.trace.index.TraceIndex.bytes_by_app` reduction
-    computes. ``np.add.at`` keeps repeated keys within a chunk exact
-    (bincount weights would detour through float64).
-    """
-
-    def __init__(
-        self,
-        keys: Optional[np.ndarray] = None,
-        values: Optional[np.ndarray] = None,
-        dtype=np.float64,
-    ) -> None:
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.dtype(np.float64), np.dtype(np.int64)):
-            raise ValueError(f"KeyedTotals supports float64/int64, got {dtype}")
-        self._keys = (
-            np.empty(0, dtype=np.int64)
-            if keys is None
-            else np.asarray(keys, dtype=np.int64)
-        )
-        self._values = (
-            np.empty(0, dtype=self.dtype)
-            if values is None
-            else np.asarray(values, dtype=self.dtype)
-        )
-
-    def add(self, keys: np.ndarray, amounts: np.ndarray) -> None:
-        """Accumulate ``amounts`` grouped by ``keys`` (one chunk)."""
-        if len(keys) == 0:
-            return
-        all_keys = np.concatenate([self._keys, np.asarray(keys, np.int64)])
-        all_amounts = np.concatenate(
-            [self._values, np.asarray(amounts, self.dtype)]
-        )
-        uniq, inverse = np.unique(all_keys, return_inverse=True)
-        if self.dtype == np.dtype(np.float64):
-            sums = np.bincount(
-                inverse, weights=all_amounts, minlength=len(uniq)
-            )
-        else:
-            sums = np.zeros(len(uniq), dtype=np.int64)
-            np.add.at(sums, inverse, all_amounts)
-        self._keys = uniq
-        self._values = sums
-
-    def as_dict(self) -> Dict[int, float]:
-        """Totals keyed by int, in sorted-key order (the batch order)."""
-        cast = float if self.dtype == np.dtype(np.float64) else int
-        return {int(k): cast(v) for k, v in zip(self._keys, self._values)}
-
-    def payload(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(keys, values) arrays for checkpoint serialisation."""
-        return self._keys.copy(), self._values.copy()
-
-    def __len__(self) -> int:
-        return len(self._keys)
 
 
 def require_packet_detail(source, analysis: str):
@@ -193,9 +105,9 @@ class UserTotalsView:
     """One user's totals-tier readout (keyed dicts, no packets).
 
     Energy dicts iterate in sorted-combined-key order — the order
-    :meth:`~repro.radio.attribution.AttributionResult._group_sum`
-    produces and :class:`KeyedTotals` preserves — so any sequential
-    fold over them performs the same float additions on every readout.
+    :func:`~repro.keyed.fold_totals` produces for the batch sums and
+    :class:`KeyedTotals` preserves — so any sequential fold over them
+    performs the same float additions on every readout.
     """
 
     def __init__(
@@ -220,23 +132,17 @@ class UserTotalsView:
 
     def energy_by_app_state(self) -> Dict[Tuple[int, int], float]:
         """Joules per (app id, process state)."""
-        return {
-            (k // _STATE_BASE, k % _STATE_BASE): v
-            for k, v in self._app_state.items()
-        }
+        return {split_app_state(k): v for k, v in self._app_state.items()}
 
     def bytes_by_app_state(self) -> Dict[Tuple[int, int], int]:
         """Traffic bytes per (app id, process state), exact integers."""
-        return {
-            (k // _STATE_BASE, k % _STATE_BASE): v
-            for k, v in self._bytes_state.items()
-        }
+        return {split_app_state(k): v for k, v in self._bytes_state.items()}
 
     def bytes_by_app(self) -> Dict[int, int]:
         """Traffic bytes per app id (exact integers)."""
         totals: Dict[int, int] = {}
         for k, v in self._bytes_state.items():
-            app = k // _STATE_BASE
+            app, _ = split_app_state(k)
             totals[app] = totals.get(app, 0) + v
         return totals
 
@@ -244,7 +150,8 @@ class UserTotalsView:
         """Joules of one app in background states, folded in key order."""
         total = 0.0
         for k, v in self._app_state.items():
-            if k // _STATE_BASE == app_id and k % _STATE_BASE in _BG_VALUES:
+            app, state = split_app_state(k)
+            if app == app_id and state in _BG_VALUES:
                 total += v
         return total
 
@@ -252,7 +159,8 @@ class UserTotalsView:
         """Bytes of one app in background states (exact integer)."""
         total = 0
         for k, v in self._bytes_state.items():
-            if k // _STATE_BASE == app_id and k % _STATE_BASE in _BG_VALUES:
+            app, state = split_app_state(k)
+            if app == app_id and state in _BG_VALUES:
                 total += v
         return total
 
@@ -596,9 +504,9 @@ def readout_from_checkpoint(path) -> TotalsReadout:
     older than checkpoint format 2 (no registry/window/cadence members)
     must be re-ingested.
     """
-    # Imported here, not at module top: repro.stream.ingest imports this
-    # module for KeyedTotals, and importing the stream package from here
-    # at import time would close that cycle.
+    # Imported here, not at module top: repro.stream imports this module
+    # (DEFAULT_FLOW_GAP, TotalsReadout), and importing the stream package
+    # from here at import time would close that cycle.
     from repro.stream.checkpoint import StreamCheckpoint
 
     checkpoint = StreamCheckpoint.load(path)

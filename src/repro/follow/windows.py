@@ -8,7 +8,7 @@ does not undo float addition. The ring takes the third road:
 * Trace time is divided into fixed **buckets** of ``bucket_s`` seconds
   (bucket ``b`` covers ``[b*bucket_s, (b+1)*bucket_s)``).
 * Each (bucket, user) pair owns its own
-  :class:`~repro.core.readout.KeyedTotals` triple (per-app energy,
+  :class:`~repro.keyed.KeyedTotals` triple (per-app energy,
   per-(app, state) energy, per-(app, state) bytes). Because
   ``KeyedTotals.add`` is chunk-invariant (the carry-first bincount
   replay), a bucket's totals do not depend on how the stream was
@@ -38,14 +38,18 @@ import numpy as np
 
 from repro import faults
 from repro.core.readout import (
-    KeyedTotals,
     ReadoutProvenance,
     UserTotalsView,
     WindowedTotalsReadout,
-    combined_app_state_keys,
     merge_keyed_totals,
 )
 from repro.errors import FollowError
+from repro.keyed import (
+    APP_KEY_BOUND,
+    APP_STATE_KEY_BOUND,
+    KeyedTotals,
+    key_defect,
+)
 from repro.trace.dataset import AppRegistry
 
 #: Observation-window end for followed users: tailed sources have no
@@ -119,6 +123,14 @@ def parse_window_spec(text: str) -> WindowSpec:
     return WindowSpec(name, span, bucket)
 
 
+#: A bucket slot's saved accumulators: (array tag, key bound, dtype).
+_SLOT_ARRAYS = (
+    ("e", APP_KEY_BOUND, np.float64),
+    ("s", APP_STATE_KEY_BOUND, np.float64),
+    ("y", APP_STATE_KEY_BOUND, np.int64),
+)
+
+
 class _BucketSlot:
     """One (bucket, user) cell: the three keyed accumulators."""
 
@@ -177,12 +189,12 @@ class WindowRing:
         ends = np.concatenate([cuts, [len(ids)]])
         for lo, hi in zip(starts, ends):
             slot = self._slot(int(ids[lo]), user_id)
-            seg_apps = np.asarray(apps[lo:hi], np.int64)
-            seg_energy = np.asarray(energies[lo:hi], np.float64)
-            keys = combined_app_state_keys(seg_apps, states[lo:hi])
+            seg_apps = apps[lo:hi]
+            seg_states = states[lo:hi]
+            seg_energy = energies[lo:hi]
             slot.energy.add(seg_apps, seg_energy)
-            slot.app_state.add(keys, seg_energy)
-            slot.bytes.add(keys, np.asarray(sizes[lo:hi], np.int64))
+            slot.app_state.add(seg_apps, seg_energy, seg_states)
+            slot.bytes.add(seg_apps, sizes[lo:hi], seg_states)
 
     def _slot(self, bucket: int, user_id: int) -> _BucketSlot:
         return self._buckets.setdefault(bucket, {}).setdefault(
@@ -338,7 +350,12 @@ class WindowRing:
     def from_payload(
         cls, meta: dict, arrays: Dict[str, np.ndarray], prefix: str
     ) -> "WindowRing":
-        """Rebuild a ring saved by :meth:`payload`, bit-identically."""
+        """Rebuild a ring saved by :meth:`payload`, bit-identically.
+
+        A key array that is not a saved accumulator's (see
+        :func:`~repro.keyed.key_defect`) raises
+        :class:`~repro.errors.FollowError` naming it.
+        """
         ring = cls(
             WindowSpec(
                 str(meta["name"]), int(meta["span_s"]), int(meta["bucket_s"])
@@ -351,18 +368,18 @@ class WindowRing:
             b = int(bucket_text)
             for uid in uids:
                 stem = f"{prefix}_b{b}_u{int(uid)}"
+                totals = []
+                for tag, bound, dtype in _SLOT_ARRAYS:
+                    keys = arrays[f"{stem}_{tag}k"]
+                    values = arrays[f"{stem}_{tag}v"]
+                    defect = key_defect(keys, values, bound)
+                    if defect is not None:
+                        raise FollowError(
+                            f"follow window array {stem}_{tag}k: {defect}"
+                        )
+                    totals.append(KeyedTotals(keys, values, dtype=dtype))
                 ring._buckets.setdefault(b, {})[int(uid)] = _BucketSlot(
-                    KeyedTotals(
-                        arrays[f"{stem}_ek"], arrays[f"{stem}_ev"]
-                    ),
-                    KeyedTotals(
-                        arrays[f"{stem}_sk"], arrays[f"{stem}_sv"]
-                    ),
-                    KeyedTotals(
-                        arrays[f"{stem}_yk"],
-                        arrays[f"{stem}_yv"],
-                        dtype=np.int64,
-                    ),
+                    *totals
                 )
         return ring
 

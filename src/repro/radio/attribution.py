@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.keyed import fold_totals, split_app_state
 from repro.radio.base import RadioModel
 from repro.radio.vectorized import PacketEnergy, compute_packet_energy
 from repro.trace.arrays import PacketArray
@@ -42,10 +44,15 @@ class AttributionResult:
     policy: TailPolicy
     tail: np.ndarray  # policy-adjusted tail energy per packet
 
-    @property
+    @cached_property
     def per_packet(self) -> np.ndarray:
-        """Total energy attributed to each packet under the policy."""
-        return self.energy.transfer + self.energy.promotion + self.tail
+        """Total energy attributed to each packet under the policy.
+
+        Computed on first read and read-only from then on.
+        """
+        total = self.energy.transfer + self.energy.promotion + self.tail
+        total.setflags(write=False)
+        return total
 
     @property
     def attributed_energy(self) -> float:
@@ -57,43 +64,23 @@ class AttributionResult:
         """Attributed plus idle energy."""
         return self.attributed_energy + self.energy.idle_energy
 
-    def _group_sum(self, keys: np.ndarray) -> Dict[int, float]:
-        if len(keys) == 0:
-            return {}
-        unique, inverse = np.unique(keys, return_inverse=True)
-        sums = np.bincount(inverse, weights=self.per_packet)
-        return {int(k): float(s) for k, s in zip(unique, sums)}
-
     def energy_by_app(self) -> Dict[int, float]:
         """Joules attributed to each app id."""
-        return self._group_sum(self.packets.apps)
-
-    def energy_by_flow(self) -> Dict[int, float]:
-        """Joules attributed to each flow id (0 = unreconstructed)."""
-        return self._group_sum(self.packets.flows)
+        keys, totals = fold_totals(self.packets.apps, self.per_packet)
+        return dict(zip(keys.tolist(), totals.tolist()))
 
     def energy_by_app_state(self) -> Dict[Tuple[int, int], float]:
         """Joules per (app id, process-state value) pair.
 
         Requires packets to have been state-labelled first.
         """
-        apps = self.packets.apps.astype(np.int64)
-        states = self.packets.states.astype(np.int64)
-        if len(apps) == 0:
-            return {}
-        combined = apps * 256 + states
-        unique, inverse = np.unique(combined, return_inverse=True)
-        sums = np.bincount(inverse, weights=self.per_packet)
+        keys, totals = fold_totals(
+            self.packets.apps, self.per_packet, self.packets.states
+        )
         return {
-            (int(k) // 256, int(k) % 256): float(s)
-            for k, s in zip(unique, sums)
+            split_app_state(k): v
+            for k, v in zip(keys.tolist(), totals.tolist())
         }
-
-    def energy_in_range(self, start: float, end: float) -> float:
-        """Attributed joules for packets in ``[start, end)``."""
-        ts = self.packets.timestamps
-        mask = (ts >= start) & (ts < end)
-        return float(self.per_packet[mask].sum())
 
 
 def _apply_tail_policy(

@@ -4,7 +4,7 @@ The accumulation tier of the streaming stack, split out of
 ``stream.ingest`` so shard executors and mergers (:mod:`repro.shard`)
 can reuse it without importing the driver: one
 :class:`UserStreamAccumulator` per user carries the radio state and the
-:class:`~repro.core.readout.KeyedTotals` partials across chunks, and a
+:class:`~repro.keyed.KeyedTotals` partials across chunks, and a
 completed run's accumulators become a :class:`StreamResult` — a
 totals-tier :class:`~repro.core.readout.EnergyReadout` whose every
 reduction is bit-identical to the batch engine's.
@@ -17,14 +17,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.periodicity import DEFAULT_BURST_GAP
-from repro.core.readout import (
-    DEFAULT_FLOW_GAP,
-    KeyedTotals,
-    TotalsReadout,
-    UserTotalsView,
-    combined_app_state_keys,
-)
+from repro.core.readout import DEFAULT_FLOW_GAP, TotalsReadout, UserTotalsView
 from repro.errors import StreamError, TaskFailure
+from repro.keyed import KeyedTotals
 from repro.radio.attribution import TailPolicy
 from repro.radio.base import RadioModel
 from repro.radio.streaming import (
@@ -44,7 +39,7 @@ class UserStreamAccumulator:
     and the follower both call: the user's own
     :class:`~repro.radio.streaming.StreamingAttribution` settles the
     chunk, the settled packets fold into the
-    :class:`~repro.core.readout.KeyedTotals` partials and the raw chunk
+    :class:`~repro.keyed.KeyedTotals` partials and the raw chunk
     into the cadence tracker.
     """
 
@@ -94,10 +89,9 @@ class UserStreamAccumulator:
         self.done = True
 
     def _add(self, settled: FinalizedChunk) -> None:
-        keys = combined_app_state_keys(settled.apps, settled.states)
         self.energy.add(settled.apps, settled.per_packet)
-        self.app_state.add(keys, settled.per_packet)
-        self.bytes.add(keys, settled.sizes.astype(np.int64))
+        self.app_state.add(settled.apps, settled.per_packet, settled.states)
+        self.bytes.add(settled.apps, settled.sizes, settled.states)
 
     def _carry_payload(self) -> Optional[Dict[str, np.ndarray]]:
         """The carry as a checkpoint stores it: none before any packet."""
@@ -177,7 +171,7 @@ class UserStreamResult(UserTotalsView):
     """One user's finished streaming totals (grouped views).
 
     A :class:`~repro.core.readout.UserTotalsView` built from the
-    accumulator's finished :class:`~repro.core.readout.KeyedTotals` —
+    accumulator's finished :class:`~repro.keyed.KeyedTotals` —
     the identical view :meth:`StudyEnergy.user_totals
     <repro.core.accounting.StudyEnergy.user_totals>` derives from the
     batch arrays.

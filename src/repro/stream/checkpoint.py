@@ -40,6 +40,7 @@ from repro import durable
 from repro.core.periodicity import DEFAULT_BURST_GAP
 from repro.core.readout import DEFAULT_FLOW_GAP
 from repro.errors import StreamError
+from repro.keyed import APP_KEY_BOUND, APP_STATE_KEY_BOUND, key_defect
 from repro.radio.attribution import TailPolicy
 from repro.radio.base import RadioModel
 
@@ -51,6 +52,13 @@ PathLike = Union[str, Path]
 #: mean something else entirely, so older files are refused rather
 #: than misread.
 CHECKPOINT_FORMAT = 2
+
+#: Each user's keyed-total members: (keys, values, key bound) stems.
+TOTALS_MEMBERS = (
+    ("energy_keys", "energy_values", APP_KEY_BOUND),
+    ("state_keys", "state_values", APP_STATE_KEY_BOUND),
+    ("bytes_keys", "bytes_values", APP_STATE_KEY_BOUND),
+)
 
 #: The cadence tracker's fixed payload member names.
 CADENCE_MEMBERS = (
@@ -242,9 +250,12 @@ class StreamCheckpoint:
     def load(cls, path: PathLike) -> "StreamCheckpoint":
         """Read a checkpoint written by :meth:`save`.
 
-        A file that fails to parse or whose content checksum does not
-        match raises :class:`~repro.errors.StreamError` — never a
-        silently wrong checkpoint. A torn — or missing, as after a
+        A file that fails to parse, whose content checksum does not
+        match, or whose keyed-total members are not 1-D int64 keys,
+        strictly increasing, as long as their values and in range (see
+        :func:`~repro.keyed.key_defect`) raises
+        :class:`~repro.errors.StreamError` — never a silently wrong
+        checkpoint. A torn — or missing, as after a
         crash between :meth:`save`'s two renames — current file falls
         back to the ``.prev`` rotation when that one verifies; the
         returned object then has ``loaded_from_fallback`` set so
@@ -285,6 +296,17 @@ class StreamCheckpoint:
             users = []
             for entry in header["users"]:
                 uid = int(entry["user_id"])
+                for keys, values, bound in TOTALS_MEMBERS:
+                    defect = key_defect(
+                        members[f"{keys}_{uid}"],
+                        members[f"{values}_{uid}"],
+                        bound,
+                    )
+                    if defect is not None:
+                        raise StreamError(
+                            f"checkpoint {path}: member {keys}_{uid}: "
+                            f"{defect}"
+                        )
                 carry = None
                 if entry["has_carry"]:
                     carry = {

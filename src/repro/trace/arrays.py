@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import TraceError
+from repro.keyed import fold_totals
 from repro.trace.packet import Direction, Packet
 from repro.trace.events import ProcessState
 
@@ -222,14 +223,9 @@ class PacketArray:
         return int(self.sizes.sum()) if len(self) else 0
 
     def bytes_by_app(self) -> dict:
-        """Mapping of app id -> total bytes."""
-        if len(self) == 0:
-            return {}
-        apps = self.apps
-        sizes = self.sizes.astype(np.int64)
-        unique, inverse = np.unique(apps, return_inverse=True)
-        sums = np.bincount(inverse, weights=sizes)
-        return {int(a): int(s) for a, s in zip(unique, sums)}
+        """Mapping of app id -> total bytes (exact integers)."""
+        keys, totals = fold_totals(self.apps, self.sizes.astype(np.int64))
+        return dict(zip(keys.tolist(), totals.tolist()))
 
     def duration(self) -> float:
         """Time span between first and last packet (0 when < 2 packets)."""

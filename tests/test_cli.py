@@ -481,3 +481,31 @@ def test_cli_policies_run_on_an_imported_study(tmp_path, capsys):
         assert code == 0
         # Weibo never appears in these files; the accuweather widget does.
         assert "weibo" not in out and "accuweather" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["report"], ["table", "2"]],
+    ids=["report", "table2"],
+)
+def test_table2_skips_apps_without_energy(argv, capsys):
+    """Weibo has no energy in this small study; Table 2 breaks out only
+    the apps that do, instead of failing on the first that does not."""
+    code, out = run(capsys, *argv, "--users", "3", "--days", "5", "--seed", "17")
+    assert code == 0
+    assert "Table 2: preemptively killing idle background apps" in out
+    assert "weibo" not in out.split("Table 2")[-1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["report"], ["table", "2"]],
+    ids=["report", "table2"],
+)
+def test_table2_runs_on_an_imported_study(argv, tmp_path, capsys):
+    """An imported study registers only the apps its files name."""
+    study = _imported_study_without_screen_events(tmp_path)
+    capsys.readouterr()
+    code, out = run(capsys, *argv, "--dataset", study)
+    assert code == 0
+    assert "Table 2" in out

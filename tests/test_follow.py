@@ -191,6 +191,37 @@ def test_ring_fold_bit_identical_to_fresh_recompute(seed):
     assert ring.evictions > 0  # the property exercised eviction
 
 
+@pytest.mark.parametrize(
+    "tag, keys, defect",
+    [
+        ("e", [-2], "outside"),
+        ("s", [65536 * 256], "outside"),
+        ("y", [7, 7], "strictly increasing"),
+    ],
+)
+def test_ring_payload_with_bad_keys_is_refused(tag, keys, defect):
+    """A window ring's saved key arrays pass the checkpoint's key
+    checks, or the ring refuses them with a FollowError naming the
+    array."""
+    ring = WindowRing(WindowSpec("w", 40, 10))
+    ring.ingest(
+        1,
+        np.array([1.0, 2.0]),
+        np.array([3, 4]),
+        np.array([0, 1]),
+        np.array([100, 200]),
+        np.array([0.5, 0.25]),
+    )
+    meta, arrays = ring.payload("w0")
+    stem = "w0_b0_u1"
+    arrays[f"{stem}_{tag}k"] = np.array(keys, dtype=np.int64)
+    arrays[f"{stem}_{tag}v"] = np.zeros(
+        len(keys), np.int64 if tag == "y" else np.float64
+    )
+    with pytest.raises(FollowError, match=f"{stem}_{tag}k: .*{defect}"):
+        WindowRing.from_payload(meta, arrays, "w0")
+
+
 def test_fold_digest_moves_with_the_fold():
     spec = WindowSpec("w", 40, 10)
     ring = WindowRing(spec)

@@ -1,0 +1,312 @@
+"""The keyed fold, against frozen copies of the group-bys it replaced.
+
+Per-app and per-(app, state) totals were once computed in four places
+as ``np.unique(keys, return_inverse=True)`` followed by
+``np.bincount`` (float) or ``np.add.at`` (int64):
+``AttributionResult._group_sum`` and ``energy_by_app_state``,
+``KeyedTotals.add`` and ``PacketArray.bytes_by_app``. The references
+below are those copies. :func:`repro.keyed.fold_totals` and every
+caller of it must give the same keys and the same value bits on any
+input: app ids 0 and 65,535, every process state plus the unlabelled
+sentinel and a label outside ``ProcessState``, repeated keys, zero
+weights, empty chunks, sizes up to ``2**32 - 1``, and running totals
+carried across random chunk splits.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.keyed import KeyedTotals, fold_totals
+from repro.radio.attribution import attribute_energy
+from repro.radio.lte import LTE_DEFAULT
+from repro.trace.arrays import PACKET_DTYPE, STATE_UNLABELLED, PacketArray
+from repro.trace.events import ProcessState
+from repro.trace.packet import Direction
+
+
+# ----------------------------------------------------------------------
+# Frozen references: the group-bys as they were before the keyed fold.
+# ----------------------------------------------------------------------
+def reference_group_sum(keys, weights):
+    """``AttributionResult._group_sum`` as arrays."""
+    if len(keys) == 0:
+        return np.empty(0, np.int64), np.empty(0, np.float64)
+    unique, inverse = np.unique(keys, return_inverse=True)
+    return unique.astype(np.int64), np.bincount(inverse, weights=weights)
+
+
+def reference_app_state_sum(apps, states, weights):
+    """``AttributionResult.energy_by_app_state`` as arrays."""
+    combined = apps.astype(np.int64) * 256 + states.astype(np.int64)
+    return reference_group_sum(combined, weights)
+
+
+def reference_keyed_add(carry, keys, amounts, dtype):
+    """``KeyedTotals.add``: the carry as leading entries, then
+    ``np.unique`` + ``np.bincount`` (float64) or ``np.add.at`` (int64)."""
+    if len(keys) == 0:
+        return carry
+    all_keys = np.concatenate([carry[0], np.asarray(keys, np.int64)])
+    all_amounts = np.concatenate([carry[1], np.asarray(amounts, dtype)])
+    uniq, inverse = np.unique(all_keys, return_inverse=True)
+    if np.dtype(dtype) == np.dtype(np.float64):
+        sums = np.bincount(inverse, weights=all_amounts, minlength=len(uniq))
+    else:
+        sums = np.zeros(len(uniq), dtype=np.int64)
+        np.add.at(sums, inverse, all_amounts)
+    return uniq, sums
+
+
+def reference_bytes_by_app(apps, sizes):
+    """Per-app byte totals, exact: ``np.unique`` + ``np.add.at``."""
+    if len(apps) == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    unique, inverse = np.unique(apps, return_inverse=True)
+    sums = np.zeros(len(unique), np.int64)
+    np.add.at(sums, inverse, sizes.astype(np.int64))
+    return unique.astype(np.int64), sums
+
+
+def assert_same_totals(got, want):
+    """Same keys, same dtype, same value bits."""
+    got_keys, got_values = got
+    want_keys, want_values = want
+    assert got_keys.dtype == np.int64
+    assert np.array_equal(got_keys, want_keys)
+    assert got_values.dtype == want_values.dtype
+    assert np.array_equal(
+        got_values.view(np.int64), want_values.view(np.int64)
+    )
+
+
+def dict_arrays(totals, dtype):
+    """A ``{key: value}`` dict as (keys, values) arrays, in dict order."""
+    keys = np.array(list(totals), dtype=np.int64)
+    values = np.array(list(totals.values()), dtype=dtype)
+    return keys, values
+
+
+# ----------------------------------------------------------------------
+# Inputs
+# ----------------------------------------------------------------------
+STATE_LABELS = sorted(
+    {int(s) for s in ProcessState} | {STATE_UNLABELLED, 7}
+)
+APP_IDS = st.one_of(
+    st.sampled_from([0, 1, 43, 339, 65534, 65535]),
+    st.integers(0, 65535),
+)
+ENERGIES = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1e-16, 0.1, 1.0, 3.0]),
+    st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False),
+)
+SIZES = st.one_of(st.sampled_from([1, 2**32 - 1]), st.integers(1, 2**32 - 1))
+
+
+@st.composite
+def keyed_rows(draw, max_rows=48):
+    """(apps uint16, states uint8, energies, sizes int64, chunk cuts).
+
+    Apps come from a small pool so keys repeat; cuts may coincide, so
+    chunks may be empty.
+    """
+    n = draw(st.integers(0, max_rows))
+    pool = draw(st.lists(APP_IDS, min_size=1, max_size=4))
+    apps = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    states = draw(
+        st.lists(st.sampled_from(STATE_LABELS), min_size=n, max_size=n)
+    )
+    energies = draw(st.lists(ENERGIES, min_size=n, max_size=n))
+    sizes = draw(st.lists(SIZES, min_size=n, max_size=n))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=6)))
+    return (
+        np.array(apps, np.uint16),
+        np.array(states, np.uint8),
+        np.array(energies, np.float64),
+        np.array(sizes, np.int64),
+        cuts,
+    )
+
+
+def chunks_of(cuts, n):
+    bounds = [0, *cuts, n]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+#: The collision a naive ``app * 6 + state`` key makes:
+#: (app 1, state 255) and (app 43, state 3) both map to 261.
+NAIVE_COLLISION = (
+    np.array([1, 43, 1, 43], np.uint16),
+    np.array([255, 3, 255, 3], np.uint8),
+    np.array([0.5, 1.5, 2.5, 3.5]),
+    np.array([10, 20, 30, 40], np.int64),
+    [2],
+)
+
+#: A carry that must enter first: (1.0 + 1e-16) + 1e-16 == 1.0, while
+#: 1.0 + (1e-16 + 1e-16) rounds up to the next float.
+CARRY_FIRST = (
+    np.array([5, 5, 5], np.uint16),
+    np.array([2, 2, 2], np.uint8),
+    np.array([1.0, 1e-16, 1e-16]),
+    np.array([1, 2, 3], np.int64),
+    [1],
+)
+
+
+# ----------------------------------------------------------------------
+# One fold over a whole input
+# ----------------------------------------------------------------------
+@settings(max_examples=150, deadline=None)
+@given(rows=keyed_rows())
+@example(rows=NAIVE_COLLISION)
+def test_fold_by_app_matches_unique(rows):
+    apps, _, energies, sizes, _ = rows
+    assert_same_totals(
+        fold_totals(apps, energies), reference_group_sum(apps, energies)
+    )
+    assert_same_totals(
+        fold_totals(apps, sizes), reference_bytes_by_app(apps, sizes)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=keyed_rows())
+@example(rows=NAIVE_COLLISION)
+def test_fold_by_app_state_matches_unique(rows):
+    apps, states, energies, _, _ = rows
+    assert_same_totals(
+        fold_totals(apps, energies, states),
+        reference_app_state_sum(apps, states, energies),
+    )
+
+
+def _packets(apps, states, sizes):
+    """A time-ordered trace of the rows, one packet every 7.5 s."""
+    data = np.zeros(len(apps), dtype=PACKET_DTYPE)
+    data["timestamp"] = np.arange(len(apps), dtype=np.float64) * 7.5
+    data["size"] = sizes
+    data["direction"] = int(Direction.DOWNLINK)
+    data["app"] = apps
+    data["state"] = states
+    return PacketArray(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=keyed_rows())
+@example(rows=NAIVE_COLLISION)
+def test_attribution_and_packet_views_match_unique(rows):
+    apps, states, _, sizes, _ = rows
+    packets = _packets(apps, states, sizes)
+    result = attribute_energy(
+        LTE_DEFAULT, packets, window=(0.0, 7.5 * len(apps) + 60.0)
+    )
+    per_packet = result.per_packet
+    assert_same_totals(
+        dict_arrays(result.energy_by_app(), np.float64),
+        reference_group_sum(apps, per_packet),
+    )
+    by_app_state = result.energy_by_app_state()
+    want_keys, want_values = reference_app_state_sum(apps, states, per_packet)
+    assert list(by_app_state) == [
+        (int(k) // 256, int(k) % 256) for k in want_keys
+    ]
+    assert np.array_equal(
+        np.array(list(by_app_state.values()), np.float64).view(np.int64),
+        want_values.view(np.int64),
+    )
+    bytes_by_app = packets.bytes_by_app()
+    assert all(type(v) is int for v in bytes_by_app.values())
+    assert_same_totals(
+        dict_arrays(bytes_by_app, np.int64),
+        reference_bytes_by_app(apps, sizes),
+    )
+
+
+# ----------------------------------------------------------------------
+# Running totals carried across chunks
+# ----------------------------------------------------------------------
+@settings(max_examples=150, deadline=None)
+@given(rows=keyed_rows())
+@example(rows=NAIVE_COLLISION)
+@example(rows=CARRY_FIRST)
+def test_keyed_totals_carry_across_chunks(rows):
+    """``KeyedTotals.add`` chunk by chunk equals the frozen carry-first
+    fold chunk by chunk, and both equal one fold of the whole input:
+    the contract that makes stream totals bit-identical to batch."""
+    apps, states, energies, sizes, cuts = rows
+    combined = apps.astype(np.int64) * 256 + states.astype(np.int64)
+    energy = KeyedTotals()
+    app_state = KeyedTotals()
+    byte_totals = KeyedTotals(dtype=np.int64)
+    empty_f = (np.empty(0, np.int64), np.empty(0, np.float64))
+    empty_i = (np.empty(0, np.int64), np.empty(0, np.int64))
+    want_energy, want_state, want_bytes = empty_f, empty_f, empty_i
+    for lo, hi in chunks_of(cuts, len(apps)):
+        energy.add(apps[lo:hi], energies[lo:hi])
+        app_state.add(apps[lo:hi], energies[lo:hi], states[lo:hi])
+        byte_totals.add(apps[lo:hi], sizes[lo:hi], states[lo:hi])
+        want_energy = reference_keyed_add(
+            want_energy, apps[lo:hi], energies[lo:hi], np.float64
+        )
+        want_state = reference_keyed_add(
+            want_state, combined[lo:hi], energies[lo:hi], np.float64
+        )
+        want_bytes = reference_keyed_add(
+            want_bytes, combined[lo:hi], sizes[lo:hi], np.int64
+        )
+    assert_same_totals(energy.payload(), want_energy)
+    assert_same_totals(app_state.payload(), want_state)
+    assert_same_totals(byte_totals.payload(), want_bytes)
+    assert_same_totals(energy.payload(), reference_group_sum(apps, energies))
+    assert_same_totals(
+        app_state.payload(), reference_app_state_sum(apps, states, energies)
+    )
+    assert list(app_state.as_dict()) == want_state[0].tolist()
+
+
+def test_carry_enters_first():
+    """The running total is the first addend of its key, not added to
+    the chunk's own sum afterwards."""
+    totals = KeyedTotals()
+    totals.add(np.array([5]), np.array([1.0]), np.array([2]))
+    totals.add(np.array([5, 5]), np.array([1e-16, 1e-16]), np.array([2, 2]))
+    assert totals.as_dict() == {5 * 256 + 2: 1.0}
+
+
+def test_app_state_keys_never_merge():
+    """A naive dense ``app * 6 + state`` key merges (1, 255) into
+    (43, 3); the fold keeps every (app, state) pair apart."""
+    apps, states, energies, _, _ = NAIVE_COLLISION
+    keys, totals = fold_totals(apps, energies, states)
+    assert keys.tolist() == [1 * 256 + 255, 43 * 256 + 3]
+    assert totals.tolist() == [3.0, 5.0]
+
+
+def test_zero_energy_key_is_present():
+    keys, totals = fold_totals(
+        np.array([3, 9], np.uint16), np.array([0.0, 2.0])
+    )
+    assert keys.tolist() == [3, 9]
+    assert totals.tolist() == [0.0, 2.0]
+
+
+def test_empty_chunk_leaves_totals_alone():
+    totals = KeyedTotals(np.array([4], np.int64), np.array([1.5]))
+    totals.add(np.empty(0, np.uint16), np.empty(0), np.empty(0, np.uint8))
+    keys, values = totals.payload()
+    assert keys.tolist() == [4] and values.tolist() == [1.5]
+
+
+def test_per_packet_is_computed_once_and_read_only():
+    packets = _packets(
+        np.array([1, 2], np.uint16),
+        np.array([0, 1], np.uint8),
+        np.array([100, 200], np.int64),
+    )
+    result = attribute_energy(LTE_DEFAULT, packets, window=(0.0, 100.0))
+    assert result.per_packet is result.per_packet
+    with pytest.raises(ValueError):
+        result.per_packet[0] = 0.0

@@ -24,6 +24,10 @@ columnar arrays an ``EventLog`` holds.
 
 The fifth keeps process pools where they pay: only study generation,
 stream chunk rounds and shard execution import ``repro.parallel``.
+
+The sixth keeps keyed totals on the one fold: no module groups with
+``np.unique(..., return_inverse=True)``, an argsort per call that
+``repro.keyed`` replaces with ``np.bincount`` over dense keys.
 """
 
 from __future__ import annotations
@@ -392,4 +396,55 @@ def test_one_per_user_streaming_step():
     assert not offending, (
         "a streaming radio step outside repro.stream.accumulate — feed "
         "chunks through UserStreamAccumulator.feed:\n" + "\n".join(offending)
+    )
+
+
+#: What the sixth guard must catch: the group-by ``repro.keyed`` replaced.
+_PLANTED_UNIQUE_INVERSE = (
+    "uniq, inverse = np.unique(keys, return_inverse=True)\n"
+    "sums = np.bincount(inverse, weights=values)\n"
+)
+
+
+def _unique_inverse_calls(source, name):
+    """``unique`` calls that ask for the inverse (by keyword, or as the
+    third positional argument) and numpy's ``unique_inverse`` and
+    ``unique_all``, in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        called = getattr(func, "attr", None) or getattr(func, "id", None)
+        inverse = len(node.args) >= 3 or any(
+            kw.arg == "return_inverse"
+            and not (isinstance(kw.value, ast.Constant) and not kw.value.value)
+            for kw in node.keywords
+        )
+        if called in ("unique_inverse", "unique_all") or (
+            called == "unique" and inverse
+        ):
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_no_unique_inverse_group_bys():
+    """Per-app and per-(app, state) totals were once four copies of
+    ``np.unique(keys, return_inverse=True)`` plus ``np.bincount``; the
+    argsort inside was report-policy's largest single cost. Every
+    keyed total now goes through :func:`repro.keyed.fold_totals`."""
+    assert _unique_inverse_calls(_PLANTED_UNIQUE_INVERSE, "planted"), (
+        "guard matches nothing"
+    )
+    offending = [
+        hit
+        for path in sorted(SRC.rglob("*.py"))
+        for hit in _unique_inverse_calls(
+            path.read_text(), str(path.relative_to(SRC))
+        )
+    ]
+    assert not offending, (
+        "np.unique(..., return_inverse=True) in src/repro — fold keyed "
+        "totals with repro.keyed.fold_totals or KeyedTotals:\n"
+        + "\n".join(offending)
     )

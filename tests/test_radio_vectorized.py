@@ -36,16 +36,6 @@ def test_attribution_conservation(packets_two_apps):
     )
 
 
-def test_attribution_by_flow(packets_two_apps):
-    from repro.trace.flow import reconstruct_flows
-
-    reconstruct_flows(packets_two_apps)
-    result = attribute_energy(LTE_DEFAULT, packets_two_apps, window=(0.0, 200.0))
-    by_flow = result.energy_by_flow()
-    assert set(by_flow) == {1, 2}
-    assert sum(by_flow.values()) == pytest.approx(result.attributed_energy)
-
-
 def test_attribution_by_app_state(packets_two_apps):
     packets_two_apps.data["state"] = int(ProcessState.SERVICE)
     packets_two_apps.data["state"][0] = int(ProcessState.FOREGROUND)
@@ -85,13 +75,6 @@ def test_split_adjacent_moves_half_inner_tail():
     assert last.tail[0] == pytest.approx(5.0)
     assert split.tail[0] == pytest.approx(2.5)
     assert split.tail[1] == pytest.approx(10.0 + 2.5)
-
-
-def test_energy_in_range(packets_two_apps):
-    result = attribute_energy(LTE_DEFAULT, packets_two_apps, window=(0.0, 200.0))
-    early = result.energy_in_range(0.0, 50.0)
-    late = result.energy_in_range(50.0, 200.0)
-    assert early + late == pytest.approx(result.attributed_energy)
 
 
 class TestNrModel:

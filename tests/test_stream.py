@@ -600,6 +600,46 @@ def test_checkpoint_truncated_at_every_byte(tmp_path):
     _assert_checkpoints_equal(StreamCheckpoint.load(target), original)
 
 
+@pytest.mark.parametrize(
+    "member, keys, values, defect",
+    [
+        ("energy_keys", [-1, 5], [1.5, 2.5], "outside"),
+        ("energy_keys", [3, 65536], [1.5, 2.5], "outside"),
+        ("state_keys", [0, 65536 * 256], [1.5, 2.5], "outside"),
+        ("energy_keys", [5, 3], [1.5, 2.5], "strictly increasing"),
+        ("bytes_keys", [3, 3], [1, 2], "strictly increasing"),
+        ("energy_keys", [3.0, 5.0], [1.5, 2.5], "not 1-D int64"),
+        ("energy_keys", [[3, 5]], [[1.5, 2.5]], "not 1-D int64"),
+        ("state_keys", [3, 5], [1.5], "keys for values"),
+    ],
+)
+def test_checkpoint_with_bad_keys_is_refused(tmp_path, member, keys, values, defect):
+    """Keyed totals fold by indexing with their keys, so a saved key
+    array must be 1-D int64, strictly increasing, as long as its values
+    and in range. A checkpoint that breaks that, even one whose
+    checksum is valid, is a StreamError naming the member."""
+    checkpoint = _tiny_checkpoint()
+    user = checkpoint.users[0]
+    dtype = np.int64 if member == "bytes_keys" else np.float64
+    setattr(user, member, np.array(keys))
+    setattr(user, member.replace("_keys", "_values"), np.array(values, dtype))
+    path = tmp_path / "bad.ckpt.npz"
+    checkpoint.save(path)
+    with pytest.raises(StreamError, match=f"member {member}_1: .*{defect}"):
+        StreamCheckpoint.load(path)
+
+
+def test_checkpoint_keys_at_the_bounds_load(tmp_path):
+    checkpoint = _tiny_checkpoint()
+    user = checkpoint.users[0]
+    user.energy_keys = np.array([0, 65535], dtype=np.int64)
+    user.state_keys = np.array([0, 65536 * 256 - 1], dtype=np.int64)
+    user.state_values = np.array([0.0, 1.0])
+    path = tmp_path / "edge.ckpt.npz"
+    checkpoint.save(path)
+    _assert_checkpoints_equal(StreamCheckpoint.load(path), checkpoint)
+
+
 def test_torn_checkpoint_falls_back_to_previous(tmp_path):
     from repro.durable import previous_path
 
