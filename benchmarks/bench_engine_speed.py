@@ -1,9 +1,9 @@
 """Throughput micro-benchmarks of the core engines.
 
-Not a paper artefact — these track that the vectorised energy engine,
-flow reconstruction and state labelling stay fast enough to run the
-full 623-day study, quantify the speedup over the event-driven
-reference machine, and measure the
+Not a paper artefact — these track that the numpy energy engine
+(``attribute_energy``), flow reconstruction and state labelling stay
+fast enough to run the full 623-day study, quantify the speedup over
+the event-driven reference machine, and measure the
 :class:`~repro.core.accounting.StudyEnergy` engine eager and lazy.
 """
 
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import RunMetrics, StudyEnergy
-from repro.radio import LTE_DEFAULT, RadioStateMachine, compute_packet_energy
+from repro.radio import LTE_DEFAULT, RadioStateMachine, attribute_energy
 from repro.trace.arrays import PacketArray
 from repro.trace.dataset import AppInfo, AppRegistry, Dataset
 from repro.trace.events import EventLog
@@ -40,7 +40,7 @@ def packets():
 
 
 def test_vectorized_energy_throughput(benchmark, packets):
-    result = benchmark(compute_packet_energy, LTE_DEFAULT, packets)
+    result = benchmark(attribute_energy, LTE_DEFAULT, packets)
     benchmark.extra_info["packets"] = len(packets)
     assert result.total_energy > 0
 
@@ -64,8 +64,11 @@ def test_engines_agree_at_scale(packets):
     machine = RadioStateMachine(LTE_DEFAULT).simulate(
         packets[: 30_000], record_intervals=False
     )
-    vector = compute_packet_energy(LTE_DEFAULT, packets[: 30_000])
+    vector = attribute_energy(LTE_DEFAULT, packets[: 30_000])
     np.testing.assert_allclose(machine.per_packet, vector.per_packet, rtol=1e-9)
+    assert abs(machine.idle_energy - vector.idle_energy) <= 1e-9 * max(
+        1.0, machine.idle_energy
+    )
 
 
 def test_generation_throughput(benchmark):

@@ -13,10 +13,12 @@
 # property/differential layer (docs/POLICIES.md;
 # tests/test_policy_transforms.py pins the policy transforms to their
 # frozen per-burst/per-packet/per-day loops, tests/test_cadence.py the
-# streaming cadence tracker to its frozen per-group reference, and
+# streaming cadence tracker to its frozen per-group reference,
 # tests/test_keyed_fold.py the keyed fold to its frozen np.unique
-# group-bys), and the file protocol every checkpoint, manifest, blob
-# and saved dataset goes through.
+# group-bys, and tests/test_radio_agreement.py the one radio kernel,
+# whole-trace and streamed, to the frozen batch engine in
+# tests/radio_reference.py), and the file protocol every checkpoint,
+# manifest, blob and saved dataset goes through.
 # Needs pytest-cov; skipped (exit 0, with a note) where it is not
 # installed, so plain containers stay green.
 set -e
@@ -37,6 +39,7 @@ if [ "$1" = "--cov" ]; then
         --cov-report=term-missing --cov-fail-under=90 \
         tests/test_policy_properties.py tests/test_policy_transforms.py \
         tests/test_core_whatif.py \
+        tests/radio_reference.py \
         tests/test_radio_agreement.py tests/test_radio_vectorized.py \
         tests/test_radio_machine.py tests/test_stream.py \
         tests/test_durable.py tests/test_store.py \

@@ -249,7 +249,7 @@ class StudyEnergy:
             result.energy_by_app(),
             app_state.as_dict(),
             bytes_state.as_dict(),
-            result.energy.idle_energy,
+            result.idle_energy,
         )
         self._user_totals[user_id] = view
         return view
@@ -300,7 +300,7 @@ class StudyEnergy:
     @property
     def idle_energy(self) -> float:
         """Unattributed idle-floor energy over all users, joules."""
-        return sum(r.energy.idle_energy for r in self._iter_results())
+        return sum(r.idle_energy for r in self._iter_results())
 
     def energy_by_app(self) -> Dict[int, float]:
         """Joules per app id, summed over users (memoized).

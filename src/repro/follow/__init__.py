@@ -23,7 +23,6 @@ from repro.follow.follower import (
     LIVE_MANIFEST,
     Follower,
     live_manifest_path,
-    settled_timestamps,
 )
 from repro.follow.headlines import HEADLINE_LOG_LIMIT, HeadlineEngine
 from repro.follow.sources import (
@@ -61,5 +60,4 @@ __all__ = [
     "fold_total_energy",
     "live_manifest_path",
     "parse_window_spec",
-    "settled_timestamps",
 ]

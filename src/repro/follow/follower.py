@@ -70,25 +70,6 @@ LIVE_MANIFEST = "live.json"
 FOLLOW_FORMAT = 1
 
 
-def settled_timestamps(
-    chunk_timestamps: np.ndarray, had_pending: bool, pending_ts: float
-) -> np.ndarray:
-    """Timestamps of the packets one ``feed(chunk)`` settles.
-
-    :class:`~repro.radio.streaming.FinalizedChunk` deliberately carries
-    no timestamps (totals never needed them); windowing does. The
-    settled packets of a feed are exactly: the carried pending packet
-    (when there was one), then the chunk's own packets except its last
-    — so their timestamps are reconstructible from the pre-feed carry
-    and the chunk alone, which a property test pins against any
-    chunking.
-    """
-    ts = np.asarray(chunk_timestamps, np.float64)
-    if had_pending:
-        return np.concatenate([[pending_ts], ts[:-1]])
-    return ts[:-1]
-
-
 def live_manifest_path(store_directory) -> Path:
     """Where the live-window manifest lives inside a store directory."""
     return Path(store_directory) / LIVE_MANIFEST
@@ -294,17 +275,12 @@ class Follower:
         self, uid: int, chunk: PacketArray, snapshot: dict
     ) -> None:
         acc = self._accumulator_for(uid)
-        had_pending = acc.radio.carry.n_packets > 0
-        pending_ts = acc.radio.carry.pending_ts
         with self.metrics.stage("follow.attribute"):
             settled = acc.feed(chunk)
-            ts = settled_timestamps(
-                chunk.timestamps, had_pending, pending_ts
-            )
             for ring in self.rings.values():
                 ring.ingest(
                     uid,
-                    ts,
+                    settled.timestamps,
                     settled.apps,
                     settled.states,
                     settled.sizes,

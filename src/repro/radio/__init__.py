@@ -10,13 +10,14 @@ Two engines compute energy from packet timelines:
 
 * :mod:`repro.radio.machine` -- an exact event-driven state machine that
   also produces a state-interval log (used for Fig 4-style timelines and
-  in-lab experiments);
-* :mod:`repro.radio.vectorized` -- a numpy implementation for
-  million-packet traces, property-tested to agree with the machine.
-
-:mod:`repro.radio.attribution` applies the paper's per-app attribution
-rule: transfer energy per packet, tail energy to the last packet before
-the tail, promotion energy to the packet that triggered it.
+  in-lab experiments), and the independent scalar reference;
+* :mod:`repro.radio.attribution` -- the numpy engine for
+  million-packet traces, property-tested to agree with the machine. It
+  applies the paper's per-app attribution rule: transfer energy per
+  packet, tail energy to the last packet before the tail, promotion
+  energy to the packet that triggered it. Whole traces go through
+  :func:`~repro.radio.attribution.attribute_energy`, chunked streams
+  through :mod:`repro.radio.streaming`, and both call one kernel.
 """
 
 from repro.radio.base import (
@@ -37,7 +38,6 @@ from repro.radio.streaming import (
     RadioCarry,
     StreamingAttribution,
 )
-from repro.radio.vectorized import PacketEnergy, blocked_sum, compute_packet_energy
 from repro.radio.attribution import AttributionResult, TailPolicy, attribute_energy
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "FinalizedChunk",
     "LTE_DEFAULT",
     "NR_DEFAULT",
-    "PacketEnergy",
     "RadioCarry",
     "RadioInterval",
     "RadioModel",
@@ -59,10 +58,8 @@ __all__ = [
     "WIFI_DEFAULT",
     "attribute_energy",
     "available_models",
-    "blocked_sum",
     "energy_per_byte_from_throughput_curve",
     "get_model",
-    "compute_packet_energy",
     "lte_fast_dormancy_model",
     "lte_model",
     "nr_model",

@@ -1,15 +1,16 @@
 """Event-driven radio state-machine simulator.
 
-The reference energy engine: walks a time-sorted packet sequence through
-the radio model's state machine, producing
+The independent scalar reference engine: walks a time-sorted packet
+sequence through the radio model's state machine, one packet at a time,
+producing
 
 * per-packet energy components (transfer, tail, promotion),
 * unattributed idle energy, and
 * a :class:`~repro.radio.base.RadioInterval` log of the radio's power
   timeline (used for Fig 4-style visualisations and the in-lab harness).
 
-Semantics (shared exactly with :mod:`repro.radio.vectorized`, which the
-property tests enforce):
+Semantics (shared exactly with the numpy engine in
+:mod:`repro.radio.attribution`, which the property tests enforce):
 
 * a packet arriving more than ``tail_duration`` after the previous one
   (or the first packet) triggers a full promotion, charged to it;

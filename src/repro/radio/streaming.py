@@ -2,25 +2,26 @@
 
 :class:`StreamingAttribution` consumes one device's time-ordered packet
 stream in bounded chunks and emits, for every packet whose radio fate
-is settled, the exact energy the batch engine
-(:func:`~repro.radio.vectorized.compute_packet_energy` +
-:func:`~repro.radio.attribution.attribute_energy`) would attribute to
-it — bit for bit, for any chunk size.
+is settled, the exact energy
+:func:`~repro.radio.attribution.attribute_energy` attributes to it over
+the whole trace — bit for bit, for any chunk size. Both call the one
+kernel, :func:`~repro.radio.attribution.settle_packets`, and the one
+idle fold, :func:`~repro.radio.attribution.fold_idle`.
 
-The trick is that only one packet is ever undecided: a packet's
-transfer and promotion energy are fixed the moment it arrives (they
-depend on the gap *before* it), while its tail energy depends on the
-gap *after* it. So the carry between chunks — :class:`RadioCarry` — is
-a single pending packet plus a handful of accumulators:
+Only one packet is ever undecided: a packet's transfer and promotion
+energy are fixed the moment it arrives (they depend on the gap *before*
+it), while its tail energy depends on the gap *after* it. So the carry
+between chunks — :class:`RadioCarry` — is a single pending packet plus
+a handful of accumulators:
 
 * the pending packet's timestamp, app, state, transfer and promotion;
 * half the raw tail of the packet before it (what
   :attr:`~repro.radio.attribution.TailPolicy.SPLIT_ADJACENT` shifts
   forward across the boundary);
-* the idle-time accumulator, buffered to the same absolute
-  :data:`~repro.radio.vectorized.SUM_BLOCK` boundaries the batch
-  engine's :func:`~repro.radio.vectorized.blocked_sum` uses, so the
-  float additions happen in the identical order.
+* the idle-time fold: the complete
+  :data:`~repro.radio.attribution.SUM_BLOCK` blocks' sum and the
+  values of the incomplete block, at block boundaries counted from the
+  stream's first gap, so the float additions happen in the one order.
 
 The carry serialises to a small payload of plain numpy arrays
 (:meth:`RadioCarry.to_payload`), which is what
@@ -36,13 +37,20 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import StreamError, TraceError
-from repro.radio.attribution import TailPolicy
-from repro.radio.base import RadioModel
-from repro.radio.vectorized import (
+from repro.radio.attribution import (
     SUM_BLOCK,
+    TailPolicy,
+    fold_idle,
+    inner_idle,
+    lead_in_idle,
+    promotion_energy,
+    settle_packets,
+    trace_idle_energy,
     transfer_energy_vector,
+    window_idle_energy,
 )
-from repro.trace.arrays import PacketArray
+from repro.radio.base import RadioModel
+from repro.trace.arrays import PACKET_DTYPE, PacketArray
 
 _EMPTY_F8 = np.empty(0, dtype=np.float64)
 
@@ -51,7 +59,7 @@ _EMPTY_F8 = np.empty(0, dtype=np.float64)
 class RadioCarry:
     """Everything the radio simulation needs across a chunk boundary."""
 
-    #: Simulation window ``(w0, w1)`` — the batch engine's ``window``.
+    #: Simulation window ``(w0, w1)`` — ``attribute_energy``'s ``window``.
     window: Tuple[float, float]
     #: Packets consumed so far (including the pending one).
     n_packets: int = 0
@@ -67,7 +75,7 @@ class RadioCarry:
     prev_half_tail: float = 0.0
     #: ``max(ts0 - promotion_duration - w0, 0)`` — fixed by packet one.
     lead_in_idle: float = 0.0
-    #: Completed-block part of the inner-gap idle time (blocked_sum fold).
+    #: Completed-block part of the inner-gap idle time (the idle fold).
     idle_acc: float = 0.0
     #: Inner-gap idle values of the current, incomplete block.
     idle_buffer: np.ndarray = field(default_factory=lambda: _EMPTY_F8.copy())
@@ -121,13 +129,64 @@ class RadioCarry:
         )
 
 
+def carry_defect(
+    payload: Dict[str, np.ndarray]
+) -> Optional[Tuple[str, str]]:
+    """Why ``payload`` is not a saved :class:`RadioCarry`, as
+    ``(member, defect)``, or ``None``.
+
+    A saved carry has 8 finite float64 ``floats``, 4 int64 ``ints``
+    with at least one packet consumed and the pending packet's app,
+    state and size inside the packet record's ranges, and a finite
+    float64 ``idle_buffer`` holding the incomplete idle block: after
+    ``n_packets`` packets, ``n_packets - 1`` inner gaps went into the
+    fold, so exactly ``(n_packets - 1) % SUM_BLOCK`` values.
+    """
+    floats, ints, idle = (
+        np.asarray(payload[name]) for name in ("floats", "ints", "idle_buffer")
+    )
+    if floats.dtype != np.float64 or floats.shape != (8,):
+        return "floats", (
+            f"{floats.dtype} of shape {floats.shape}, not 8 float64 values"
+        )
+    if not np.isfinite(floats).all():
+        return "floats", "values are not finite"
+    if ints.dtype != np.int64 or ints.shape != (4,):
+        return "ints", (
+            f"{ints.dtype} of shape {ints.shape}, not 4 int64 values"
+        )
+    n_packets = int(ints[0])
+    if n_packets < 1:
+        return "ints", f"n_packets is {n_packets}, not at least 1"
+    for name, value in zip(("app", "state", "size"), ints[1:].tolist()):
+        top = np.iinfo(PACKET_DTYPE[name]).max
+        if not 0 <= value <= top:
+            return "ints", f"pending {name} {value} outside [0, {top}]"
+    if idle.dtype != np.float64 or idle.ndim != 1:
+        return "idle_buffer", (
+            f"{idle.dtype} of shape {idle.shape}, not 1-D float64"
+        )
+    if not np.isfinite(idle).all():
+        return "idle_buffer", "values are not finite"
+    expected = (n_packets - 1) % SUM_BLOCK
+    if len(idle) != expected:
+        return "idle_buffer", (
+            f"{len(idle)} values after {n_packets} packets, not {expected}"
+        )
+    return None
+
+
 @dataclass
 class FinalizedChunk:
-    """Per-packet attribution of the packets settled by one feed."""
+    """Per-packet attribution of the packets settled by one feed.
 
-    apps: np.ndarray  # app ids, int64
-    states: np.ndarray  # process-state labels, int64
-    sizes: np.ndarray  # packet sizes, int64
+    The integer columns keep the packet record's dtypes.
+    """
+
+    timestamps: np.ndarray  # packet times, float64
+    apps: np.ndarray  # app ids
+    states: np.ndarray  # process-state labels
+    sizes: np.ndarray  # packet sizes
     per_packet: np.ndarray  # attributed joules under the policy, float64
 
     def __len__(self) -> int:
@@ -135,12 +194,19 @@ class FinalizedChunk:
 
     @classmethod
     def empty(cls) -> "FinalizedChunk":
+        none = PacketArray()
         return cls(
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
+            none.timestamps,
+            none.apps,
+            none.states,
+            none.sizes,
             _EMPTY_F8.copy(),
         )
+
+
+def _after_pending(value, column: np.ndarray) -> np.ndarray:
+    """The pending packet's ``value``, then ``column`` but its last row."""
+    return np.concatenate((np.array([value], column.dtype), column[:-1]))
 
 
 class StreamingAttribution:
@@ -151,9 +217,9 @@ class StreamingAttribution:
     pending packet). :meth:`finish` settles the pending packet against
     the window end and returns the unattributed idle energy. The
     concatenation of every :class:`FinalizedChunk` is bit-identical —
-    value by value — to the batch engine's policy-adjusted per-packet
-    attribution over the whole trace, and the finished idle energy is
-    bit-identical to its ``idle_energy``, for any chunk sizes.
+    value by value — to the batch per-packet attribution over the whole
+    trace, and the finished idle energy is bit-identical to its
+    ``idle_energy``, for any chunk sizes.
 
     Args:
         model: Radio power model.
@@ -207,154 +273,91 @@ class StreamingAttribution:
         w0, w1 = self.window
         if ts[0] < w0 or ts[-1] > w1:
             raise TraceError("packets outside the simulation window")
-        if carry.n_packets and ts[0] < carry.pending_ts:
+        first = carry.n_packets == 0
+        if not first and ts[0] < carry.pending_ts:
             raise StreamError(
                 f"chunk starts at {ts[0]} before pending packet at "
                 f"{carry.pending_ts}"
             )
 
         model = self.model
-        tail_d = model.tail_duration
+        # The settled run is the pending packet (if any) and every chunk
+        # packet but the last; ``gaps`` are the gaps after each of them,
+        # which are also the gaps before each chunk packet.
+        run_ts = ts if first else np.concatenate(([carry.pending_ts], ts))
+        gaps = np.diff(run_ts)
         transfer = transfer_energy_vector(model, chunk)
-        apps = chunk.apps.astype(np.int64)
-        states = chunk.states.astype(np.int64)
-        sizes = chunk.sizes.astype(np.int64)
-
-        if carry.n_packets == 0:
-            # First packets of the stream: fix the pre-trace idle lead-in
-            # and promote packet one, exactly as the batch engine does.
-            carry.lead_in_idle = max(
-                float(ts[0]) - model.promotion_duration - w0, 0.0
-            )
-            diffs = np.diff(ts)
-            promotion = np.empty(k, dtype=np.float64)
-            promotion[0] = model.promotion_energy
-            promotion[1:] = np.where(diffs > tail_d, model.promotion_energy, 0.0)
-            ext_ts = ts
-            ext_transfer = transfer
-            ext_promotion = promotion
-            ext_apps, ext_states, ext_sizes = apps, states, sizes
+        promotion = promotion_energy(model, gaps, first)
+        columns = (chunk.apps, chunk.states, chunk.sizes, transfer + promotion)
+        if first:
+            carry.lead_in_idle = lead_in_idle(model, ts[0], w0)
+            apps, states, sizes, fixed = (column[:-1] for column in columns)
         else:
-            ext_ts = np.concatenate(([carry.pending_ts], ts))
-            diffs = np.diff(ext_ts)
-            promotion = np.where(
-                diffs > tail_d, model.promotion_energy, 0.0
+            pending = (
+                carry.pending_app,
+                carry.pending_state,
+                carry.pending_size,
+                carry.pending_transfer + carry.pending_promotion,
             )
-            ext_transfer = np.concatenate(([carry.pending_transfer], transfer))
-            ext_promotion = np.concatenate(
-                ([carry.pending_promotion], promotion)
-            )
-            ext_apps = np.concatenate(([carry.pending_app], apps))
-            ext_states = np.concatenate(([carry.pending_state], states))
-            ext_sizes = np.concatenate(([carry.pending_size], sizes))
-
-        # ``diffs`` are the gaps after each settled packet — the batch
-        # engine's ``gaps[:-1]`` restricted to this chunk's span.
-        on_times = np.minimum(diffs, tail_d)
-        raw_tail = model.tail_energy_vector(on_times)
-        idle_inner = np.clip(
-            diffs - tail_d - model.promotion_duration, 0.0, None
+            apps, states, sizes, fixed = map(_after_pending, pending, columns)
+        per_packet, carry.prev_half_tail = settle_packets(
+            model, self.policy, gaps, fixed, carry.prev_half_tail, closes=False
         )
-        self._push_idle(idle_inner)
-
-        if self.policy == TailPolicy.SPLIT_ADJACENT:
-            half = raw_tail * 0.5
-            adjusted = raw_tail - half
-            if len(half):
-                prev_half = np.empty_like(half)
-                prev_half[0] = carry.prev_half_tail
-                prev_half[1:] = half[:-1]
-                adjusted = adjusted + prev_half
-                carry.prev_half_tail = float(half[-1])
-        else:
-            adjusted = raw_tail
-
-        settled = FinalizedChunk(
-            ext_apps[:-1],
-            ext_states[:-1],
-            ext_sizes[:-1],
-            (ext_transfer[:-1] + ext_promotion[:-1]) + adjusted,
+        carry.idle_acc, carry.idle_buffer = fold_idle(
+            carry.idle_acc, carry.idle_buffer, inner_idle(model, gaps)
         )
 
         carry.n_packets += k
-        carry.pending_ts = float(ext_ts[-1])
-        carry.pending_app = int(ext_apps[-1])
-        carry.pending_state = int(ext_states[-1])
-        carry.pending_size = int(ext_sizes[-1])
-        carry.pending_transfer = float(ext_transfer[-1])
-        carry.pending_promotion = float(ext_promotion[-1])
-        return settled
+        carry.pending_ts = float(ts[-1])
+        carry.pending_app = int(chunk.apps[-1])
+        carry.pending_state = int(chunk.states[-1])
+        carry.pending_size = int(chunk.sizes[-1])
+        carry.pending_transfer = float(transfer[-1])
+        carry.pending_promotion = float(promotion[-1])
+        return FinalizedChunk(run_ts[:-1], apps, states, sizes, per_packet)
 
     def finish(self) -> Tuple[FinalizedChunk, float]:
         """Settle the pending packet against the window end.
 
         Returns ``(last settled packet(s), idle_energy)``; idle energy
-        is the batch engine's unattributed idle floor, bit-identical.
+        is the whole-trace ``attribute_energy`` idle floor, bit for bit.
         """
         if self._finished:
             raise StreamError("finish() called twice")
         self._finished = True
         carry = self.carry
         model = self.model
-        w0, w1 = self.window
         if carry.n_packets == 0:
-            return FinalizedChunk.empty(), (w1 - w0) * model.idle_power
-
-        tail_d = model.tail_duration
-        trailing_gap = w1 - carry.pending_ts
-        raw_tail = model.tail_energy_vector(
-            np.minimum(np.array([trailing_gap]), tail_d)
-        )
-        if self.policy == TailPolicy.SPLIT_ADJACENT and carry.n_packets >= 2:
-            # The batch pass never halves the last packet's own tail; it
-            # only receives the forward half of its predecessor's.
-            adjusted = raw_tail + carry.prev_half_tail
-        else:
-            adjusted = raw_tail
-
-        settled = FinalizedChunk(
-            np.array([carry.pending_app], dtype=np.int64),
-            np.array([carry.pending_state], dtype=np.int64),
-            np.array([carry.pending_size], dtype=np.int64),
-            (
-                np.array([carry.pending_transfer])
-                + np.array([carry.pending_promotion])
+            return FinalizedChunk.empty(), window_idle_energy(
+                model, self.window
             )
-            + adjusted,
-        )
 
-        idle_acc = carry.idle_acc
-        if len(carry.idle_buffer):
-            idle_acc += float(carry.idle_buffer.sum())
-            carry.idle_buffer = _EMPTY_F8.copy()
-        carry.idle_acc = idle_acc
-        idle_time = carry.lead_in_idle + idle_acc
-        idle_time += max(trailing_gap - tail_d, 0.0)
-        return settled, idle_time * model.idle_power
+        trailing_gap = self.window[1] - carry.pending_ts
+        per_packet, _ = settle_packets(
+            model,
+            self.policy,
+            np.array([trailing_gap]),
+            np.array([carry.pending_transfer + carry.pending_promotion]),
+            carry.prev_half_tail,
+            closes=True,
+        )
+        settled = FinalizedChunk(
+            np.array([carry.pending_ts]),
+            np.array([carry.pending_app], PACKET_DTYPE["app"]),
+            np.array([carry.pending_state], PACKET_DTYPE["state"]),
+            np.array([carry.pending_size], PACKET_DTYPE["size"]),
+            per_packet,
+        )
+        idle = trace_idle_energy(
+            model,
+            carry.lead_in_idle,
+            carry.idle_acc,
+            carry.idle_buffer,
+            trailing_gap,
+        )
+        return settled, idle
 
     @property
     def finished(self) -> bool:
         """True once :meth:`finish` has run."""
         return self._finished
-
-    # ------------------------------------------------------------------
-    # Idle accumulation
-    # ------------------------------------------------------------------
-    def _push_idle(self, values: np.ndarray) -> None:
-        """Fold inner-gap idle values at absolute SUM_BLOCK boundaries.
-
-        The buffer always starts at a block boundary of the whole
-        stream's idle-gap sequence, so every ``float(block.sum())``
-        here sums exactly the values the batch engine's
-        :func:`~repro.radio.vectorized.blocked_sum` sums, in order.
-        """
-        carry = self.carry
-        buffer = (
-            np.concatenate([carry.idle_buffer, values])
-            if len(carry.idle_buffer)
-            else np.asarray(values, dtype=np.float64)
-        )
-        while len(buffer) >= SUM_BLOCK:
-            carry.idle_acc += float(buffer[:SUM_BLOCK].sum())
-            buffer = buffer[SUM_BLOCK:]
-        carry.idle_buffer = np.ascontiguousarray(buffer, dtype=np.float64)

@@ -43,6 +43,7 @@ from repro.errors import StreamError
 from repro.keyed import APP_KEY_BOUND, APP_STATE_KEY_BOUND, key_defect
 from repro.radio.attribution import TailPolicy
 from repro.radio.base import RadioModel
+from repro.radio.streaming import carry_defect
 
 PathLike = Union[str, Path]
 
@@ -251,11 +252,12 @@ class StreamCheckpoint:
         """Read a checkpoint written by :meth:`save`.
 
         A file that fails to parse, whose content checksum does not
-        match, or whose keyed-total members are not 1-D int64 keys,
+        match, whose keyed-total members are not 1-D int64 keys,
         strictly increasing, as long as their values and in range (see
-        :func:`~repro.keyed.key_defect`) raises
-        :class:`~repro.errors.StreamError` — never a silently wrong
-        checkpoint. A torn — or missing, as after a
+        :func:`~repro.keyed.key_defect`), or whose radio carry is not a
+        saved one (see :func:`~repro.radio.streaming.carry_defect`)
+        raises :class:`~repro.errors.StreamError` — never a silently
+        wrong checkpoint. A torn — or missing, as after a
         crash between :meth:`save`'s two renames — current file falls
         back to the ``.prev`` rotation when that one verifies; the
         returned object then has ``loaded_from_fallback`` set so
@@ -310,10 +312,15 @@ class StreamCheckpoint:
                 carry = None
                 if entry["has_carry"]:
                     carry = {
-                        "floats": members[f"carry_floats_{uid}"],
-                        "ints": members[f"carry_ints_{uid}"],
-                        "idle_buffer": members[f"carry_idle_buffer_{uid}"],
+                        name: members[f"carry_{name}_{uid}"]
+                        for name in ("floats", "ints", "idle_buffer")
                     }
+                    found = carry_defect(carry)
+                    if found is not None:
+                        raise StreamError(
+                            f"checkpoint {path}: member carry_{found[0]}_"
+                            f"{uid}: {found[1]}"
+                        )
                 window = entry.get("window")
                 cadence = None
                 if entry.get("has_cadence"):

@@ -45,9 +45,10 @@ from repro.follow import (
     WindowSpec,
     live_manifest_path,
     parse_window_spec,
-    settled_timestamps,
 )
+from repro.radio import LTE_DEFAULT, StreamingAttribution, TailPolicy
 from repro.store import ResultStore, StoreKey, render_analysis
+from repro.trace.arrays import PacketArray
 from repro.trace.io_text import write_events_csv, write_packets_csv
 
 # ----------------------------------------------------------------------
@@ -94,26 +95,38 @@ def test_default_windows_are_valid_and_distinct():
 
 
 # ----------------------------------------------------------------------
-# Settled-timestamp reconstruction
+# Settled timestamps
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_settled_timestamps_cover_stream_for_any_chunking(seed):
-    """Concatenated per-feed settled timestamps == all but the final
-    (still-pending) packet, however the stream was chunked."""
+    """The engine's settled timestamps, concatenated over every feed and
+    ``finish``, are the stream's timestamps, however it was chunked;
+    each feed holds back only its chunk's last (pending) packet."""
     rng = np.random.default_rng(40 + seed)
-    ts = np.sort(rng.uniform(0.0, 1000.0, 257))
+    n = 257
+    packets = PacketArray.from_columns(
+        np.sort(rng.uniform(0.0, 1000.0, n)),
+        rng.integers(40, 1500, n).astype(np.uint32),
+        rng.integers(0, 2, n).astype(np.uint8),
+        rng.integers(1, 6, n).astype(np.uint16),
+    )
+    sim = StreamingAttribution(
+        LTE_DEFAULT, TailPolicy.SPLIT_ADJACENT, (0.0, 1000.0)
+    )
     pieces = []
-    had_pending, pending_ts = False, 0.0
     pos = 0
-    while pos < len(ts):
-        k = int(rng.integers(1, 40))
-        chunk = ts[pos : pos + k]
-        pos += k
-        pieces.append(settled_timestamps(chunk, had_pending, pending_ts))
-        # After any non-empty feed exactly the chunk's last packet
-        # remains pending.
-        had_pending, pending_ts = True, float(chunk[-1])
-    assert np.array_equal(np.concatenate(pieces), ts[:-1])
+    while pos < n:
+        k = int(rng.integers(0, 40))
+        settled = sim.feed(packets[pos : pos + k])
+        assert len(settled.timestamps) == len(settled)
+        assert settled.apps.dtype == packets.apps.dtype
+        pieces.append(settled.timestamps)
+        pos = min(pos + k, n)
+        if pos:
+            assert len(np.concatenate(pieces)) == pos - 1
+    final, _ = sim.finish()
+    pieces.append(final.timestamps)
+    assert np.array_equal(np.concatenate(pieces), packets.timestamps)
 
 
 # ----------------------------------------------------------------------

@@ -310,3 +310,45 @@ def test_per_packet_is_computed_once_and_read_only():
     assert result.per_packet is result.per_packet
     with pytest.raises(ValueError):
         result.per_packet[0] = 0.0
+
+
+def test_energy_by_app_returns_equal_distinct_dicts(packets_two_apps):
+    result = attribute_energy(
+        LTE_DEFAULT, packets_two_apps, window=(0.0, 200.0)
+    )
+    first = result.energy_by_app()
+    first[1] = -1.0  # a caller may edit its copy
+    second = result.energy_by_app()
+    assert second is not first
+    assert second == result.energy_by_app()
+    assert second[1] > 0
+
+
+def test_energy_by_app_folds_once_per_result(small_dataset, monkeypatch):
+    """``evaluate_policy`` asks every before-result for its per-app
+    energy once per policy; the per-app fold still runs once per
+    attribution result."""
+    import repro.radio.attribution as attribution
+    from repro import StudyEnergy
+    from repro.cli import TABLE2_APPS
+    from repro.policy import available_policies, evaluate_policy, get_policy
+
+    folded = []
+    real = attribution.fold_totals
+
+    def counting(keys, values, states=None, carry=None):
+        if states is None:
+            folded.append(values)
+        return real(keys, values, states, carry)
+
+    monkeypatch.setattr(attribution, "fold_totals", counting)
+    study = StudyEnergy(small_dataset)
+    registry = small_dataset.registry
+    apps = [name for name in TABLE2_APPS if name in registry]
+    assert apps
+    for name in available_policies():
+        evaluate_policy(study, get_policy(name), apps=apps)
+    for uid in study.user_ids:
+        study.user_totals(uid)
+    assert len(folded) >= len(study.user_ids)
+    assert len({id(values) for values in folded}) == len(folded)

@@ -28,6 +28,10 @@ stream chunk rounds and shard execution import ``repro.parallel``.
 The sixth keeps keyed totals on the one fold: no module groups with
 ``np.unique(..., return_inverse=True)``, an argsort per call that
 ``repro.keyed`` replaces with ``np.bincount`` over dense keys.
+
+The seventh keeps the radio arithmetic in one copy: only
+``repro.radio.attribution``, the kernel both attribution engines call,
+computes tail energy, and nothing imports the deleted second engine.
 """
 
 from __future__ import annotations
@@ -447,4 +451,58 @@ def test_no_unique_inverse_group_bys():
         "np.unique(..., return_inverse=True) in src/repro — fold keyed "
         "totals with repro.keyed.fold_totals or KeyedTotals:\n"
         + "\n".join(offending)
+    )
+
+
+#: What the seventh guard must catch: a second copy of the tail rule.
+_PLANTED_SECOND_ENGINE = (
+    "from repro.radio.vectorized import compute_packet_energy\n"
+    "tail = model.tail_energy_vector(np.minimum(gaps, model.tail_duration))\n"
+)
+
+
+def _radio_arithmetic(source, name):
+    """``tail_energy_vector`` calls and ``repro.radio.vectorized``
+    imports in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = getattr(func, "attr", None) or getattr(func, "id", None)
+            if called == "tail_energy_vector":
+                found.append(f"{name}:{node.lineno}: tail_energy_vector(...)")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                if node.module == "repro.radio":
+                    names += [f"repro.radio.{a.name}" for a in node.names]
+            else:
+                names = [alias.name for alias in node.names]
+            if "repro.radio.vectorized" in names:
+                found.append(f"{name}:{node.lineno}: import repro.radio.vectorized")
+    return found
+
+
+def test_radio_arithmetic_in_one_module():
+    """The batch engine and the streaming engine once each held their
+    own gap, promotion, tail, split-adjacent and idle arithmetic, kept
+    equal only by differential tests. Both now call the one kernel in
+    :mod:`repro.radio.attribution`, the only module that computes tail
+    energy (:mod:`repro.radio.base` defines the tail profile)."""
+    kernel = SRC / "radio" / "attribution.py"
+    assert len(_radio_arithmetic(_PLANTED_SECOND_ENGINE, "planted")) == 2, (
+        "guard matches nothing"
+    )
+    assert _radio_arithmetic(kernel.read_text(), "kernel"), (
+        "guard matches nothing in the kernel"
+    )
+    offending = [
+        hit
+        for path in sorted(SRC.rglob("*.py"))
+        if path != kernel
+        for hit in _radio_arithmetic(path.read_text(), str(path.relative_to(SRC)))
+    ]
+    assert not offending, (
+        "radio arithmetic outside repro.radio.attribution — compute "
+        "per-packet energy through its kernel:\n" + "\n".join(offending)
     )

@@ -1,22 +1,28 @@
-"""Vectorised engine and attribution policies."""
+"""The numpy engine and attribution policies.
+
+Hand-computed components are checked on the frozen reference engine
+(``radio_reference``), and their sums on the one engine's
+``per_packet`` and ``idle_energy``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.radio.attribution import TailPolicy, attribute_energy
 from repro.radio.lte import LTE_DEFAULT
-from repro.radio.vectorized import compute_packet_energy
 from repro.trace.events import ProcessState
 from repro.trace.packet import Direction
 
 from conftest import make_packets
+from radio_reference import compute_packet_energy
 from test_radio_machine import TOY
 
 
 def test_empty_trace():
-    pe = compute_packet_energy(TOY, make_packets([]), window=(0.0, 50.0))
-    assert pe.total_energy == pytest.approx(0.5)
-    assert len(pe) == 0
+    result = attribute_energy(TOY, make_packets([]), window=(0.0, 50.0))
+    assert result.total_energy == pytest.approx(0.5)
+    assert result.idle_energy == pytest.approx(0.5)
+    assert len(result.per_packet) == 0
 
 
 def test_matches_hand_computation():
@@ -25,6 +31,10 @@ def test_matches_hand_computation():
     assert pe.promotion[0] == pytest.approx(2.0)
     assert pe.tail[0] == pytest.approx(10.0)
     assert pe.idle_energy == pytest.approx(0.89)
+    result = attribute_energy(TOY, packets, window=(0.0, 100.0))
+    # promotion 2 J + transfer 1000 B * 1e-6 J/B + full tail 10 J.
+    assert result.per_packet.tolist() == pytest.approx([2.0 + 0.001 + 10.0])
+    assert result.idle_energy == pytest.approx(0.89)
 
 
 def test_attribution_conservation(packets_two_apps):
@@ -32,7 +42,7 @@ def test_attribution_conservation(packets_two_apps):
     by_app = result.energy_by_app()
     assert sum(by_app.values()) == pytest.approx(result.attributed_energy)
     assert result.total_energy == pytest.approx(
-        result.attributed_energy + result.energy.idle_energy
+        result.attributed_energy + result.idle_energy
     )
 
 
@@ -71,10 +81,17 @@ def test_split_adjacent_moves_half_inner_tail():
         TOY, packets, window=(0.0, 30.0), policy=TailPolicy.SPLIT_ADJACENT
     )
     # Inner gap tail = 5 J fully on packet 0 under LAST_PACKET; 2.5 J
-    # moves to packet 1 under SPLIT_ADJACENT.
-    assert last.tail[0] == pytest.approx(5.0)
-    assert split.tail[0] == pytest.approx(2.5)
-    assert split.tail[1] == pytest.approx(10.0 + 2.5)
+    # moves to packet 1 under SPLIT_ADJACENT. Packet 0 also pays the
+    # promotion (2 J); packet 1, 5 s later, rides the tail. Each moves
+    # 1000 B down (0.001 J).
+    assert last.per_packet.tolist() == pytest.approx(
+        [2.0 + 0.001 + 5.0, 0.001 + 10.0]
+    )
+    assert split.per_packet.tolist() == pytest.approx(
+        [2.0 + 0.001 + 2.5, 0.001 + 10.0 + 2.5]
+    )
+    pe = compute_packet_energy(TOY, packets, window=(0.0, 30.0))
+    assert last.idle_energy == split.idle_energy == pe.idle_energy
 
 
 class TestNrModel:
@@ -122,14 +139,20 @@ class TestNrModel:
 
         packets = make_packets([(50.0, 10_000, Direction.DOWNLINK, 1)])
         pe = compute_packet_energy(NR_DEFAULT, packets, window=(0.0, 100.0))
-        assert pe.promotion[0] == pytest.approx(0.110 * 1.530)
+        promotion = 0.110 * 1.530
+        transfer = 10_000 * NR_DEFAULT.energy_per_byte_down
+        assert pe.promotion[0] == pytest.approx(promotion)
         assert pe.tail[0] == pytest.approx(NR_DEFAULT.full_tail_energy)
-        assert pe.transfer[0] == pytest.approx(
-            10_000 * NR_DEFAULT.energy_per_byte_down
-        )
+        assert pe.transfer[0] == pytest.approx(transfer)
         # Idle covers the whole window except the promotion lead-in and
         # the 10 s CDRX tail (the transfer itself is instantaneous).
-        assert pe.idle_energy == pytest.approx((100.0 - 0.110 - 10.0) * 0.020)
+        idle = (100.0 - 0.110 - 10.0) * 0.020
+        assert pe.idle_energy == pytest.approx(idle)
+        result = attribute_energy(NR_DEFAULT, packets, window=(0.0, 100.0))
+        assert result.per_packet.tolist() == pytest.approx(
+            [promotion + transfer + NR_DEFAULT.full_tail_energy]
+        )
+        assert result.idle_energy == pytest.approx(idle)
 
     def test_partial_tail_crosses_phase_boundary(self):
         from repro.radio.nr import NR_DEFAULT
@@ -142,8 +165,19 @@ class TestNrModel:
             ]
         )
         pe = compute_packet_energy(NR_DEFAULT, packets, window=(0.0, 50.0))
-        assert pe.tail[0] == pytest.approx(0.1 * 1.75 + 1.9 * 1.21)
+        partial_tail = 0.1 * 1.75 + 1.9 * 1.21
+        assert pe.tail[0] == pytest.approx(partial_tail)
         assert pe.promotion[1] == 0.0
+        # Packet 0 pays the promotion and the partial tail; packet 1
+        # rides the tail and then pays a full one to the window end.
+        transfer = 1000 * NR_DEFAULT.energy_per_byte_down
+        result = attribute_energy(NR_DEFAULT, packets, window=(0.0, 50.0))
+        assert result.per_packet.tolist() == pytest.approx(
+            [
+                NR_DEFAULT.promotion_energy + transfer + partial_tail,
+                transfer + NR_DEFAULT.full_tail_energy,
+            ]
+        )
 
     def test_nr_attribution_end_to_end(self, packets_two_apps):
         from repro.radio.nr import NR_DEFAULT
@@ -154,7 +188,7 @@ class TestNrModel:
         by_app = result.energy_by_app()
         assert sum(by_app.values()) == pytest.approx(result.attributed_energy)
         assert result.total_energy == pytest.approx(
-            result.attributed_energy + result.energy.idle_energy
+            result.attributed_energy + result.idle_energy
         )
 
 

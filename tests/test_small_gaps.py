@@ -11,7 +11,7 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.radio.base import RadioInterval, RadioState
-from repro.radio.attribution import TailPolicy, _apply_tail_policy
+from repro.radio.attribution import TailPolicy, attribute_energy
 from repro.trace.arrays import PacketArray
 from repro.trace.packet import Direction
 
@@ -32,15 +32,18 @@ def test_radio_interval_energy():
 
 
 def test_tail_policy_single_packet_unchanged():
-    tail = np.array([5.0])
-    out = _apply_tail_policy(tail, TailPolicy.SPLIT_ADJACENT)
-    assert out.tolist() == [5.0]
+    """A lone packet closes its trace: SPLIT_ADJACENT leaves its whole
+    tail on it, exactly as LAST_PACKET does."""
+    from test_radio_machine import TOY
 
-
-def test_tail_policy_last_packet_identity():
-    tail = np.array([1.0, 2.0, 3.0])
-    out = _apply_tail_policy(tail, TailPolicy.LAST_PACKET)
-    assert out is tail
+    one = make_packets([(10.0, 1000, Direction.DOWNLINK, 1)])
+    last, split = (
+        attribute_energy(TOY, one, window=(0.0, 15.0), policy=policy)
+        for policy in (TailPolicy.LAST_PACKET, TailPolicy.SPLIT_ADJACENT)
+    )
+    # promotion 2 J + transfer 0.001 J + the 5 s of tail to the window end.
+    assert split.per_packet.tolist() == pytest.approx([2.0 + 0.001 + 5.0])
+    assert np.array_equal(split.per_packet, last.per_packet)
 
 
 def test_packet_array_getitem_slice():

@@ -18,10 +18,14 @@ import pytest
 
 from repro import StudyConfig, StudyEnergy, generate_study
 from repro.errors import StreamError, TraceError
-from repro.radio.attribution import TailPolicy, attribute_energy
+from repro.radio.attribution import (
+    SUM_BLOCK,
+    TailPolicy,
+    attribute_energy,
+    fold_idle,
+)
 from repro.radio.lte import LTE_DEFAULT
 from repro.radio.streaming import RadioCarry, StreamingAttribution
-from repro.radio.vectorized import SUM_BLOCK, blocked_sum
 from repro.stream import (
     CsvStreamSource,
     NpzStreamSource,
@@ -36,6 +40,7 @@ from repro.trace.io_text import (
 from repro.trace.packet import Direction
 
 from conftest import make_packets
+from radio_reference import reference_attribution
 
 
 # ----------------------------------------------------------------------
@@ -56,10 +61,17 @@ def assert_streams_equal_batch(result, study):
 
 
 def batch_per_packet(packets, window, policy=TailPolicy.LAST_PACKET):
+    """The one engine's whole-trace answer, checked against the frozen
+    reference engine on the way."""
     result = attribute_energy(
         LTE_DEFAULT, packets, window=window, policy=policy
     )
-    return result.per_packet, result.energy.idle_energy
+    per_packet, idle = reference_attribution(
+        LTE_DEFAULT, packets, window, policy
+    )
+    assert np.array_equal(result.per_packet, per_packet)
+    assert result.idle_energy == idle
+    return result.per_packet, result.idle_energy
 
 
 def stream_per_packet(chunks, window, policy=TailPolicy.LAST_PACKET):
@@ -196,7 +208,7 @@ def test_per_packet_identity_any_chunking(chunk_size, policy):
 
 def test_idle_blocked_sum_across_block_boundary():
     """More inner gaps than SUM_BLOCK: the buffered flush must replay
-    blocked_sum's exact block alignment."""
+    the whole-trace fold's exact block alignment."""
     rng = np.random.default_rng(11)
     n = SUM_BLOCK + 500
     # Wide gaps so most contribute idle time.
@@ -214,11 +226,19 @@ def test_idle_blocked_sum_across_block_boundary():
 
 
 def test_blocked_sum_matches_manual_fold():
+    """The idle fold sums fixed blocks counted from the first value,
+    partials folded left to right, however the values arrive."""
     values = np.random.default_rng(3).uniform(size=3 * SUM_BLOCK + 17)
     total = 0.0
     for start in range(0, len(values), SUM_BLOCK):
         total += float(values[start : start + SUM_BLOCK].sum())
-    assert blocked_sum(values) == total
+    for cuts in ([], [5], [SUM_BLOCK, 2 * SUM_BLOCK + 3], [100, 9000, 20000]):
+        acc, partial = 0.0, np.empty(0)
+        bounds = [0] + cuts + [len(values)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            acc, partial = fold_idle(acc, partial, values[lo:hi])
+        assert len(partial) == len(values) % SUM_BLOCK, cuts
+        assert acc + float(partial.sum()) == total, cuts
 
 
 def test_feed_rejects_bad_chunks():
@@ -626,6 +646,89 @@ def test_checkpoint_with_bad_keys_is_refused(tmp_path, member, keys, values, def
     path = tmp_path / "bad.ckpt.npz"
     checkpoint.save(path)
     with pytest.raises(StreamError, match=f"member {member}_1: .*{defect}"):
+        StreamCheckpoint.load(path)
+
+
+def _with_value(column, index, value):
+    column = column.copy()
+    column[index] = value
+    return column
+
+
+def _case(name, member, edit, defect):
+    return pytest.param(member, edit, defect, id=name)
+
+
+@pytest.mark.parametrize(
+    "member, edit, defect",
+    [
+        _case("floats-short", "floats", lambda a: a[:7], "not 8 float64"),
+        _case(
+            "floats-int", "floats", lambda a: a.astype(np.int64), "not 8 float64"
+        ),
+        _case(
+            "floats-nan",
+            "floats",
+            lambda a: _with_value(a, 7, np.nan),
+            "not finite",
+        ),
+        _case("ints-short", "ints", lambda a: a[:3], "not 4 int64"),
+        _case(
+            "ints-float", "ints", lambda a: a.astype(np.float64), "not 4 int64"
+        ),
+        _case(
+            "no-packets", "ints", lambda a: _with_value(a, 0, 0), "n_packets is 0"
+        ),
+        _case(
+            "app-range", "ints", lambda a: _with_value(a, 1, 65536), "pending app"
+        ),
+        _case(
+            "state-range", "ints", lambda a: _with_value(a, 2, -1), "pending state"
+        ),
+        _case(
+            "idle-grown",
+            "idle_buffer",
+            lambda a: np.concatenate([a, np.ones(8197)]),
+            "not 2",
+        ),
+        _case("idle-short", "idle_buffer", lambda a: a[:1], "not 2"),
+        _case(
+            "idle-inf",
+            "idle_buffer",
+            lambda a: _with_value(a, 0, np.inf),
+            "not finite",
+        ),
+        _case(
+            "idle-2d",
+            "idle_buffer",
+            lambda a: a.reshape(1, -1),
+            "not 1-D float64",
+        ),
+    ],
+)
+def test_checkpoint_with_bad_carry_is_refused(tmp_path, member, edit, defect):
+    """A resume continues the radio simulation from the saved carry, so
+    a carry whose checksum is valid but whose shape, values or idle
+    block do not fit what a feed leaves behind is a StreamError naming
+    the member: never an IndexError or a wrong idle energy later."""
+    checkpoint = _tiny_checkpoint()
+    sim = StreamingAttribution(LTE_DEFAULT, TailPolicy.LAST_PACKET, (0.0, 500.0))
+    sim.feed(
+        make_packets(
+            [(t, 100, Direction.UPLINK, 3) for t in (10.0, 80.0, 300.0)]
+        )
+    )
+    carry = sim.carry.to_payload()
+    path = tmp_path / "good.ckpt.npz"
+    checkpoint.users[0].carry = carry
+    checkpoint.save(path)
+    loaded = StreamCheckpoint.load(path)
+    for name, value in carry.items():
+        assert np.array_equal(loaded.users[0].carry[name], value)
+    checkpoint.users[0].carry = dict(carry, **{member: edit(carry[member])})
+    path = tmp_path / "bad.ckpt.npz"
+    checkpoint.save(path)
+    with pytest.raises(StreamError, match=f"member carry_{member}_1: .*{defect}"):
         StreamCheckpoint.load(path)
 
 
