@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from repro.follow import WindowRing, WindowSpec, fold_total_energy
+from repro.follow import WindowRing, WindowSpec
 
 from conftest import write_artifact
 
@@ -118,11 +118,9 @@ def test_follow_ring(benchmark, output_dir):
     assert ring.fold_digest(high) == fresh.fold_digest(high)
 
     # Steady-state fold cost: what every sealed bucket pays.
-    fold = benchmark.pedantic(
-        lambda: ring.fold(high), rounds=20, iterations=5
-    )
+    benchmark.pedantic(lambda: ring.fold(high), rounds=20, iterations=5)
     fold_s = benchmark.stats.stats.mean
-    total_j = fold_total_energy(fold)
+    total_j = ring.readout(high).attributed_energy
 
     packets_per_s = N_PACKETS / ingest_s
     numbers = {
@@ -148,7 +146,7 @@ def test_follow_ring(benchmark, output_dir):
         f"  ring ingest   {packets_per_s:10.0f} packets/s "
         f"({ingest_s:.3f} s wall, {evictions} bucket evictions)",
         f"  window fold   {fold_s * 1e3:10.3f} ms/advance "
-        f"({fold_total_energy(fold):.1f} J in window)",
+        f"({total_j:.1f} J in window)",
         "  fold bit-identical to a from-scratch ring (array_equal + digest)",
         "  [numbers also in BENCH_follow.json]",
     ]

@@ -3,6 +3,8 @@
 # generate a tiny study, ingest it to a checkpoint, start `repro serve`
 # against a fresh store, and curl every endpoint class — 200 with an
 # ETag, 304 on revalidation, 404 with a reason for per-packet figures.
+# The served readout must equal a batch study's in every field but the
+# study id.
 # Warm 200s must leave the store index byte-for-byte unchanged, and
 # `repro store ls` must list the live store.
 #
@@ -83,6 +85,20 @@ grep -q '^3 entries$' "$workdir/ls.out" \
 echo "==> the index names the study; its readout serves as JSON"
 study="$(curl -s "$base/" | python -c 'import json,sys; print(json.load(sys.stdin)["study"])')"
 expect_status "$base/readouts/$study" 200
+
+echo "==> the served readout equals the batch one but for the study id"
+curl -s "$base/readouts/$study" >"$workdir/served.json"
+python -c '
+import json, sys
+from repro import StudyEnergy
+from repro.store import render_analysis
+from repro.trace.dataset import Dataset
+served = json.load(open(sys.argv[1]))
+batch = json.loads(render_analysis("readout", StudyEnergy(Dataset.load(sys.argv[2]))))
+diff = sorted(k for k in set(served) | set(batch) if served.get(k) != batch.get(k))
+if diff != ["study"]:
+    sys.exit(f"FAIL: served and batch readouts differ in {diff}, not only study")
+' "$workdir/served.json" "$workdir/study.npz"
 
 echo "==> conditional GET revalidates for free (304)"
 etag="$(curl -s -D - -o /dev/null "$base/figures/fig3" \

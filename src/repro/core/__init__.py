@@ -3,9 +3,10 @@
 One module per result:
 
 * :mod:`repro.core.readout`     -- the tiered :class:`EnergyReadout`
-  protocol: keyed totals both engines share, the totals-only
-  :class:`TotalsReadout` (checkpoint-loaded analyses) and the
-  ``require_packet_detail`` guard.
+  base class, which folds every study-wide total once from per-user
+  keyed totals, the totals-only :class:`TotalsReadout`
+  (checkpoint-loaded analyses) and the ``require_packet_detail``
+  guard.
 * :mod:`repro.core.accounting`  -- study-wide energy accounting (the
   substrate every analysis shares).
 * :mod:`repro.core.popularity`  -- Fig 1 (top-10 appearance counts) and
@@ -35,6 +36,7 @@ from repro.core.readout import (
     merge_keyed_totals,
     readout_from_checkpoint,
     require_packet_detail,
+    sequential_sum,
 )
 from repro.keyed import KeyedTotals
 from repro.core.popularity import (
@@ -130,6 +132,7 @@ __all__ = [
     "totals_headline_stats",
     "StudyEnergy",
     "merge_keyed_totals",
+    "sequential_sum",
     "TransitionStats",
     "UpdateFrequency",
     "background_energy_fraction",

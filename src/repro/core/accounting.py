@@ -3,7 +3,11 @@
 :class:`StudyEnergy` runs the radio model over every user's merged
 packet timeline once (the radio is shared per device, so attribution
 must happen device-wide) and keeps the per-packet attribution in
-memory. All figure/table analyses then reduce those arrays.
+memory. Per-packet analyses reduce those arrays; totals-tier ones read
+the per-user :meth:`StudyEnergy.user_totals` views, which the
+:class:`~repro.core.readout.EnergyReadout` base class folds into every
+study-wide total, the same fold a stream result or a loaded checkpoint
+runs.
 
 Each user is attributed by one in-process
 :func:`~repro.radio.attribution.attribute_energy` call: a few numpy
@@ -11,7 +15,7 @@ passes over the packets, cheaper than shipping the result back from a
 worker pool (docs/PERFORMANCE.md, "Why batch attribution has no pool").
 With ``lazy=True`` nothing is computed at construction; each user's
 attribution is computed on first access and memoized, and any
-study-wide reduction materializes the remaining users.
+study-wide reduction attributes the remaining users in dataset order.
 
 A :class:`~repro.metrics.RunMetrics` instance (own or injected) records
 attribution time and user/packet counts, plus the shared per-user
@@ -28,7 +32,7 @@ energy attributed to them, plus the radio's idle floor.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,9 +40,11 @@ from repro import faults
 from repro.core.readout import (
     DEFAULT_FLOW_GAP,
     AppCadence,
+    EnergyReadout,
     ReadoutProvenance,
     UserCadence,
     UserTotalsView,
+    fold_once,
     merge_keyed_totals,
 )
 from repro.core.periodicity import (
@@ -53,15 +59,19 @@ from repro.radio import attribution  # attribute_energy, looked up per call
 from repro.radio.attribution import AttributionResult, TailPolicy
 from repro.radio.base import RadioModel
 from repro.radio.lte import LTE_DEFAULT
-from repro.trace.dataset import Dataset
+from repro.trace.dataset import AppRegistry, Dataset
 from repro.trace.flow import reconstruct_flows
 from repro.trace.index import TraceIndex
 from repro.trace.trace import UserTrace
 from repro.units import DAY
 
 
-class StudyEnergy:
+class StudyEnergy(EnergyReadout):
     """Per-packet energy attribution for every user of a dataset.
+
+    An :class:`~repro.core.readout.EnergyReadout`: every study-wide
+    total is the base class's fold of :meth:`user_totals`, except
+    :meth:`bytes_by_app`, which reads the packet arrays.
 
     Args:
         dataset: The study to attribute.
@@ -101,9 +111,6 @@ class StudyEnergy:
         self._order: List[int] = [t.user_id for t in dataset]
         self._traces: Dict[int, UserTrace] = {t.user_id: t for t in dataset}
         self._results: Dict[int, AttributionResult] = {}
-        self._energy_by_app: Optional[Dict[int, float]] = None
-        self._bytes_by_app: Optional[Dict[int, int]] = None
-        self._energy_by_app_state: Optional[Dict[Tuple[int, int], float]] = None
         self._user_totals: Dict[int, UserTotalsView] = {}
         if not lazy:
             self.materialize()
@@ -112,11 +119,7 @@ class StudyEnergy:
     # Computation
     # ------------------------------------------------------------------
     def materialize(self) -> "StudyEnergy":
-        """Compute every user not yet attributed (idempotent).
-
-        Called implicitly by every study-wide reduction, so lazy
-        instances never observe a partially-attributed dataset.
-        """
+        """Compute every user not yet attributed (idempotent)."""
         pending = [uid for uid in self._order if uid not in self._results]
         if not pending:
             return self
@@ -169,16 +172,6 @@ class StudyEnergy:
         self.metrics.count("attribution.packets", len(trace.packets))
         return result
 
-    def _iter_results(self) -> Iterator[AttributionResult]:
-        """All results, in dataset order regardless of access history.
-
-        Keeps every study-wide float reduction bit-identical between
-        eager and lazy instances (dict insertion order would follow
-        first-access order on a lazy engine).
-        """
-        self.materialize()
-        return (self._results[uid] for uid in self._order)
-
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
@@ -211,17 +204,10 @@ class StudyEnergy:
             policy=self.policy.value,
         )
 
-    def app_id(self, app: str) -> int:
-        """Resolve an app name through the dataset registry."""
-        return self.dataset.registry.id_of(app)
-
-    def app_name(self, app_id: int) -> str:
-        """Resolve a numeric app id through the dataset registry."""
-        return self.dataset.registry.name_of(app_id)
-
-    def app_category(self, app_id: int) -> str:
-        """Category of the app with id ``app_id``."""
-        return self.dataset.registry.by_id(app_id).category
+    @property
+    def registry(self) -> AppRegistry:
+        """The dataset's app registry."""
+        return self.dataset.registry
 
     def duration_days(self, user_id: int) -> float:
         """One user's observation window length in days."""
@@ -287,60 +273,20 @@ class StudyEnergy:
     # ------------------------------------------------------------------
     # Totals
     # ------------------------------------------------------------------
-    @property
-    def total_energy(self) -> float:
-        """Radio energy over all users, joules (attributed + idle)."""
-        return sum(r.total_energy for r in self._iter_results())
-
-    @property
-    def attributed_energy(self) -> float:
-        """Energy attributed to apps over all users, joules."""
-        return sum(r.attributed_energy for r in self._iter_results())
-
-    @property
-    def idle_energy(self) -> float:
-        """Unattributed idle-floor energy over all users, joules."""
-        return sum(r.idle_energy for r in self._iter_results())
-
-    def energy_by_app(self) -> Dict[int, float]:
-        """Joules per app id, summed over users (memoized).
-
-        Attribution results are immutable once computed, so the
-        study-wide roll-up is computed once and a copy returned on
-        every call — analyses that re-ask per app (recommendations,
-        reports) no longer pay a full re-reduction each time.
-        """
-        if self._energy_by_app is None:
-            self._energy_by_app = merge_keyed_totals(
-                r.energy_by_app() for r in self._iter_results()
-            )
-        return dict(self._energy_by_app)
-
+    @fold_once
     def bytes_by_app(self) -> Dict[int, int]:
-        """Traffic bytes per app id, summed over users (memoized)."""
-        if self._bytes_by_app is None:
-            self._bytes_by_app = merge_keyed_totals(
-                (
-                    trace.index(metrics=self.metrics).bytes_by_app()
-                    for trace in self.dataset
-                ),
-                zero=0,
-            )
-        return dict(self._bytes_by_app)
+        """Traffic bytes per app id, summed over users.
 
-    def energy_by_app_state(self) -> Dict[Tuple[int, int], float]:
-        """Joules per (app id, process state), summed over users (memoized)."""
-        if self._energy_by_app_state is None:
-            self._energy_by_app_state = merge_keyed_totals(
-                r.energy_by_app_state() for r in self._iter_results()
-            )
-        return dict(self._energy_by_app_state)
-
-    def energy_by_state(self) -> Dict[int, float]:
-        """Joules per process state, summed over apps and users."""
+        Read from the packet arrays, so a lazy engine answers it
+        without attributing anyone; the exact integers the base
+        class's fold of :meth:`user_totals` would give.
+        """
         return merge_keyed_totals(
-            {state: joules}
-            for (_, state), joules in self.energy_by_app_state().items()
+            (
+                trace.index(metrics=self.metrics).bytes_by_app()
+                for trace in self.dataset
+            ),
+            zero=0,
         )
 
     # ------------------------------------------------------------------

@@ -21,7 +21,7 @@ from repro.core.periodicity import UpdateFrequency
 from repro.core.recommend import Recommendation, recommend
 from repro.core.statefrac import background_energy_fraction
 from repro.core.transitions import TransitionStats, persistence_durations
-from repro.core.readout import require_packet_detail
+from repro.core.readout import require_packet_detail, sequential_sum
 from repro.errors import AnalysisError
 from repro.trace.events import ProcessState
 from repro.units import DAY, MB, battery_fraction
@@ -54,10 +54,10 @@ class AppReport:
     def overnight_fraction(self) -> float:
         """Share of the app's energy spent between midnight and 6 am —
         traffic almost no user is awake for (the Doze motivation)."""
-        total = sum(self.hourly_energy)
+        total = sequential_sum(self.hourly_energy)
         if total <= 0:
             return 0.0
-        return sum(self.hourly_energy[0:6]) / total
+        return sequential_sum(self.hourly_energy[0:6]) / total
 
 
 def hourly_energy_profile(study: StudyEnergy, app: str) -> Tuple[float, ...]:
@@ -92,7 +92,7 @@ def app_report(study: StudyEnergy, app: str) -> AppReport:
     volume = study.bytes_by_app().get(info.app_id, 0)
     case = case_study_row(study, app)
     users = study.users_with_app(info.app_id)
-    user_days = sum(
+    user_days = sequential_sum(
         study.dataset.user(uid).duration_days for uid in users
     )
     per_app_state = study.energy_by_app_state()

@@ -1,17 +1,22 @@
-"""The tiered energy-readout abstraction.
+"""The tiered energy-readout abstraction, and the one study-wide fold.
 
 Every headline figure and table of the paper (Figs 1-3, Table 1, the
 84%-background split) is a reduction over *keyed totals*: joules per
 app, per (app, state), bytes per app, idle floors. Both engines
-produce those totals — the in-memory batch
+produce each user's totals — the in-memory batch
 :class:`~repro.core.accounting.StudyEnergy` and the bounded-memory
 :class:`~repro.stream.StreamIngestor` — with bit-identical float
 arithmetic (the carry-first bincount replay). This module gives the
-analyses one surface over both:
+analyses one surface over both, and folds the study-wide totals once:
 
-* :class:`EnergyReadout` — the totals-tier protocol. Implemented by
-  ``StudyEnergy`` (which additionally has per-packet arrays) and by
-  :class:`TotalsReadout` (which does not).
+* :class:`EnergyReadout` — the totals-tier base class. A subclass
+  supplies one :class:`UserTotalsView` per user, its registry, windows
+  and cadence; the base folds every study-wide total from those views
+  in ``user_ids`` order, keyed dicts through :func:`merge_keyed_totals`
+  and scalars through :func:`sequential_sum`. ``StudyEnergy`` (which
+  additionally has per-packet arrays) and :class:`TotalsReadout`
+  (which does not) both inherit it, so batch, stream, checkpoint and
+  live-window totals are equal by construction.
 * :class:`TotalsReadout` — a concrete totals-only readout built from
   per-user :class:`UserTotalsView` dicts; the base class of
   :class:`~repro.stream.StreamResult` and the object
@@ -24,8 +29,7 @@ analyses one surface over both:
   ``AttributeError`` three reductions deep.
 * :class:`~repro.keyed.KeyedTotals` — the one keyed accumulator both
   engines share (float64 carry-first bincount; int64 exact addition;
-  defined in :mod:`repro.keyed` beside the fold it carries), and
-  :func:`merge_keyed_totals`, the one study-wide fold.
+  defined in :mod:`repro.keyed` beside the fold it carries).
 
 Table 1 needs more than totals (flows per app, burst intervals); that
 is the *cadence* tier: :class:`AppCadence` summaries that the batch
@@ -36,16 +40,10 @@ incrementally at the paper's default gaps (see
 
 from __future__ import annotations
 
+import functools
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Protocol,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -72,10 +70,9 @@ def merge_keyed_totals(parts, zero=0.0):
 
     ``parts`` yields mappings (one per user, in a fixed order); each
     mapping's items are folded with ``totals[k] = totals.get(k, zero) + v``
-    in that mapping's own iteration order. This is the exact addition
-    sequence :class:`~repro.core.accounting.StudyEnergy` has always
-    used for its study-wide roll-ups — every readout replays it, so
-    batch, streaming and checkpoint-loaded totals land on bit-identical
+    in that mapping's own iteration order. :class:`EnergyReadout` folds
+    every study-wide keyed total this way, so batch, streaming,
+    checkpoint-loaded and live-window totals land on bit-identical
     study-wide floats.
     """
     totals = {}
@@ -85,14 +82,30 @@ def merge_keyed_totals(parts, zero=0.0):
     return totals
 
 
+def sequential_sum(values, zero=0.0):
+    """Add ``values`` left to right onto ``zero``; ``zero=0`` for ints.
+
+    The plain fold builtin ``sum()`` runs up to CPython 3.11. From 3.12
+    ``sum()`` compensates float additions, so the same total would
+    differ in its last bits between supported Pythons; every study-wide
+    scalar in :mod:`repro.core`, :mod:`repro.store` and
+    :mod:`repro.follow` is added through this fold instead.
+    """
+    total = zero
+    for value in values:
+        total = total + value
+    return total
+
+
 def require_packet_detail(source, analysis: str):
     """Assert ``source`` carries per-packet arrays; return it.
 
-    Per-packet analyses call this on entry. Objects that do not declare
-    ``has_packet_detail`` (a :class:`~repro.trace.dataset.Dataset`, a
-    :class:`~repro.core.accounting.StudyEnergy`) pass through; a
-    totals-only readout raises :class:`~repro.errors.NeedsPacketDetail`
-    naming the analysis and the fix.
+    Per-packet analyses call this on entry. A
+    :class:`~repro.core.accounting.StudyEnergy` and objects that do not
+    declare ``has_packet_detail`` (a
+    :class:`~repro.trace.dataset.Dataset`) pass through; a totals-only
+    readout raises :class:`~repro.errors.NeedsPacketDetail` naming the
+    analysis and the fix.
     """
     if getattr(source, "has_packet_detail", True):
         return source
@@ -223,7 +236,7 @@ class AppCadence:
     @property
     def n_flows(self) -> int:
         """Background flows over all users (``flow_gap`` idle split)."""
-        return sum(u.n_flows for u in self.per_user)
+        return sequential_sum((u.n_flows for u in self.per_user), zero=0)
 
     def update_frequency(
         self, max_interval: Optional[float] = 24 * 3600.0
@@ -231,73 +244,147 @@ class AppCadence:
         """Pooled cadence summary, identical to the batch estimator."""
         return frequency_from_intervals(
             (u.intervals for u in self.per_user),
-            sum(u.n_bursts for u in self.per_user),
+            sequential_sum((u.n_bursts for u in self.per_user), zero=0),
             max_interval,
         )
 
 
-@runtime_checkable
-class EnergyReadout(Protocol):
-    """The totals-tier analysis surface both engines implement.
+def fold_once(fold):
+    """Memoize a readout's study-wide dict fold; copy it out per call.
 
+    A readout is immutable once built, so ``fold`` runs once per
+    instance and every call returns a fresh dict the caller may change.
+    """
+    slot = f"_folded_{fold.__name__}"
+
+    @functools.wraps(fold)
+    def folded(self):
+        memo = self.__dict__.get(slot)
+        if memo is None:
+            memo = self.__dict__[slot] = fold(self)
+        return dict(memo)
+
+    return folded
+
+
+class EnergyReadout(ABC):
+    """The totals-tier analysis surface, and the one study-wide fold.
+
+    Every totals-tier analysis in :mod:`repro.core` is typed against
+    this class. A subclass supplies ``has_packet_detail``, its users
+    (:attr:`user_ids`, :meth:`user_totals`), :attr:`registry`,
+    :meth:`duration_days` and :meth:`background_cadence`. Every
+    study-wide total is folded here from :meth:`user_totals` in
+    :attr:`user_ids` order: keyed dicts through
+    :func:`merge_keyed_totals` (memoized, copied out per call), idle
+    and attributed energy through :func:`sequential_sum`.
     ``StudyEnergy`` (batch; ``has_packet_detail=True``) and
-    :class:`TotalsReadout` (streaming result / loaded checkpoint;
-    ``has_packet_detail=False``) both satisfy this protocol, and every
-    totals-tier analysis in :mod:`repro.core` is typed against it.
+    :class:`TotalsReadout` (stream result, loaded checkpoint, live
+    window; ``has_packet_detail=False``) both inherit it, so their
+    totals are equal by construction.
     """
 
+    #: Whether per-packet arrays back this readout: the analyses gated
+    #: by :func:`require_packet_detail` need them.
     has_packet_detail: bool
 
     @property
-    def user_ids(self) -> List[int]: ...
+    @abstractmethod
+    def user_ids(self) -> List[int]:
+        """User ids in readout order."""
+
+    @abstractmethod
+    def user_totals(self, user_id: int) -> UserTotalsView:
+        """One user's totals-tier view."""
 
     @property
-    def total_energy(self) -> float: ...
+    @abstractmethod
+    def registry(self) -> AppRegistry:
+        """The study's app registry."""
 
-    @property
-    def attributed_energy(self) -> float: ...
+    @abstractmethod
+    def duration_days(self, user_id: int) -> float:
+        """One user's observation window length in days."""
 
-    @property
-    def idle_energy(self) -> float: ...
-
-    def energy_by_app(self) -> Dict[int, float]: ...
-
-    def bytes_by_app(self) -> Dict[int, int]: ...
-
-    def energy_by_app_state(self) -> Dict[Tuple[int, int], float]: ...
-
-    def energy_by_state(self) -> Dict[int, float]: ...
-
-    def app_id(self, app: str) -> int: ...
-
-    def app_name(self, app_id: int) -> str: ...
-
-    def app_category(self, app_id: int) -> str: ...
-
-    def duration_days(self, user_id: int) -> float: ...
-
-    def user_totals(self, user_id: int) -> UserTotalsView: ...
-
+    @abstractmethod
     def background_cadence(
         self,
         app_id: int,
         flow_gap: float = DEFAULT_FLOW_GAP,
         burst_gap: float = DEFAULT_BURST_GAP,
-    ) -> AppCadence: ...
+    ) -> AppCadence:
+        """One app's background flow/burst cadence across all users."""
+
+    # ------------------------------------------------------------------
+    # App registry
+    # ------------------------------------------------------------------
+    def app_id(self, app: str) -> int:
+        """Resolve an app name to its numeric id."""
+        return self.registry.id_of(app)
+
+    def app_name(self, app_id: int) -> str:
+        """Resolve a numeric app id to its name."""
+        return self.registry.name_of(app_id)
+
+    def app_category(self, app_id: int) -> str:
+        """Category of the app with id ``app_id``."""
+        return self.registry.by_id(app_id).category
+
+    # ------------------------------------------------------------------
+    # Study-wide totals
+    # ------------------------------------------------------------------
+    def _views(self) -> Iterator[UserTotalsView]:
+        return (self.user_totals(uid) for uid in self.user_ids)
+
+    @fold_once
+    def energy_by_app(self) -> Dict[int, float]:
+        """Joules per app id, summed over users."""
+        return merge_keyed_totals(v.energy_by_app() for v in self._views())
+
+    @fold_once
+    def energy_by_app_state(self) -> Dict[Tuple[int, int], float]:
+        """Joules per (app id, process state), summed over users."""
+        return merge_keyed_totals(
+            v.energy_by_app_state() for v in self._views()
+        )
+
+    @fold_once
+    def energy_by_state(self) -> Dict[int, float]:
+        """Joules per process state, summed over apps and users."""
+        return merge_keyed_totals(
+            {state: joules}
+            for (_, state), joules in self.energy_by_app_state().items()
+        )
+
+    @fold_once
+    def bytes_by_app(self) -> Dict[int, int]:
+        """Traffic bytes per app id, summed over users (exact integers)."""
+        return merge_keyed_totals(
+            (v.bytes_by_app() for v in self._views()), zero=0
+        )
+
+    @property
+    def idle_energy(self) -> float:
+        """Unattributed idle-floor energy over all users, joules."""
+        return sequential_sum(v.idle_energy for v in self._views())
+
+    @property
+    def attributed_energy(self) -> float:
+        """Energy attributed to apps: the fold of the per-app totals."""
+        return sequential_sum(self.energy_by_app().values())
+
+    @property
+    def total_energy(self) -> float:
+        """Attributed plus idle energy, joules."""
+        return self.attributed_energy + self.idle_energy
 
 
-class TotalsReadout:
+class TotalsReadout(EnergyReadout):
     """Concrete totals-only :class:`EnergyReadout`.
 
     Base class of :class:`~repro.stream.StreamResult` and the object a
-    loaded checkpoint becomes. Study-wide reductions replay the exact
-    fold :class:`~repro.core.accounting.StudyEnergy` performs — users
-    in readout order through :func:`merge_keyed_totals`, idle via a
-    sequential ``sum`` — so each is bit-identical to its batch
-    counterpart. ``attributed_energy`` is the one exception: the batch
-    scalar sums per-packet arrays whole, an association no totals
-    readout can replay, so here it is defined as the fold of the
-    (bit-identical) per-app totals.
+    loaded checkpoint becomes: it holds one :class:`UserTotalsView` per
+    user plus the registry, windows and cadence the ingest recorded.
     """
 
     has_packet_detail = False
@@ -352,68 +439,12 @@ class TotalsReadout:
         start, end = window
         return units.days(end - start)
 
-    # ------------------------------------------------------------------
-    # App registry
-    # ------------------------------------------------------------------
     @property
     def registry(self) -> AppRegistry:
         """The study's app registry."""
         if self._registry is None:
             raise StreamError("readout carries no app registry")
         return self._registry
-
-    def app_id(self, app: str) -> int:
-        """Resolve an app name to its numeric id."""
-        return self.registry.id_of(app)
-
-    def app_name(self, app_id: int) -> str:
-        """Resolve a numeric app id to its name."""
-        return self.registry.name_of(app_id)
-
-    def app_category(self, app_id: int) -> str:
-        """Category of the app with id ``app_id``."""
-        return self.registry.by_id(app_id).category
-
-    # ------------------------------------------------------------------
-    # Totals
-    # ------------------------------------------------------------------
-    def energy_by_app(self) -> Dict[int, float]:
-        """Joules per app id, summed over users."""
-        return merge_keyed_totals(t.energy_by_app() for t in self._totals)
-
-    def energy_by_app_state(self) -> Dict[Tuple[int, int], float]:
-        """Joules per (app id, process state), summed over users."""
-        return merge_keyed_totals(
-            t.energy_by_app_state() for t in self._totals
-        )
-
-    def energy_by_state(self) -> Dict[int, float]:
-        """Joules per process state, summed over apps and users."""
-        return merge_keyed_totals(
-            {state: joules}
-            for (_, state), joules in self.energy_by_app_state().items()
-        )
-
-    def bytes_by_app(self) -> Dict[int, int]:
-        """Traffic bytes per app id, summed over users."""
-        return merge_keyed_totals(
-            (t.bytes_by_app() for t in self._totals), zero=0
-        )
-
-    @property
-    def idle_energy(self) -> float:
-        """Unattributed idle-floor energy over all users, joules."""
-        return sum(t.idle_energy for t in self._totals)
-
-    @property
-    def attributed_energy(self) -> float:
-        """Energy attributed to apps (fold of the per-app totals)."""
-        return sum(self.energy_by_app().values())
-
-    @property
-    def total_energy(self) -> float:
-        """Attributed plus idle energy, joules."""
-        return self.attributed_energy + self.idle_energy
 
     # ------------------------------------------------------------------
     # Cadence tier

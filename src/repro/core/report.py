@@ -15,6 +15,7 @@ import numpy as np
 from repro.core.accounting import StudyEnergy
 from repro.core.casestudies import CaseStudyRow
 from repro.core.popularity import ConsumerRow
+from repro.core.readout import sequential_sum
 from repro.core.statefrac import STATE_ORDER
 from repro.core.transitions import PersistenceSample, persistence_cdf, TimelineView
 from repro.policy import KillPolicyResult
@@ -104,7 +105,7 @@ def render_fig3(fractions: Dict[str, Dict[ProcessState, float]]) -> str:
     headers = ["app"] + [s.name.lower() for s in STATE_ORDER] + ["bg_total"]
     rows = []
     for app, by_state in fractions.items():
-        bg = sum(
+        bg = sequential_sum(
             f
             for s, f in by_state.items()
             if s

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from repro.core.readout import EnergyReadout
+from repro.core.readout import EnergyReadout, sequential_sum
 from repro.errors import AnalysisError
 from repro.trace.events import ProcessState, background_state_values
 
@@ -50,7 +50,7 @@ def state_energy_fractions(
             state: per_app_state.get((app_id, int(state)), 0.0)
             for state in STATE_ORDER
         }
-        total = sum(by_state.values())
+        total = sequential_sum(by_state.values())
         if total <= 0:
             raise AnalysisError(f"app {name!r} has no attributed energy")
         out[name] = {state: e / total for state, e in by_state.items()}
@@ -66,7 +66,7 @@ def state_energy_share(study: EnergyReadout) -> Dict[ProcessState, float]:
     """
     by_state = study.energy_by_state()
     five = {state: by_state.get(int(state), 0.0) for state in STATE_ORDER}
-    total = sum(five.values())
+    total = sequential_sum(five.values())
     if total <= 0:
         raise AnalysisError("study has no attributed energy")
     return {state: joules / total for state, joules in five.items()}
@@ -95,10 +95,12 @@ def background_energy_fraction(
         items = {
             (a, s): e for (a, s), e in per_app_state.items() if s in five_values
         }
-    total = sum(items.values())
+    total = sequential_sum(items.values())
     if total <= 0:
         raise AnalysisError("no attributed energy in selection")
-    background = sum(e for (_, s), e in items.items() if s in bg_values)
+    background = sequential_sum(
+        e for (_, s), e in items.items() if s in bg_values
+    )
     return background / total
 
 

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.readout import require_packet_detail
+from repro.core.readout import require_packet_detail, sequential_sum
 from repro.errors import AnalysisError
 from repro.trace.dataset import Dataset
 from repro.trace.intervals import BackgroundTransition
@@ -219,7 +219,9 @@ def fraction_of_apps_above(
     """Share of apps whose first-minute fraction is >= ``threshold``."""
     if not fractions:
         raise AnalysisError("no apps with background-episode traffic")
-    hits = sum(1 for value in fractions.values() if value >= threshold)
+    hits = sequential_sum(
+        (1 for value in fractions.values() if value >= threshold), zero=0
+    )
     return hits / len(fractions)
 
 

@@ -36,8 +36,6 @@ from repro.follow.windows import (
     FOLLOW_WINDOW_END,
     WindowRing,
     WindowSpec,
-    fold_energy_by_app,
-    fold_total_energy,
     parse_window_spec,
 )
 
@@ -56,8 +54,6 @@ __all__ = [
     "TailSource",
     "WindowRing",
     "WindowSpec",
-    "fold_energy_by_app",
-    "fold_total_energy",
     "live_manifest_path",
     "parse_window_spec",
 ]

@@ -321,8 +321,8 @@ class Follower:
             for bucket in range(start, sealed_high + 1):
                 lines = self.engines[name].evaluate(
                     bucket,
-                    ring.fold(bucket),
-                    ring.fold(bucket - ring.spec.n_buckets),
+                    ring.readout(bucket),
+                    ring.readout(bucket - ring.spec.n_buckets),
                     getattr(self.source, "registry", None),
                 )
                 for line in lines:

@@ -1,8 +1,11 @@
 """Streaming headlines: what changed in the window that just sealed.
 
 Every time a window's next bucket seals, the follower hands this
-engine the window's fold and the *previous* window's fold (the span
-one window earlier). Three kinds of line come out:
+engine the window's readout and the *previous* window's readout (the
+span one window earlier), both built by
+:meth:`~repro.follow.windows.WindowRing.readout`, so the numbers are
+the study-wide fold every :class:`~repro.core.readout.EnergyReadout`
+runs. Three kinds of line come out:
 
 * a **total** line, always — the window's attributed joules and the
   percentage delta against the previous window;
@@ -13,21 +16,17 @@ one window earlier). Three kinds of line come out:
   ``surge_factor``× their previous-window energy, emitted once on
   entering the surged set.
 
-Everything is a pure function of (bucket, fold, prior fold) plus the
-small carried state — which checkpoints with the follower — so a
+Everything is a pure function of (bucket, window, prior window) plus
+the small carried state — which checkpoints with the follower — so a
 resumed run emits the byte-identical line sequence an uninterrupted
 run would. Ties rank by app id; numbers print with fixed precision.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.follow.windows import (
-    UserFold,
-    fold_energy_by_app,
-    fold_total_energy,
-)
+from repro.core.readout import EnergyReadout
 from repro.trace.dataset import AppRegistry
 
 #: Headline lines kept in the follower's replayable log.
@@ -35,7 +34,7 @@ HEADLINE_LOG_LIMIT = 1000
 
 
 class HeadlineEngine:
-    """Per-window change detector over successive sealed folds."""
+    """Per-window change detector over successive sealed windows."""
 
     def __init__(
         self,
@@ -55,19 +54,23 @@ class HeadlineEngine:
     def evaluate(
         self,
         bucket: int,
-        fold: Dict[int, UserFold],
-        prior_fold: Dict[int, UserFold],
+        window: EnergyReadout,
+        prior: EnergyReadout,
         registry: Optional[AppRegistry] = None,
     ) -> List[str]:
-        """Headlines for the window sealed at ``bucket``."""
+        """Headlines for the window sealed at ``bucket``.
+
+        ``prior`` is the window one span earlier; a prior window with
+        no users means there is nothing to compare against.
+        """
         tag = f"[{self.window_name} #{bucket}]"
-        by_app = fold_energy_by_app(fold)
-        prior_by_app = fold_energy_by_app(prior_fold)
-        total = fold_total_energy(fold)
-        prior_total = fold_total_energy(prior_fold)
+        by_app = window.energy_by_app()
+        prior_by_app = prior.energy_by_app()
+        total = window.attributed_energy
+        prior_total = prior.attributed_energy
 
         lines: List[str] = []
-        if prior_fold:
+        if prior.user_ids:
             delta = (
                 f"{(total - prior_total) / prior_total * 100.0:+.1f}% "
                 "vs previous window"

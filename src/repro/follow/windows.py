@@ -383,19 +383,3 @@ class WindowRing:
                 )
         return ring
 
-
-def fold_total_energy(fold: Dict[int, UserFold]) -> float:
-    """Study-wide attributed joules of one window fold.
-
-    The same shape as :meth:`TotalsReadout.attributed_energy`: the
-    per-user per-app dicts merged in user order, then summed — a
-    deterministic float fold, so resumed and uninterrupted runs print
-    identical headline numbers.
-    """
-    merged = merge_keyed_totals(energy for energy, _, _ in fold.values())
-    return sum(merged.values())
-
-
-def fold_energy_by_app(fold: Dict[int, UserFold]) -> Dict[int, float]:
-    """Per-app attributed joules of one window fold (all users)."""
-    return merge_keyed_totals(energy for energy, _, _ in fold.values())

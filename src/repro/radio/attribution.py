@@ -29,7 +29,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import ModelError, TraceError
-from repro.keyed import fold_totals, split_app_state
+from repro.keyed import fold_totals
 from repro.radio.base import RadioModel
 from repro.trace.arrays import PacketArray
 from repro.trace.packet import Direction
@@ -179,7 +179,7 @@ def window_idle_energy(
 @dataclass(frozen=True, eq=False)
 class AttributionResult:
     """One device timeline's attribution: per-packet joules, the idle
-    floor and grouped views."""
+    floor and the per-app view."""
 
     packets: PacketArray
     #: Joules attributed to each packet under ``policy``; read-only.
@@ -212,19 +212,6 @@ class AttributionResult:
         """
         keys, totals = self._app_totals
         return dict(zip(keys.tolist(), totals.tolist()))
-
-    def energy_by_app_state(self) -> Dict[Tuple[int, int], float]:
-        """Joules per (app id, process-state value) pair.
-
-        Requires packets to have been state-labelled first.
-        """
-        keys, totals = fold_totals(
-            self.packets.apps, self.per_packet, self.packets.states
-        )
-        return {
-            split_app_state(k): v
-            for k, v in zip(keys.tolist(), totals.tolist())
-        }
 
 
 def attribute_energy(

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple, Union
 
+from repro.core.readout import sequential_sum
 from repro.durable import (
     LOCK_TIMEOUT_S,
     PREV_SUFFIX,
@@ -286,7 +287,9 @@ class ResultStore:
                 and (analysis is None or entry.analysis == analysis)
             )
         ]
-        files = sum(self.blobs.delete(e.digest, e.kind) for e in doomed)
+        files = sequential_sum(
+            (self.blobs.delete(e.digest, e.kind) for e in doomed), zero=0
+        )
         removed = self.index.delete([e.digest for e in doomed])
         self.metrics.count("store.invalidated", removed)
         return removed, files

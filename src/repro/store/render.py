@@ -23,6 +23,7 @@ from repro.core.popularity import top10_appearance_counts, top_consumers
 from repro.core.readout import EnergyReadout
 from repro.core.statefrac import state_energy_fractions
 from repro.errors import AnalysisError
+from repro.trace.arrays import STATE_UNLABELLED
 from repro.trace.events import ProcessState
 
 
@@ -40,9 +41,10 @@ def readout_payload(readout: EnergyReadout) -> dict:
     """The study-wide aggregates of a readout as a JSON-able dict.
 
     What ``GET /readouts/{study}`` serves: per-app energy and traffic,
-    per-state energy, the idle/attributed/total split and the user
-    list — the numbers every totals-tier figure reduces from, exactly
-    as the readout computes them (full float precision, no rounding).
+    per-state energy (packets never state-labelled under
+    ``unlabelled``), the idle/attributed/total split and the user list
+    — the numbers every totals-tier figure reduces from, exactly as the
+    readout computes them (full float precision, no rounding).
     """
     provenance = getattr(readout, "provenance", None)
     return {
@@ -62,10 +64,18 @@ def readout_payload(readout: EnergyReadout) -> dict:
             for app, n in readout.bytes_by_app().items()
         },
         "energy_by_state_j": {
-            ProcessState(state).name.lower(): joules
+            _state_name(state): joules
             for state, joules in readout.energy_by_state().items()
         },
     }
+
+
+def _state_name(state: int) -> str:
+    """A process state's payload name; packets never labelled are
+    ``unlabelled``."""
+    if state == STATE_UNLABELLED:
+        return "unlabelled"
+    return ProcessState(state).name.lower()
 
 
 def _render_fig1(readout: EnergyReadout) -> str:

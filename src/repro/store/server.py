@@ -34,10 +34,11 @@ total moves — pollers revalidate for free between seals.
 
 Status codes are deliberately few: ``200`` (artefact served), ``304``
 (conditional hit), ``404`` — unknown route, unknown study id, an
-artefact this readout cannot produce (a per-packet figure, or Table 1
-cadence after ``repro ingest --no-cadence``; the body names the
-reason), or a live window not (yet) published, ``405`` for non-GET
-methods.
+artefact this readout cannot produce (a per-packet figure, Table 1
+cadence after ``repro ingest --no-cadence``, or any other
+:class:`~repro.errors.AnalysisError` a render raises, such as Fig 3 on
+a study with no state-labelled energy; the body names the reason), or
+a live window not (yet) published, ``405`` for non-GET methods.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import urlsplit
 
-from repro.errors import AnalysisError, NeedsPacketDetail
+from repro.errors import AnalysisError
 from repro.metrics import RunMetrics
 from repro.store.blobs import media_type
 from repro.store.index import ResultStore
@@ -305,7 +306,9 @@ class _Handler(HttpResponder, BaseHTTPRequestHandler):
                     ).encode("utf-8"),
                     kind=kind,
                 )
-            except NeedsPacketDetail as exc:
+            except AnalysisError as exc:
+                # An artefact this readout cannot produce: a per-packet
+                # tier (NeedsPacketDetail) or a selection with no energy.
                 self._send_not_found(str(exc))
                 return
             self._send(200, result.data, media_type(kind), etag=etag)

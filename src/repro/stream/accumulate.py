@@ -6,8 +6,10 @@ can reuse it without importing the driver: one
 :class:`UserStreamAccumulator` per user carries the radio state and the
 :class:`~repro.keyed.KeyedTotals` partials across chunks, and a
 completed run's accumulators become a :class:`StreamResult` — a
-totals-tier :class:`~repro.core.readout.EnergyReadout` whose every
-reduction is bit-identical to the batch engine's.
+totals-tier :class:`~repro.core.readout.EnergyReadout`. Each user's
+totals are bit-identical to the batch engine's, and the base class
+folds them into study-wide totals exactly as it folds the batch
+study's.
 """
 
 from __future__ import annotations
@@ -190,16 +192,11 @@ class UserStreamResult(UserTotalsView):
 class StreamResult(TotalsReadout):
     """Study-wide totals of one completed streaming ingestion.
 
-    A totals-tier :class:`~repro.core.readout.EnergyReadout`: every
-    reduction replays the exact fold
-    :class:`~repro.core.accounting.StudyEnergy` performs — users in
-    ingestion order through
-    :func:`~repro.core.readout.merge_keyed_totals`, idle via a
-    sequential ``sum`` — so each is bit-identical to its batch
-    counterpart. ``attributed_energy`` is the one exception: the batch
-    scalar sums per-packet arrays whole, an association no stream can
-    replay, so here it is defined as the fold of the (bit-identical)
-    per-app totals.
+    A totals-tier :class:`~repro.core.readout.EnergyReadout`: its
+    study-wide totals are the base class's fold of the per-user totals
+    in ingestion order, the fold a batch
+    :class:`~repro.core.accounting.StudyEnergy` runs, so each is
+    bit-identical to its batch counterpart.
     """
 
     def __init__(

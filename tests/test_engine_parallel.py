@@ -125,9 +125,12 @@ def test_lazy_defers_and_computes_each_user_once(
     assert first is again
     assert len(counted_attribute) == 1
 
-    # A study-wide reduction materializes exactly the remaining users.
+    # A study-wide reduction attributes exactly the remaining users, in
+    # dataset order.
     study.total_energy
     assert len(counted_attribute) == len(small_dataset)
+    remaining = [t.packets for t in small_dataset if t.user_id != uid]
+    assert all(a is b for a, b in zip(counted_attribute[1:], remaining))
     study.total_energy
     study.energy_by_app()
     study.energy_by_app_state()

@@ -21,6 +21,7 @@ import pytest
 
 from repro import StudyConfig, generate_study
 from repro.cli import main
+from repro.core.readout import TotalsReadout, UserTotalsView
 from repro.errors import (
     FollowError,
     NeedsPacketDetail,
@@ -267,31 +268,36 @@ def test_windowed_readout_refuses_packet_detail(dataset):
 # ----------------------------------------------------------------------
 # Headline engine
 # ----------------------------------------------------------------------
-def _fold_for(energies_by_app):
-    """A single-user fold with the given per-app energies."""
+def _window_for(energies_by_app):
+    """A single-user window readout with the given per-app energies
+    (an empty dict gives a window with no users)."""
     apps = {int(a): float(e) for a, e in energies_by_app.items()}
-    return {1: (apps, dict(apps), {a: 1 for a in apps})}
+    if not apps:
+        return TotalsReadout([])
+    app_state = {a * 256: e for a, e in apps.items()}
+    sizes = {a * 256: 1 for a in apps}
+    return TotalsReadout([UserTotalsView(1, apps, app_state, sizes, 0.0)])
 
 
 def test_headline_engine_first_then_entry_then_surge():
     engine = HeadlineEngine("w", top_n=2)
-    first = engine.evaluate(10, _fold_for({1: 5.0, 2: 3.0, 3: 1.0}), {})
-    assert first[0].startswith("[w #10] total 9.000 J")
+    first = engine.evaluate(10, _window_for({1: 5.0, 2: 3.0, 3: 1.0}), _window_for({}))
+    assert first[0].startswith("[w #10] total 9.000 J (no previous window)")
     assert any("is #1 of the top-2" in line for line in first)
     # Same ranking again: only the total line.
-    second = engine.evaluate(11, _fold_for({1: 5.0, 2: 3.0}), _fold_for({1: 5.0, 2: 3.0, 3: 1.0}))
+    second = engine.evaluate(11, _window_for({1: 5.0, 2: 3.0}), _window_for({1: 5.0, 2: 3.0, 3: 1.0}))
     assert len(second) == 1 and "% vs previous window" in second[0]
     # App 3 displaces app 2 and surges 4x.
-    third = engine.evaluate(12, _fold_for({1: 5.0, 3: 4.0}), _fold_for({1: 5.0, 2: 3.0, 3: 1.0}))
+    third = engine.evaluate(12, _window_for({1: 5.0, 3: 4.0}), _window_for({1: 5.0, 2: 3.0, 3: 1.0}))
     assert any("app3 entered the top-2" in line for line in third)
     assert any("surged 4.0x" in line for line in third)
 
 
 def test_headline_engine_state_roundtrip_is_transparent():
     feeds = [
-        (10, _fold_for({1: 5.0, 2: 3.0}), {}),
-        (11, _fold_for({2: 9.0, 1: 1.0}), _fold_for({1: 5.0, 2: 3.0})),
-        (12, _fold_for({3: 2.0}), _fold_for({2: 9.0, 1: 1.0})),
+        (10, _window_for({1: 5.0, 2: 3.0}), _window_for({})),
+        (11, _window_for({2: 9.0, 1: 1.0}), _window_for({1: 5.0, 2: 3.0})),
+        (12, _window_for({3: 2.0}), _window_for({2: 9.0, 1: 1.0})),
     ]
     straight = HeadlineEngine("w", top_n=2)
     resumed = HeadlineEngine("w", top_n=2)

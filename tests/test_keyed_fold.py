@@ -208,11 +208,12 @@ def test_attribution_and_packet_views_match_unique(rows):
         dict_arrays(result.energy_by_app(), np.float64),
         reference_group_sum(apps, per_packet),
     )
-    by_app_state = result.energy_by_app_state()
+    # Per (app, state) as StudyEnergy.user_totals folds it.
+    app_state = KeyedTotals()
+    app_state.add(packets.apps, per_packet, packets.states)
+    by_app_state = app_state.as_dict()
     want_keys, want_values = reference_app_state_sum(apps, states, per_packet)
-    assert list(by_app_state) == [
-        (int(k) // 256, int(k) % 256) for k in want_keys
-    ]
+    assert list(by_app_state) == want_keys.tolist()
     assert np.array_equal(
         np.array(list(by_app_state.values()), np.float64).view(np.int64),
         want_values.view(np.int64),

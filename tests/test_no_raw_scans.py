@@ -32,6 +32,11 @@ The sixth keeps keyed totals on the one fold: no module groups with
 The seventh keeps the radio arithmetic in one copy: only
 ``repro.radio.attribution``, the kernel both attribution engines call,
 computes tail energy, and nothing imports the deleted second engine.
+
+The eighth keeps study-wide totals on one addition order: no builtin
+``sum()`` in ``repro.core``, ``repro.store`` or ``repro.follow``,
+whose float result differs between CPython 3.11 and 3.12; those
+packages add through ``repro.core.readout.sequential_sum``.
 """
 
 from __future__ import annotations
@@ -505,4 +510,45 @@ def test_radio_arithmetic_in_one_module():
     assert not offending, (
         "radio arithmetic outside repro.radio.attribution — compute "
         "per-packet energy through its kernel:\n" + "\n".join(offending)
+    )
+
+
+#: What the eighth guard must catch: a builtin ``sum()`` over floats.
+_PLANTED_BUILTIN_SUM = (
+    "total = sum(r.idle_energy for r in results)\n"
+    "share = sum(parts.values()) / total\n"
+)
+
+#: Packages whose totals are study-wide floats a readout reports.
+_SEQUENTIAL_SUM_PACKAGES = ("core", "store", "follow")
+
+
+def _builtin_sums(source, name):
+    """Calls of the builtin ``sum`` in ``source``."""
+    return [
+        f"{name}:{node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "sum"
+    ]
+
+
+def test_no_builtin_sum_in_study_wide_packages():
+    """CPython 3.12 compensates builtin ``sum()`` over floats and 3.10
+    does not, so a total folded with it could differ in its last bits
+    between the Pythons CI runs. The readout, analysis, store and
+    follow layers add left to right through ``sequential_sum``."""
+    assert len(_builtin_sums(_PLANTED_BUILTIN_SUM, "planted")) == 2, (
+        "guard matches nothing"
+    )
+    offending = [
+        hit
+        for package in _SEQUENTIAL_SUM_PACKAGES
+        for path in sorted((SRC / package).rglob("*.py"))
+        for hit in _builtin_sums(path.read_text(), str(path.relative_to(SRC)))
+    ]
+    assert not offending, (
+        "builtin sum() in a study-wide package — add through "
+        "repro.core.readout.sequential_sum:\n" + "\n".join(offending)
     )

@@ -8,6 +8,7 @@ Hand-computed components are checked on the frozen reference engine
 import numpy as np
 import pytest
 
+from repro.keyed import STATE_BASE, KeyedTotals
 from repro.radio.attribution import TailPolicy, attribute_energy
 from repro.radio.lte import LTE_DEFAULT
 from repro.trace.events import ProcessState
@@ -50,9 +51,13 @@ def test_attribution_by_app_state(packets_two_apps):
     packets_two_apps.data["state"] = int(ProcessState.SERVICE)
     packets_two_apps.data["state"][0] = int(ProcessState.FOREGROUND)
     result = attribute_energy(LTE_DEFAULT, packets_two_apps, window=(0.0, 200.0))
-    by_app_state = result.energy_by_app_state()
-    assert (1, int(ProcessState.FOREGROUND)) in by_app_state
-    assert sum(by_app_state.values()) == pytest.approx(result.attributed_energy)
+    by_app_state = KeyedTotals()
+    by_app_state.add(
+        packets_two_apps.apps, result.per_packet, packets_two_apps.states
+    )
+    totals = by_app_state.as_dict()
+    assert 1 * STATE_BASE + int(ProcessState.FOREGROUND) in totals
+    assert sum(totals.values()) == pytest.approx(result.attributed_energy)
 
 
 def test_split_adjacent_policy_conserves_total(packets_two_apps):

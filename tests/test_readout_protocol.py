@@ -22,6 +22,7 @@ from repro.core.readout import (
     TotalsReadout,
     readout_from_checkpoint,
     require_packet_detail,
+    sequential_sum,
 )
 from repro.core.recommend import recommendation_report
 from repro.core.report import render_fig1, render_fig2, render_fig3, render_table1
@@ -35,7 +36,7 @@ from repro.shard import (
     merged_readout,
     run_all_shards,
 )
-from repro.store.render import render_analysis
+from repro.store.render import readout_payload, render_analysis
 from repro.stream import NpzStreamSource, StreamIngestor
 
 CASE_APP = "com.sec.spp.push"
@@ -119,7 +120,54 @@ def test_study_wide_totals_exact(readouts):
         assert other.energy_by_state() == study.energy_by_state()
         assert other.bytes_by_app() == study.bytes_by_app()
         assert other.idle_energy == study.idle_energy
-        assert other.total_energy == pytest.approx(study.total_energy)
+        assert other.attributed_energy == study.attributed_energy
+        assert other.total_energy == study.total_energy
+
+
+def test_readout_payloads_equal_but_for_the_study_id(readouts):
+    """The served ``readout`` artefact: batch, stream and checkpoint
+    agree in every number. ``study`` is the path-specific provenance
+    id; an in-memory ingest result carries no provenance at all."""
+    study, result, loaded = readouts
+    want = readout_payload(study)
+    for other in (result, loaded):
+        got = readout_payload(other)
+        skip = {"study"} if other.provenance else {"study", "model", "policy"}
+        assert {k: v for k, v in got.items() if k not in skip} == {
+            k: v for k, v in want.items() if k not in skip
+        }
+        assert list(got) == list(want)
+        for key in ("energy_by_app_j", "bytes_by_app", "energy_by_state_j"):
+            assert list(got[key]) == list(want[key])
+
+
+@pytest.mark.parametrize(
+    "values, zero, want",
+    [
+        # Left to right, 1e16 + 1.0 rounds back to 1e16; CPython 3.12's
+        # compensated sum() would return 1.0.
+        ([1e16, 1.0, -1e16], 0.0, 0.0),
+        ([], 0.0, 0.0),
+        ([], 0, 0),
+        ([3, 4, 5], 0, 12),
+    ],
+)
+def test_sequential_sum_adds_left_to_right(values, zero, want):
+    got = sequential_sum(values, zero=zero)
+    assert got == want
+    assert type(got) is type(want)
+
+
+def test_study_wide_folds_are_memoized_and_copied_out(readouts, monkeypatch):
+    for source in readouts:
+        want = source.energy_by_app()
+        want_state = source.energy_by_app_state()
+        source.energy_by_app().clear()
+        # Later calls copy the memo out; they never read the users again.
+        monkeypatch.setattr(source, "user_totals", None)
+        assert source.energy_by_app() == want
+        assert source.energy_by_app() is not source.energy_by_app()
+        assert source.energy_by_app_state() == want_state
 
 
 def test_user_totals_exact(readouts):

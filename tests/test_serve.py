@@ -226,6 +226,45 @@ def test_unknown_routes_404_with_reasons(served):
     assert server.metrics.counter("serve.not_found") == 5
 
 
+def test_render_analysis_errors_answer_404_and_keep_serving(tmp_path):
+    """A study whose packets were never state-labelled (state 255, which
+    ``Dataset.load`` accepts) has no energy in any process state: Fig 3
+    and the headlines cannot be produced and answer 404 with the
+    reason, the readout names the state ``unlabelled``, and the
+    connection survives to answer the next request."""
+    dataset = generate_study(
+        StudyConfig(n_users=2, duration_days=1.0, seed=3, label_states=False)
+    )
+    server = make_server(
+        StudyEnergy(dataset, lazy=True),
+        ResultStore(tmp_path / "store"),
+        quiet=True,
+    )
+    host, port = server.server_address
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    base = f"http://{host}:{port}"
+    try:
+        status, _, body = fetch(base + "/figures/fig3")
+        assert status == 404
+        assert "has no attributed energy" in body.decode()
+        status, _, body = fetch(base + "/headlines")
+        assert status == 404
+        assert "no attributed energy in selection" in body.decode()
+        status, _, body = fetch(base + f"/readouts/{server.study_id}")
+        assert status == 200
+        payload = json.loads(body)
+        assert list(payload["energy_by_state_j"]) == ["unlabelled"]
+        assert payload["energy_by_state_j"]["unlabelled"] == pytest.approx(
+            payload["attributed_energy_j"]
+        )
+        status, _, _ = fetch(base + "/figures/fig1")
+        assert status == 200
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_non_get_methods_are_405(served):
     base, _, _ = served
     request = urllib.request.Request(base + "/headlines", data=b"x")
