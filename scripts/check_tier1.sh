@@ -18,7 +18,14 @@
 # group-bys, and tests/test_radio_agreement.py the one radio kernel,
 # whole-trace and streamed, to the frozen batch engine in
 # tests/radio_reference.py), and the file protocol every checkpoint,
-# manifest, blob and saved dataset goes through.
+# manifest, blob and saved dataset goes through. Before that it gates
+# src/repro/trace/io_text.py, the CSV readers and writers, at 90% line
+# coverage by their differential suites on its own
+# (tests/test_csv_blocks.py and tests/test_csv_event_blocks.py pin the
+# packets and events block readers to the per-row reference,
+# tests/test_csv_prepass.py the validate-only stream prepass to a full
+# parse, tests/test_csv_writers.py the writers to their frozen row
+# loop).
 # Needs pytest-cov; skipped (exit 0, with a note) where it is not
 # installed, so plain containers stay green.
 set -e
@@ -33,6 +40,12 @@ if [ "$1" = "--cov" ]; then
         echo "check_tier1: pytest-cov not installed; skipping coverage gate"
         exit 0
     fi
+    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q \
+        --cov=repro.trace.io_text \
+        --cov-report=term-missing --cov-fail-under=90 \
+        tests/test_csv_blocks.py tests/test_trace_io_text.py \
+        tests/test_csv_event_blocks.py tests/test_csv_prepass.py \
+        tests/test_csv_writers.py
     set -- \
         --cov=repro.policy --cov=repro.radio --cov=repro.durable \
         --cov=repro.stream.cadence --cov=repro.keyed \

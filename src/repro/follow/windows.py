@@ -26,6 +26,11 @@ does not undo float addition. The ring takes the third road:
 Buckets are retained for ``2n`` bucket ids — the current window plus
 the previous one (for headline deltas) — and evicted past that, so a
 follower's memory is bounded by window span, not stream length.
+
+A window's fold is kept until a bucket in its range changes (an
+``ingest`` into it or its eviction): a follower asks for each sealed
+window again as the next windows' prior, and to digest and publish it,
+and each ask after the first is a copy of the kept fold.
 """
 
 from __future__ import annotations
@@ -159,6 +164,9 @@ class WindowRing:
         self.last_evaluated: Optional[int] = None
         #: Total buckets evicted over the ring's lifetime.
         self.evictions = 0
+        #: high bucket -> its window's fold, while no bucket in the
+        #: window's range has changed since.
+        self._folds: Dict[int, Dict[int, UserFold]] = {}
 
     # ------------------------------------------------------------------
     # Ingest
@@ -187,6 +195,7 @@ class WindowRing:
         cuts = np.flatnonzero(np.diff(ids)) + 1
         starts = np.concatenate([[0], cuts])
         ends = np.concatenate([cuts, [len(ids)]])
+        self._forget_folds(int(ids.min()), int(ids.max()))
         for lo, hi in zip(starts, ends):
             slot = self._slot(int(ids[lo]), user_id)
             seg_apps = apps[lo:hi]
@@ -214,8 +223,18 @@ class WindowRing:
         Folds buckets ``(high_bucket - n, high_bucket]`` in ascending
         order per user through :func:`merge_keyed_totals` — the one
         study-wide fold — and returns per-user keyed dicts, users in
-        sorted-id order.
+        sorted-id order. The fold is kept until a bucket in that range
+        changes; each call returns fresh dicts.
         """
+        folded = self._folds.get(high_bucket)
+        if folded is None:
+            folded = self._folds[high_bucket] = self._fold(high_bucket)
+        return {
+            uid: (dict(energy), dict(state), dict(sizes))
+            for uid, (energy, state, sizes) in folded.items()
+        }
+
+    def _fold(self, high_bucket: int) -> Dict[int, UserFold]:
         low = high_bucket - self.spec.n_buckets
         selected = [b for b in self.bucket_ids() if low < b <= high_bucket]
         users = sorted(
@@ -267,6 +286,9 @@ class WindowRing:
         dict entries — no float is recomputed — which is why a
         long-lived ring stays bit-identical to a fresh one.
         """
+        # A window reaching down to ``bucket`` has lost buckets, or
+        # spans ids that can hold none: its fold is not asked for again.
+        self._forget_folds(-np.inf, bucket)
         expired = [b for b in self._buckets if b <= bucket]
         if not expired:
             return 0
@@ -275,6 +297,13 @@ class WindowRing:
             del self._buckets[b]
         self.evictions += len(expired)
         return len(expired)
+
+    def _forget_folds(self, low: float, high: int) -> None:
+        """Drop the kept folds of the windows that hold a bucket id in
+        ``[low, high]``."""
+        n = self.spec.n_buckets
+        for end in [e for e in self._folds if e - n < high and low <= e]:
+            del self._folds[end]
 
     # ------------------------------------------------------------------
     # Readout

@@ -40,13 +40,13 @@ import numpy as np
 
 from repro import faults
 from repro.errors import StreamError, TraceError
-from repro.trace.arrays import PACKET_DTYPE, PacketArray
+from repro.trace.arrays import PACKET_DTYPE, PacketArray, state_label_defect
 from repro.trace.dataset import AppRegistry
 from repro.trace.events import EventLog
 from repro.trace.intervals import label_packet_states
 from repro.trace.io_text import (
-    PacketBlock,
     PathLike,
+    _iter_packet_times,
     iter_packet_blocks,
     read_events_csv,
 )
@@ -119,13 +119,15 @@ class RowQuarantine:
 class CsvStreamSource:
     """Stream per-user packets from ``io_text`` CSV files.
 
-    A cheap prepass walks every user's files once — registering app
-    names in the exact order the batch reader would and recording the
+    A prepass walks every user's files once — validating every packet
+    row but building only its timestamp, registering app names in the
+    exact order the batch reader would and recording the row count and
     time horizon — so ids, windows and state labels match
     :func:`~repro.trace.io_text.dataset_from_csv` over the same files
-    exactly. Packet CSVs must already be time-sorted (the batch path
-    sorts in RAM; a bounded-memory reader cannot), which is checked
-    during iteration and reported with file name and line number.
+    exactly, and a malformed row fails construction. Packet CSVs must
+    already be time-sorted (the batch path sorts in RAM; a
+    bounded-memory reader cannot), which the prepass checks, naming
+    the file and line of the first row out of order.
 
     Event CSVs are read whole in the prepass (event streams are tiny
     next to packet tables) and used to state-label each chunk; only
@@ -177,8 +179,9 @@ class CsvStreamSource:
             )
             count = 0
             last_ts = -np.inf
-            for block in self._packet_blocks(packets_path, on_bad_row=on_bad):
-                ts = block.packets.timestamps
+            for line_numbers, ts in self._read(
+                _iter_packet_times, packets_path, on_bad_row=on_bad
+            ):
                 previous = np.concatenate(([last_ts], ts[:-1]))
                 behind = np.flatnonzero(ts < previous)
                 if len(behind):
@@ -187,7 +190,7 @@ class CsvStreamSource:
                     # the file" advice must point at the actual file line.
                     i = behind[0]
                     raise StreamError(
-                        f"{packets_path.name}:{block.line_numbers[i]}: "
+                        f"{packets_path.name}:{line_numbers[i]}: "
                         f"packets not time-sorted (t={float(ts[i])} after "
                         f"t={float(previous[i])}); "
                         "sort the file before streaming it"
@@ -221,17 +224,11 @@ class CsvStreamSource:
         """Total packet rows of one user (known from the prepass)."""
         return self._counts[user_id]
 
-    def _packet_blocks(
-        self, packets_path: Path, on_bad_row=None, inject: bool = False
-    ) -> Iterator[PacketBlock]:
-        """One file's blocks with trace defects surfaced as StreamError."""
+    def _read(self, read, packets_path: Path, **options) -> Iterator:
+        """``read``'s blocks of one packets file, with trace defects
+        surfaced as StreamError."""
         try:
-            yield from iter_packet_blocks(
-                packets_path,
-                self.registry,
-                on_bad_row=on_bad_row,
-                inject=inject,
-            )
+            yield from read(packets_path, self.registry, **options)
         except TraceError as exc:
             raise StreamError(f"malformed packet row: {exc}") from exc
 
@@ -256,8 +253,8 @@ class CsvStreamSource:
         size = self.chunk_size
         held: List[np.ndarray] = []
         n_held = 0
-        for block in self._packet_blocks(
-            packets_path, on_bad_row=on_bad, inject=True
+        for block in self._read(
+            iter_packet_blocks, packets_path, on_bad_row=on_bad, inject=True
         ):
             data = block.packets.data
             if skip:
@@ -363,7 +360,13 @@ class NpzStreamSource:
         self, user_id: int, skip: int = 0
     ) -> Iterator[PacketArray]:
         """Yield one user's packets in bounded chunks, decompressing
-        ``chunk_size`` records at a time straight off the archive."""
+        ``chunk_size`` records at a time straight off the archive.
+
+        A state label that is neither a
+        :class:`~repro.trace.events.ProcessState` nor unlabelled raises
+        :class:`StreamError` naming the archive, the user and the
+        member, before its chunk is yielded.
+        """
         with zipfile.ZipFile(self.path) as archive:
             with archive.open(f"packets_{user_id}.npy") as raw:
                 shape, dtype = _read_npy_header(
@@ -382,6 +385,12 @@ class NpzStreamSource:
                     rows = min(self.chunk_size, remaining)
                     buffer = _read_exactly(handle, rows * itemsize)
                     chunk = np.frombuffer(buffer, dtype=dtype).copy()
+                    defect = state_label_defect(chunk["state"])
+                    if defect is not None:
+                        raise StreamError(
+                            f"{self.path.name}: user {user_id}: "
+                            f"packets_{user_id}: {defect}"
+                        )
                     remaining -= rows
                     yield PacketArray(chunk)
 

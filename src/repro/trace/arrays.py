@@ -21,6 +21,28 @@ from repro.trace.events import ProcessState
 #: Sentinel for "process state not labelled yet".
 STATE_UNLABELLED = 255
 
+#: ``_STATE_LABELS[label]`` is True for each label a packet may carry —
+#: a :class:`ProcessState` or :data:`STATE_UNLABELLED` — one entry per
+#: ``uint8`` value.
+_STATE_LABELS = np.zeros(256, dtype=bool)
+_STATE_LABELS[[int(state) for state in ProcessState]] = True
+_STATE_LABELS[STATE_UNLABELLED] = True
+_STATE_LABELS.setflags(write=False)
+
+
+def state_label_defect(states: np.ndarray) -> Optional[str]:
+    """Why a ``uint8`` state column is not one a packet may carry, or
+    ``None``: one 256-entry table lookup, no per-packet Python."""
+    bad = ~_STATE_LABELS[states]
+    if not bad.any():
+        return None
+    label = int(states[bad.argmax()])
+    return (
+        f"state label {label} is neither a ProcessState nor unlabelled "
+        f"({STATE_UNLABELLED})"
+    )
+
+
 #: numpy dtype of one packet record.
 PACKET_DTYPE = np.dtype(
     [
@@ -244,6 +266,5 @@ class PacketArray:
         valid_dirs = {int(Direction.UPLINK), int(Direction.DOWNLINK)}
         if not set(np.unique(self.directions)).issubset(valid_dirs):
             raise TraceError("packet with invalid direction")
-        valid_states = {int(s) for s in ProcessState} | {STATE_UNLABELLED}
-        if not set(np.unique(self.states)).issubset(valid_states):
+        if state_label_defect(self.states) is not None:
             raise TraceError("packet with invalid process state label")

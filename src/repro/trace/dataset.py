@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.durable import write_atomic
 from repro.errors import TraceError
-from repro.trace.arrays import PacketArray, PACKET_DTYPE
+from repro.trace.arrays import PACKET_DTYPE, PacketArray, state_label_defect
 from repro.trace.events import EventLog
 from repro.trace.trace import UserTrace
 
@@ -259,8 +259,9 @@ class Dataset:
         not a zip or truncated, a member missing or of another dtype, a
         header that is not the JSON :meth:`save` writes, a non-finite
         timestamp, a process state that is not a
-        :class:`~repro.trace.events.ProcessState` or a screen value
-        other than 0 or 1. A missing file raises ``FileNotFoundError``.
+        :class:`~repro.trace.events.ProcessState` (or, for a packet's
+        state label, unlabelled) or a screen value other than 0 or 1. A
+        missing file raises ``FileNotFoundError``.
         """
         path = Path(path)
         try:
@@ -303,6 +304,9 @@ class Dataset:
                         )
                     if not np.isfinite(data["timestamp"]).all():
                         raise TraceError("packets: non-finite timestamp")
+                    defect = state_label_defect(data["state"])
+                    if defect is not None:
+                        raise TraceError(f"packets: {defect}")
                     events = EventLog.from_arrays(*streams)
                 except TraceError as exc:
                     raise TraceError(f"{path.name}: user {uid}: {exc}") from None

@@ -143,6 +143,14 @@ SCREEN_EVENT_DTYPE = np.dtype([("timestamp", "f8"), ("on", "u1")])
 INPUT_EVENT_DTYPE = np.dtype([("timestamp", "f8"), ("app", "u2")])
 
 
+def _records(dtype: np.dtype, *columns: np.ndarray) -> np.ndarray:
+    """A structured array of ``dtype`` from its columns, in field order."""
+    out = np.empty(len(columns[0]), dtype)
+    for name, values in zip(dtype.names, columns):
+        out[name] = values
+    return out
+
+
 def _stream(array: np.ndarray, dtype: np.dtype, name: str) -> np.ndarray:
     """``array`` checked, stably sorted by time (a sorted array is not
     copied) and read-only; errors name the stream ``name``."""
@@ -213,6 +221,37 @@ class EventLog:
         log = cls.__new__(cls)
         log._adopt(process, screen, inputs)
         return log
+
+    @classmethod
+    def from_columns(
+        cls,
+        timestamps: np.ndarray,
+        streams: np.ndarray,
+        apps: np.ndarray,
+        values: np.ndarray,
+    ) -> "EventLog":
+        """A log over the events of all three streams as columns, in
+        input order: ``streams`` holds each event's stream (0 process,
+        1 screen, 2 input), ``apps`` its app (read for process and input
+        events) and ``values`` its process state or screen ``on`` (read
+        for process and screen events).
+
+        Each stream keeps its events in input order up to its stable
+        time sort, so the log equals the constructor's over the same
+        events in the same order; values are checked as in
+        :meth:`from_arrays`.
+        """
+        process, screen, inputs = (streams == s for s in range(3))
+        return cls.from_arrays(
+            _records(
+                PROCESS_EVENT_DTYPE,
+                timestamps[process],
+                apps[process],
+                values[process],
+            ),
+            _records(SCREEN_EVENT_DTYPE, timestamps[screen], values[screen]),
+            _records(INPUT_EVENT_DTYPE, timestamps[inputs], apps[inputs]),
+        )
 
     def _adopt(
         self, process: np.ndarray, screen: np.ndarray, inputs: np.ndarray

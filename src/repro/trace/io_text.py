@@ -31,20 +31,23 @@ So does a timestamp that is not finite (``inf``, ``nan``).
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 from contextlib import contextmanager
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import (
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     NamedTuple,
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -76,15 +79,15 @@ _DIRECTIONS = {
 }
 
 
-def _parse_direction(token: str) -> Direction:
+def _parse_direction(token: Optional[str]) -> Direction:
     try:
-        return _DIRECTIONS[token.strip().lower()]
+        return _DIRECTIONS[(token or "").strip().lower()]
     except KeyError:
         raise TraceError(f"unknown packet direction {token!r}") from None
 
 
-def _app_id(registry: AppRegistry, name: str) -> int:
-    name = name.strip()
+def _app_id(registry: AppRegistry, name: Optional[str]) -> int:
+    name = (name or "").strip()
     if not name:
         raise TraceError("packet/event row with empty app name")
     if name in registry:
@@ -165,8 +168,8 @@ def parse_packet_fields(row, registry: AppRegistry) -> PacketRow:
 
 
 class _Lines:
-    """A CSV's lines, shared by its ``csv`` reader and the packets block
-    fast path.
+    """A CSV's lines, shared by its ``csv`` reader and the block fast
+    path.
 
     The fast path takes lines straight off the file; lines it hands back
     (:meth:`unread`) are what the ``csv`` reader sees next. ``bypassed``
@@ -303,6 +306,116 @@ class PacketBlock(NamedTuple):
     packets: PacketArray
 
 
+_Parsed = TypeVar("_Parsed")
+_Row = TypeVar("_Row")
+
+
+def _block_loop(
+    reader: csv.DictReader,
+    lines: _Lines,
+    fast: Callable[[List[str], int], Optional[_Parsed]],
+    rows: Iterator[_Row],
+    gather: Callable[[List[_Row]], _Parsed],
+) -> Iterator[_Parsed]:
+    """The one block loop of every block reader, for either schema.
+
+    Takes about :data:`_BLOCK_LINES` lines at a time off ``lines`` and
+    yields ``fast(block, first_line)`` for each block the fast path
+    takes whole. A block it refuses (``None``) is handed back to
+    ``rows``, the per-row path over ``reader``, which reads on past the
+    block's end when a quoted record or blank line spans it; the rows
+    it yields for the block come out as one ``gather(rows)``. A row
+    error there first yields the good rows before it, so a consumer
+    sees the same prefix as row by row.
+    """
+    while True:
+        block = lines.take(_BLOCK_LINES)
+        if not block:
+            return
+        parsed = fast(block, reader.line_num + lines.bypassed + 1)
+        if parsed is not None:
+            lines.bypassed += len(block)
+            yield parsed
+            continue
+        lines.unread(block)
+        held: List[_Row] = []
+        try:
+            for item in rows:
+                held.append(item)
+                if lines.drained:
+                    break
+        except TraceError:
+            if held:
+                yield gather(held)
+            raise
+        if held:
+            yield gather(held)
+
+
+def _split_block(block: List[str], n_fields: int) -> Optional[List[str]]:
+    """The fast path's tokenizer: a block of plain lines as one flat
+    list of ``n_fields`` tokens per line, or ``None``.
+
+    A plain block has no ``"``, NUL or byte that is not valid UTF-8, no
+    line over ``csv``'s field limit and exactly ``n_fields`` fields on
+    every line (so no blank line); ``\\r\\n`` and ``\\r`` line ends are
+    plain too.
+    """
+    text = "".join(block)
+    limit = csv.field_size_limit()
+    if (
+        '"' in text
+        or "\0" in text
+        or undecodable(text)
+        or (len(text) > limit and max(map(len, block)) > limit)
+        or set(map(str.count, block, repeat(","))) != {n_fields - 1}
+    ):
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", ",").replace("\r", ",")
+    tokens = text.replace("\n", ",").split(",")
+    if block[-1].endswith(("\n", "\r")):
+        tokens.pop()  # the empty "token" after the last line end
+    return tokens
+
+
+def _packet_reader(
+    path: PathLike,
+    registry: AppRegistry,
+    on_bad_row: Optional[Callable[[TraceError], None]],
+    inject: bool,
+    times_only: bool,
+) -> Iterator[Tuple[np.ndarray, Union[PacketArray, np.ndarray]]]:
+    """``(line_numbers, packets)`` per block of a packets CSV, or with
+    ``times_only`` ``(line_numbers, timestamps)``: see
+    :func:`iter_packet_blocks` and :func:`_iter_packet_times`."""
+    path = Path(path)
+    per_row = inject and faults.active_plan() is not None
+    with _open_csv(path, "packets", PACKET_COLUMNS) as (reader, lines):
+        n_fields = len(reader.fieldnames)
+        # A DictReader row keeps the last of duplicated columns.
+        columns = {name: i for i, name in enumerate(reader.fieldnames)}
+
+        def fast(block: List[str], first: int):
+            tokens = None if per_row else _split_block(block, n_fields)
+            if tokens is None:
+                return None
+            parsed = _packet_columns(
+                tokens, n_fields, columns, registry, times_only
+            )
+            if parsed is None:
+                return None
+            return np.arange(first, first + len(block), dtype=np.int64), parsed
+
+        yield from _block_loop(
+            reader,
+            lines,
+            fast,
+            _row_path(path, reader, lines, registry, on_bad_row, inject),
+            _times_from_rows if times_only else _packets_from_rows,
+        )
+
+
 def iter_packet_blocks(
     path: PathLike,
     registry: AppRegistry,
@@ -331,65 +444,39 @@ def iter_packet_blocks(
     fault plan is armed every block takes the per-row path, so
     ``io.packet_row`` hits land on the same rows.
     """
-    path = Path(path)
-    per_row = inject and faults.active_plan() is not None
-    with _open_csv(path, "packets", PACKET_COLUMNS) as (reader, lines):
-        fields = reader.fieldnames
-        # A DictReader row keeps the last of duplicated columns.
-        columns = {name: i for i, name in enumerate(fields)}
-        rows = _row_path(path, reader, lines, registry, on_bad_row, inject)
-        while True:
-            block = lines.take(_BLOCK_LINES)
-            if not block:
-                return
-            packets = None if per_row else _parse_block(
-                block, len(fields), columns, registry
-            )
-            if packets is not None:
-                first = reader.line_num + lines.bypassed + 1
-                lines.bypassed += len(block)
-                yield PacketBlock(
-                    np.arange(first, first + len(block), dtype=np.int64),
-                    packets,
-                )
-                continue
-            lines.unread(block)
-            parsed: List[Tuple[int, PacketRow]] = []
-            try:
-                for item in rows:
-                    parsed.append(item)
-                    if lines.drained:
-                        break
-            except TraceError:
-                if parsed:
-                    yield _block_from_rows(parsed)
-                raise
-            if parsed:
-                yield _block_from_rows(parsed)
+    for line_numbers, packets in _packet_reader(
+        path, registry, on_bad_row, inject, times_only=False
+    ):
+        yield PacketBlock(line_numbers, packets)
 
 
-def _parse_block(
-    block: List[str],
+def _iter_packet_times(
+    path: PathLike,
+    registry: AppRegistry,
+    on_bad_row: Optional[Callable[[TraceError], None]] = None,
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """:func:`iter_packet_blocks` that only validates:
+    ``(line_numbers, timestamps)`` per block.
+
+    The same rows, checks, errors, ``on_bad_row`` calls and app
+    registration order, but of each row only its timestamp is kept;
+    sizes, conns and directions are checked and never built. The
+    stream prepass reads through here.
+    """
+    return _packet_reader(path, registry, on_bad_row, False, times_only=True)
+
+
+def _packet_columns(
+    tokens: List[str],
     n_fields: int,
     columns: Dict[str, int],
     registry: AppRegistry,
-) -> Optional[PacketArray]:
-    """The fast path: a block of plain lines as columns, or ``None``."""
-    text = "".join(block)
-    if (
-        '"' in text
-        or "\0" in text
-        or undecodable(text)
-        or max(map(len, block)) > csv.field_size_limit()
-        or set(map(str.count, block, repeat(","))) != {n_fields - 1}
-    ):
-        return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if text.endswith("\n"):
-        text = text[:-1]
-    tokens = text.replace("\n", ",").split(",")
-    n = len(block)
+    times_only: bool = False,
+) -> Union[None, PacketArray, np.ndarray]:
+    """The fast path's column step: a split block as a
+    :class:`PacketArray` — with ``times_only``, just its timestamps —
+    or ``None`` when a cast fails or a value is out of range."""
+    n = len(tokens) // n_fields
 
     def column(name: str) -> List[str]:
         return tokens[columns[name]::n_fields]
@@ -400,18 +487,15 @@ def _parse_block(
         )
         if not np.isfinite(timestamps).all():
             return None
-        sizes = _uint32_column(column("size"), n)
+        sizes = _uint32_column(column("size"), n, times_only)
         direction = column("direction")
         codes = {t: int(_parse_direction(t)) for t in set(direction)}
-        directions = np.fromiter(
-            map(codes.__getitem__, direction), np.uint8, n
-        )
         conns = None
         if "conn" in columns:
             conn = column("conn")
             if "" in conn:
                 conn = [t or "0" for t in conn]
-            conns = _uint32_column(conn, n)
+            conns = _uint32_column(conn, n, times_only)
     except (TraceError, ValueError, OverflowError):
         return None
     app = column("app")
@@ -419,24 +503,46 @@ def _parse_block(
     if not all(map(str.strip, names)):
         return None
     ids = {token: _app_id(registry, token) for token in names}
+    if times_only:
+        return timestamps
+    directions = np.fromiter(map(codes.__getitem__, direction), np.uint8, n)
     apps = np.fromiter(map(ids.__getitem__, app), np.uint16, n)
     return PacketArray.from_columns(
         timestamps, sizes, directions, apps, conns
     )
 
 
-def _uint32_column(tokens: List[str], n: int) -> np.ndarray:
-    """``int`` of each token; ``OverflowError`` if one is out of range."""
+def _uint32_column(
+    tokens: List[str], n: int, check_only: bool = False
+) -> Optional[np.ndarray]:
+    """``int`` of each token; ``OverflowError`` if one is out of range.
+
+    With ``check_only`` a column of 1-9 ASCII digits per token is
+    accepted as it is: ``int`` of such a token cannot fail and fits a
+    ``uint32``. Any other column is cast and range-checked, and nothing
+    is returned.
+    """
+    if check_only:
+        joined = "".join(tokens)
+        if (
+            joined.isascii()
+            and joined.isdigit()
+            and "" not in tokens
+            and max(map(len, tokens)) <= 9
+        ):
+            return None
     values = np.fromiter(map(int, tokens), np.int64, n)
     if values.min() < 0 or values.max() > _UINT32_MAX:
         raise OverflowError("value out of uint32 range")
-    return values.astype(np.uint32)
+    return None if check_only else values.astype(np.uint32)
 
 
-def _block_from_rows(parsed: List[Tuple[int, PacketRow]]) -> PacketBlock:
+def _packets_from_rows(
+    parsed: List[Tuple[int, PacketRow]]
+) -> Tuple[np.ndarray, PacketArray]:
     line_numbers, rows = zip(*parsed)
     times, sizes, directions, apps, conns = zip(*rows)
-    return PacketBlock(
+    return (
         np.array(line_numbers, dtype=np.int64),
         PacketArray.from_columns(
             np.array(times, dtype=np.float64),
@@ -445,6 +551,16 @@ def _block_from_rows(parsed: List[Tuple[int, PacketRow]]) -> PacketBlock:
             np.array(apps, dtype=np.uint16),
             np.array(conns, dtype=np.uint32),
         ),
+    )
+
+
+def _times_from_rows(
+    parsed: List[Tuple[int, PacketRow]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    line_numbers, rows = zip(*parsed)
+    return (
+        np.array(line_numbers, dtype=np.int64),
+        np.array([row[0] for row in rows], dtype=np.float64),
     )
 
 
@@ -463,6 +579,17 @@ EventRow = Tuple[str, object]
 #: The events-CSV schema's required columns.
 EVENT_COLUMNS = frozenset({"timestamp", "kind"})
 
+#: Event codes (:func:`_event_code`): a process row's code is its
+#: :class:`ProcessState`, a screen row's ``_SCREEN_OFF`` plus 1 if on,
+#: an input row's ``_INPUT``. ``code >> 3`` is the row's stream as
+#: :meth:`EventLog.from_columns` numbers them, ``code & 7`` its value.
+_SCREEN_OFF = 8
+_INPUT = 16
+
+#: One events-CSV row as the block reader keeps it: (timestamp, event
+#: code, app id — 0 for a screen row).
+_EventFields = Tuple[float, int, int]
+
 
 def iter_event_rows(
     path: PathLike, registry: AppRegistry
@@ -470,54 +597,155 @@ def iter_event_rows(
     """Lazily parse an events CSV into ``(kind, event)`` pairs.
 
     ``kind`` is ``"process"``/``"screen"``/``"input"``; ``event`` is the
-    matching :mod:`repro.trace.events` record. Shared by the batch and
-    streaming readers; malformed rows raise :class:`TraceError` naming
-    the file and line number.
+    matching :mod:`repro.trace.events` record. The per-row reference
+    :func:`read_events_csv` is tested against; malformed rows raise
+    :class:`TraceError` naming the file and line number.
     """
     path = Path(path)
     with _open_csv(path, "events", EVENT_COLUMNS) as (reader, lines):
-        for row in reader:
-            try:
-                lines.check_decoded()
-                yield _parse_event_row(row, registry)
-            except (TraceError, ValueError, TypeError) as exc:
-                raise TraceError(
-                    f"{path.name}:{reader.line_num}: {exc}"
-                ) from None
+        for timestamp, code, app in _event_row_path(
+            path, reader, lines, registry
+        ):
+            if code == _INPUT:
+                yield "input", UserInputEvent(timestamp, app)
+            elif code >= _SCREEN_OFF:
+                yield "screen", ScreenEvent(timestamp, code > _SCREEN_OFF)
+            else:
+                yield "process", ProcessStateEvent(
+                    timestamp, app, ProcessState(code)
+                )
 
 
-def _parse_event_row(row, registry: AppRegistry) -> EventRow:
-    timestamp = parse_timestamp(row["timestamp"])
-    kind = row["kind"].strip().lower()
-    if kind == "process":
-        state_name = (row.get("value") or "").strip().upper()
+def _event_row_path(
+    path: Path, reader: csv.DictReader, lines: _Lines, registry: AppRegistry
+) -> Iterator[_EventFields]:
+    """The events per-row path: each row's fields, in file order."""
+    for row in reader:
         try:
-            state = ProcessState[state_name]
+            lines.check_decoded()
+            fields = _parse_event_fields(row, registry)
+        except (TraceError, ValueError, TypeError) as exc:
+            line_num = reader.line_num + lines.bypassed
+            raise TraceError(f"{path.name}:{line_num}: {exc}") from None
+        yield fields
+
+
+def _parse_event_fields(row, registry: AppRegistry) -> _EventFields:
+    """Parse one raw events-CSV row dict. The time parses first, then
+    the kind and value, and the app of a process or input row
+    registers last."""
+    timestamp = parse_timestamp(row["timestamp"])
+    code = _event_code(row["kind"], row.get("value"))
+    if _SCREEN_OFF <= code < _INPUT:
+        return timestamp, code, 0
+    return timestamp, code, _app_id(registry, row.get("app"))
+
+
+def _event_code(kind: Optional[str], value: Optional[str]) -> int:
+    """What an events row's ``kind`` and ``value`` fields say, as one
+    event code; :class:`TraceError` if they say nothing valid."""
+    name = (kind or "").strip().lower()
+    if name == "process":
+        try:
+            return ProcessState[(value or "").strip().upper()]
         except KeyError:
-            raise TraceError(
-                f"unknown process state {row.get('value')!r}"
-            ) from None
-        return kind, ProcessStateEvent(
-            timestamp, _app_id(registry, row.get("app") or ""), state
-        )
-    if kind == "screen":
-        value = (row.get("value") or "").strip().lower()
+            raise TraceError(f"unknown process state {value!r}") from None
+    if name == "screen":
+        value = (value or "").strip().lower()
         if value not in ("on", "off"):
             raise TraceError(f"screen value must be on/off, got {value!r}")
-        return kind, ScreenEvent(timestamp, value == "on")
-    if kind == "input":
-        return kind, UserInputEvent(
-            timestamp, _app_id(registry, row.get("app") or "")
+        return _SCREEN_OFF + (value == "on")
+    if name == "input":
+        return _INPUT
+    raise TraceError(f"unknown event kind {kind!r}")
+
+
+def _event_block(
+    tokens: Optional[List[str]],
+    n_fields: int,
+    columns: Dict[str, int],
+    registry: AppRegistry,
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The events fast path's column step: a split block as
+    ``(timestamps, codes, apps)`` columns, or ``None``.
+
+    Kinds and values resolve once per distinct ``(kind, value)`` pair
+    and app names once per distinct name, exactly as
+    :func:`_parse_event_fields` resolves them; the apps of process and
+    input rows register in first-appearance order only once the whole
+    block has parsed, and screen rows register nothing.
+    """
+    if tokens is None:
+        return None
+    n = len(tokens) // n_fields
+
+    def column(name: str) -> List[str]:
+        # DictReader reads a missing column as None, the row parse as "".
+        if name not in columns:
+            return [""] * n
+        return tokens[columns[name]::n_fields]
+
+    pairs = list(zip(column("kind"), column("value")))
+    try:
+        timestamps = np.fromiter(
+            map(float, column("timestamp")), np.float64, n
         )
-    raise TraceError(f"unknown event kind {row['kind']!r}")
+        codes = {pair: _event_code(*pair) for pair in set(pairs)}
+    except (TraceError, ValueError):
+        return None
+    if not np.isfinite(timestamps).all():
+        return None
+    code = np.fromiter(map(codes.__getitem__, pairs), np.uint8, n)
+    app = column("app")
+    # Stream 1 is the screen: its rows name no app.
+    names = dict.fromkeys(compress(app, (code >> 3 != 1).tolist()))
+    if not all(map(str.strip, names)):
+        return None
+    ids = {token: _app_id(registry, token) for token in names}
+    apps = np.fromiter(map(ids.get, app, repeat(0)), np.uint16, n)
+    return timestamps, code, apps
+
+
+def _event_columns(
+    rows: List[_EventFields],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    timestamps, codes, apps = zip(*rows)
+    return (
+        np.array(timestamps, dtype=np.float64),
+        np.array(codes, dtype=np.uint8),
+        np.array(apps, dtype=np.uint16),
+    )
 
 
 def read_events_csv(path: PathLike, registry: AppRegistry) -> EventLog:
-    """Read an events CSV (process/screen/input streams)."""
-    streams: Dict[str, list] = {"process": [], "screen": [], "input": []}
-    for kind, event in iter_event_rows(path, registry):
-        streams[kind].append(event)
-    return EventLog(streams["process"], streams["screen"], streams["input"])
+    """Read an events CSV (process/screen/input streams).
+
+    Parses in blocks through the packets reader's block loop: a plain
+    block (see :func:`iter_packet_blocks`) is split and cast column by
+    column, and any other block, or one holding a bad time, kind,
+    value or app, is re-read row by row, so events, app registration
+    order and errors are exactly :func:`iter_event_rows`'.
+    """
+    path = Path(path)
+    with _open_csv(path, "events", EVENT_COLUMNS) as (reader, lines):
+        n_fields = len(reader.fieldnames)
+        # A DictReader row keeps the last of duplicated columns.
+        columns = {name: i for i, name in enumerate(reader.fieldnames)}
+        parts = list(
+            _block_loop(
+                reader,
+                lines,
+                lambda block, _: _event_block(
+                    _split_block(block, n_fields), n_fields, columns, registry
+                ),
+                _event_row_path(path, reader, lines, registry),
+                _event_columns,
+            )
+        )
+    if not parts:
+        return EventLog()
+    timestamps, codes, apps = map(np.concatenate, zip(*parts))
+    return EventLog.from_columns(timestamps, codes >> 3, apps, codes & 7)
 
 
 def dataset_from_csv(
@@ -563,42 +791,85 @@ def dataset_from_csv(
     return dataset
 
 
+#: Rows per write of the CSV writers: one join and one write per block.
+_WRITE_ROWS = 8192
+
+#: Each process state's name as the events CSV writes it.
+_STATE_NAMES = {int(state): state.name.lower() for state in ProcessState}
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of a row."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([text, ""])
+    return buffer.getvalue()[: -len(",\r\n")]
+
+
+def _write_rows(handle, columns: Sequence[Iterable[str]]) -> None:
+    """Write rows of already-quoted fields as ``csv.writer`` would:
+    comma-separated, each ended by ``\r\n``, one join per block."""
+    rows = map(",".join, zip(*columns))
+    while True:
+        block = list(islice(rows, _WRITE_ROWS))
+        if not block:
+            return
+        handle.write("\r\n".join(block) + "\r\n")
+
+
 def write_packets_csv(
     path: PathLike, packets: PacketArray, registry: AppRegistry
 ) -> None:
     """Write a packets CSV readable by :func:`read_packets_csv`."""
+    apps = packets.apps.tolist()
+    names = {app: _csv_field(registry.name_of(app)) for app in set(apps)}
+    uplink = (packets.directions == int(Direction.UPLINK)).tolist()
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["timestamp", "size", "direction", "app", "conn"])
-        for rec in packets.data:
-            writer.writerow(
-                [
-                    repr(float(rec["timestamp"])),
-                    int(rec["size"]),
-                    "up" if int(rec["direction"]) == int(Direction.UPLINK) else "down",
-                    registry.name_of(int(rec["app"])),
-                    int(rec["conn"]),
-                ]
-            )
+        handle.write("timestamp,size,direction,app,conn\r\n")
+        _write_rows(
+            handle,
+            [
+                map(repr, packets.timestamps.tolist()),
+                map(str, packets.sizes.tolist()),
+                map(("down", "up").__getitem__, uplink),
+                map(names.__getitem__, apps),
+                map(str, packets.conns.tolist()),
+            ],
+        )
 
 
 def write_events_csv(
     path: PathLike, events: EventLog, registry: AppRegistry
 ) -> None:
     """Write an events CSV readable by :func:`read_events_csv`."""
+    process, screen, inputs = events.process, events.screen, events.input
+    apps = set(process["app"].tolist()) | set(inputs["app"].tolist())
+    names = {app: _csv_field(registry.name_of(app)) for app in apps}
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["timestamp", "kind", "app", "value"])
-        for timestamp, app, state in events.process.tolist():
-            writer.writerow(
-                [
-                    repr(timestamp),
-                    "process",
-                    registry.name_of(app),
-                    ProcessState(state).name.lower(),
-                ]
-            )
-        for timestamp, on in events.screen.tolist():
-            writer.writerow([repr(timestamp), "screen", "", "on" if on else "off"])
-        for timestamp, app in events.input.tolist():
-            writer.writerow([repr(timestamp), "input", registry.name_of(app), ""])
+        handle.write("timestamp,kind,app,value\r\n")
+        _write_rows(
+            handle,
+            [
+                map(repr, process["timestamp"].tolist()),
+                repeat("process", len(process)),
+                map(names.__getitem__, process["app"].tolist()),
+                map(_STATE_NAMES.__getitem__, process["state"].tolist()),
+            ],
+        )
+        _write_rows(
+            handle,
+            [
+                map(repr, screen["timestamp"].tolist()),
+                repeat("screen", len(screen)),
+                repeat("", len(screen)),
+                map(("off", "on").__getitem__, screen["on"].tolist()),
+            ],
+        )
+        _write_rows(
+            handle,
+            [
+                map(repr, inputs["timestamp"].tolist()),
+                repeat("input", len(inputs)),
+                map(names.__getitem__, inputs["app"].tolist()),
+                repeat("", len(inputs)),
+            ],
+        )

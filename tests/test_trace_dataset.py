@@ -248,6 +248,10 @@ MALFORMED_ARCHIVES = {
         _rewritten(packets_1=_with_field("timestamp", np.inf)),
         r"bad\.npz: user 1: packets: non-finite timestamp",
     ),
+    "packets-state-7": (
+        _rewritten(packets_1=_with_field("state", 7)),
+        r"bad\.npz: user 1: packets: state label 7 is neither a ProcessState",
+    ),
 }
 
 
@@ -267,3 +271,40 @@ def test_load_malformed_archive_is_a_trace_error(tmp_path, case):
 def test_load_missing_file_is_file_not_found(tmp_path):
     with pytest.raises(FileNotFoundError):
         Dataset.load(tmp_path / "absent.npz")
+
+
+def test_state_label_outside_process_state_is_refused_by_both_readers(
+    tmp_path,
+):
+    """A saved packet state that is no ProcessState and not unlabelled
+    (255) is a typed error from the batch and the stream reader, naming
+    the file, the user and the member — not a raw ``ValueError`` from
+    whatever renders it later. 255 still loads."""
+    from repro import StudyConfig, generate_study
+    from repro.errors import StreamError
+    from repro.stream import NpzStreamSource
+
+    dataset = generate_study(StudyConfig(n_users=1, duration_days=1.0, seed=3))
+    states = dataset.users[0].packets.data["state"]
+    states[:5] = 7
+    path = dataset.save(tmp_path / "s.npz")
+    with pytest.raises(TraceError) as caught:
+        Dataset.load(path)
+    assert str(caught.value) == (
+        "s.npz: user 1: packets: state label 7 is neither a ProcessState "
+        "nor unlabelled (255)"
+    )
+    with pytest.raises(StreamError) as caught:
+        list(NpzStreamSource(path, chunk_size=1000).iter_chunks(1))
+    assert str(caught.value) == (
+        "s.npz: user 1: packets_1: state label 7 is neither a ProcessState "
+        "nor unlabelled (255)"
+    )
+    states[:5] = 255
+    dataset.save(path)
+    loaded = Dataset.load(path)
+    streamed = np.concatenate(
+        [chunk.data for chunk in NpzStreamSource(path).iter_chunks(1)]
+    )
+    np.testing.assert_array_equal(streamed, loaded.users[0].packets.data)
+    assert (loaded.users[0].packets.states[:5] == 255).all()
