@@ -4,7 +4,8 @@
 # against a fresh store, and curl every endpoint class — 200 with an
 # ETag, 304 on revalidation, 404 with a reason for per-packet figures.
 # The served readout must equal a batch study's in every field but the
-# study id.
+# study id, and each served figure, table and headline body must equal
+# what the CLI prints for it, batch and from the checkpoint.
 # Warm 200s must leave the store index byte-for-byte unchanged, and
 # `repro store ls` must list the live store.
 #
@@ -81,6 +82,36 @@ grep -Eq '^analysis +study +policy +bytes +etag *$' "$workdir/ls.out" \
     || { echo "FAIL: unexpected store ls header"; cat "$workdir/ls.out"; exit 1; }
 grep -q '^3 entries$' "$workdir/ls.out" \
     || { echo "FAIL: store ls should list 3 entries"; cat "$workdir/ls.out"; exit 1; }
+
+# served_equals_cli PATH ARGS...: the body served at PATH, plus the
+# newline the CLI's print adds, must equal `repro ARGS...`'s stdout.
+served_equals_cli() {
+    path="$1"; shift
+    curl -sf "$base/$path" >"$workdir/served.txt" \
+        || { echo "FAIL: GET $base/$path"; exit 1; }
+    echo >>"$workdir/served.txt"
+    python -m repro.cli "$@" >"$workdir/cli.txt" 2>/dev/null \
+        || { echo "FAIL: repro $* exited non-zero"; exit 1; }
+    cmp -s "$workdir/served.txt" "$workdir/cli.txt" || {
+        echo "FAIL: $base/$path differs from repro $*"
+        diff "$workdir/served.txt" "$workdir/cli.txt" | head -20
+        exit 1
+    }
+    echo "    $path == repro ${*//"$workdir"\//}"
+}
+
+echo "==> served bodies equal the batch CLI's and the checkpoint path's"
+for source in "--dataset study.npz" "--from-checkpoint ck.npz"; do
+    flag="${source% *}"
+    file="$workdir/${source#* }"
+    served_equals_cli figures/fig1 figure 1 "$flag" "$file"
+    served_equals_cli figures/fig2 figure 2 "$flag" "$file"
+    served_equals_cli figures/fig3 figure 3 "$flag" "$file"
+    served_equals_cli tables/table1 table 1 "$flag" "$file"
+done
+# Batch `repro headlines` adds the per-packet headlines, which are not
+# served; the served block is the checkpoint path's.
+served_equals_cli headlines headlines --from-checkpoint "$workdir/ck.npz"
 
 echo "==> the index names the study; its readout serves as JSON"
 study="$(curl -s "$base/" | python -c 'import json,sys; print(json.load(sys.stdin)["study"])')"

@@ -18,17 +18,13 @@ from typing import Tuple
 from repro import StudyEnergy
 from repro.core import (
     bytes_since_foreground,
-    case_study_table,
     kill_policy_savings,
     persistence_durations,
     report,
-    state_energy_fractions,
-    top10_appearance_counts,
-    top_consumers,
     trace_timeline,
 )
 from repro.core.appreport import app_report, render_app_report
-from repro.core.headlines import headline_stats, totals_headline_stats
+from repro.core.headlines import headline_stats
 from repro.core.longitudinal import improved_apps, weekly_background_energy
 from repro.core.readout import require_packet_detail
 from repro.core.recommend import recommendation_report
@@ -51,7 +47,7 @@ from repro.policy import (
     savings_on_affected_days,
 )
 from repro.radio.registry import available_models, get_model
-from repro.store import render_headline_rows
+from repro.store import render_analysis, render_headline_rows
 from repro.trace.summary import summarize
 from repro.units import battery_fraction
 
@@ -72,10 +68,6 @@ from repro.cli._shared import (
 
 __all__ = ["TABLE2_APPS"]
 
-# One formatter behind the CLI, the store and `repro serve` — what
-# makes their headline output byte-identical by construction.
-_render_headlines = render_headline_rows
-
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args)
@@ -84,49 +76,37 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_analysis(args: argparse.Namespace, name: str) -> int:
+    """Print one totals-tier artefact through the renderer registry,
+    from the store, the checkpoint or the study. Fig 1 ranks apps by
+    traffic alone, so its batch source is the dataset, unattributed."""
+    if args.store:
+        return _store_render(args, _store_source(args), name)
+    if args.from_checkpoint:
+        source = _checkpoint_readout(args)
+    elif name == "fig1":
+        source = _load_dataset(args)
+    else:
+        source = _study(args)
+    print(render_analysis(name, source))
+    return 0
+
+
 def _cmd_figure(args: argparse.Namespace) -> int:
     number = args.number
-    if args.store and number in (1, 2, 3):
-        return _store_render(args, _store_source(args), f"fig{number}")
+    if number in (1, 2, 3):
+        return _print_analysis(args, f"fig{number}")
     if args.from_checkpoint:
-        readout = _checkpoint_readout(args)
-        if number == 1:
-            print(report.render_fig1(top10_appearance_counts(readout)))
-        elif number == 2:
-            print(
-                report.render_fig2(
-                    top_consumers(readout, by="energy"),
-                    top_consumers(readout, by="data"),
-                )
-            )
-        elif number == 3:
-            print(report.render_fig3(state_energy_fractions(readout)))
-        else:
-            require_packet_detail(readout, f"figure {number}")
+        require_packet_detail(_checkpoint_readout(args), f"figure {number}")
         return 0
     dataset = _load_dataset(args)
-    if number in (2, 3):
-        study = _study(args, dataset)
-    if number == 1:
-        print(report.render_fig1(top10_appearance_counts(dataset)))
-    elif number == 2:
-        print(
-            report.render_fig2(
-                top_consumers(study, by="energy"), top_consumers(study, by="data")
-            )
-        )
-    elif number == 3:
-        print(report.render_fig3(state_energy_fractions(study)))
-    elif number == 4:
+    if number == 4:
         print(report.render_fig4(trace_timeline(dataset, args.app)))
     elif number == 5:
         print(report.render_fig5(persistence_durations(dataset, app=args.app)))
     elif number == 6:
         edges, totals = bytes_since_foreground(dataset)
         print(report.render_fig6(edges, totals))
-    else:
-        print(f"unknown figure {number}", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -153,50 +133,36 @@ def _render_table2(study, dataset) -> str:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if args.store and args.number == 1:
-        return _store_render(args, _store_source(args), "table1")
+    if args.number == 1:
+        return _print_analysis(args, "table1")
     if args.from_checkpoint:
-        readout = _checkpoint_readout(args)
-        if args.number == 1:
-            print(report.render_table1(case_study_table(readout)))
-        else:
-            require_packet_detail(readout, f"table {args.number}")
+        require_packet_detail(_checkpoint_readout(args), f"table {args.number}")
         return 0
     dataset = _load_dataset(args)
     study = _study(args, dataset)
-    if args.number == 1:
-        print(report.render_table1(case_study_table(study)))
-    elif args.number == 2:
-        if args.policy:
-            try:
-                policy = get_policy(args.policy, parse_params(args.param))
-            except AnalysisError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            result = evaluate_policy(
-                study, policy, apps=_table2_breakout(dataset)
-            )
-            print(report.render_policy_table(result))
-        else:
-            print(_render_table2(study, dataset))
+    if args.policy:
+        try:
+            policy = get_policy(args.policy, parse_params(args.param))
+        except AnalysisError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        result = evaluate_policy(
+            study, policy, apps=_table2_breakout(dataset)
+        )
+        print(report.render_policy_table(result))
     else:
-        print(f"unknown table {args.number}", file=sys.stderr)
-        return 2
+        print(_render_table2(study, dataset))
     return 0
 
 
 def _cmd_headlines(args: argparse.Namespace) -> int:
-    if args.store:
-        # The store caches the totals-tier block (the same text
-        # `--from-checkpoint` prints); the full batch set includes
-        # per-packet headlines, which are not cacheable by this key.
-        return _store_render(args, _store_source(args), "headlines")
-    if args.from_checkpoint:
-        readout = _checkpoint_readout(args)
-        print(_render_headlines(totals_headline_stats(readout)))
-        return 0
+    if args.store or args.from_checkpoint:
+        # The store and a checkpoint hold the totals-tier block; the
+        # full batch set includes per-packet headlines, which are not
+        # cacheable by this key.
+        return _print_analysis(args, "headlines")
     study = _study(args)
-    print(_render_headlines(headline_stats(study)))
+    print(render_headline_rows(headline_stats(study)))
     return 0
 
 
@@ -205,20 +171,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return _report_models(args)
     if args.from_checkpoint:
         readout = _checkpoint_readout(args)
-        print(_render_headlines(totals_headline_stats(readout)))
-        print()
-        print(report.render_fig1(top10_appearance_counts(readout)))
-        print()
-        print(
-            report.render_fig2(
-                top_consumers(readout, by="energy"),
-                top_consumers(readout, by="data"),
-            )
-        )
-        print()
-        print(report.render_fig3(state_energy_fractions(readout)))
-        print()
-        print(report.render_table1(case_study_table(readout)))
+        print(render_analysis("headlines", readout))
+        for name in ("fig1", "fig2", "fig3", "table1"):
+            print()
+            print(render_analysis(name, readout))
         print(
             "\n(totals-tier report from checkpoint; Figs 4-6, Table 2 and "
             "the remaining headlines replay packets — run `repro report` "
@@ -228,17 +184,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args)
     study = _study(args, dataset)
     study.prepare_indexes()
-    print(_render_headlines(headline_stats(study)))
-    print()
-    print(report.render_fig1(top10_appearance_counts(dataset)))
-    print()
-    print(
-        report.render_fig2(
-            top_consumers(study, by="energy"), top_consumers(study, by="data")
-        )
-    )
-    print()
-    print(report.render_fig3(state_energy_fractions(study)))
+    print(render_headline_rows(headline_stats(study)))
+    for name, source in (("fig1", dataset), ("fig2", study), ("fig3", study)):
+        print()
+        print(render_analysis(name, source))
     print()
     print(report.render_fig4(trace_timeline(dataset, "com.android.chrome")))
     print()
@@ -251,7 +200,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     edges, totals = bytes_since_foreground(dataset)
     print(report.render_fig6(edges, totals))
     print()
-    print(report.render_table1(case_study_table(study)))
+    print(render_analysis("table1", study))
     print()
     print(_render_table2(study, dataset))
     return 0
@@ -301,7 +250,7 @@ def _report_models(args: argparse.Namespace) -> int:
             if code != 0:
                 return code
         else:
-            print(_render_headlines(totals_headline_stats(study)))
+            print(render_analysis("headlines", study))
         print()
         total = study.total_energy
         if baseline is None:

@@ -1,14 +1,23 @@
 """The one renderer registry behind the CLI, the store and the server.
 
-Byte-identity between ``repro figure`` output, store-cached blobs and
-HTTP bodies is not asserted after the fact — it is guaranteed by
-construction: all three call the same :data:`ANALYSES` entry on the
-same :class:`~repro.core.readout.EnergyReadout`. Every renderer here
-is totals-tier (Figs 1–3, Table 1, the totals headlines, the readout
-aggregates), so any readout — batch :class:`~repro.core.accounting.
-StudyEnergy`, live stream result, or loaded checkpoint — renders the
-identical text; per-packet artefacts (Figs 4–6, Table 2) are
-deliberately absent and unservable.
+Byte-identity between CLI output, store-cached blobs and HTTP bodies
+is not asserted after the fact — it is guaranteed by construction: all
+three print a totals-tier artefact by calling :func:`render_analysis`,
+so the same :data:`ANALYSES` entry renders it. On the CLI that is
+``repro figure 1``–``3`` and ``repro table 1`` (batch,
+``--from-checkpoint`` and ``--store``), ``repro headlines`` from a
+checkpoint or a store, the Fig 1–3 and Table 1 blocks of
+``repro report`` (with ``--from-checkpoint``, its headline block too),
+and each model's headline block of ``repro report --models``.
+
+Every renderer here is totals-tier (Figs 1–3, Table 1, the totals
+headlines, the readout aggregates), so any readout — batch
+:class:`~repro.core.accounting.StudyEnergy`, live stream result, or
+loaded checkpoint — renders the identical text. Batch Fig 1 renders
+from the :class:`~repro.trace.dataset.Dataset` itself, since it ranks
+apps by traffic alone. The per-packet sections (the full batch
+headline set, Figs 4–6, Table 2) are CLI-only: deliberately absent
+here and unservable.
 """
 
 from __future__ import annotations

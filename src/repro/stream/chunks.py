@@ -40,7 +40,7 @@ import numpy as np
 
 from repro import faults
 from repro.errors import StreamError, TraceError
-from repro.trace.arrays import PACKET_DTYPE, PacketArray, state_label_defect
+from repro.trace.arrays import PACKET_DTYPE, PacketArray, packet_label_defect
 from repro.trace.dataset import AppRegistry
 from repro.trace.events import EventLog
 from repro.trace.intervals import label_packet_states
@@ -362,10 +362,10 @@ class NpzStreamSource:
         """Yield one user's packets in bounded chunks, decompressing
         ``chunk_size`` records at a time straight off the archive.
 
-        A state label that is neither a
-        :class:`~repro.trace.events.ProcessState` nor unlabelled raises
-        :class:`StreamError` naming the archive, the user and the
-        member, before its chunk is yielded.
+        A direction other than uplink or downlink, or a state label
+        that is neither a :class:`~repro.trace.events.ProcessState` nor
+        unlabelled, raises :class:`StreamError` naming the archive, the
+        user and the member, before its chunk is yielded.
         """
         with zipfile.ZipFile(self.path) as archive:
             with archive.open(f"packets_{user_id}.npy") as raw:
@@ -385,7 +385,7 @@ class NpzStreamSource:
                     rows = min(self.chunk_size, remaining)
                     buffer = _read_exactly(handle, rows * itemsize)
                     chunk = np.frombuffer(buffer, dtype=dtype).copy()
-                    defect = state_label_defect(chunk["state"])
+                    defect = packet_label_defect(chunk)
                     if defect is not None:
                         raise StreamError(
                             f"{self.path.name}: user {user_id}: "

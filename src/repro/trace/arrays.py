@@ -21,26 +21,39 @@ from repro.trace.events import ProcessState
 #: Sentinel for "process state not labelled yet".
 STATE_UNLABELLED = 255
 
-#: ``_STATE_LABELS[label]`` is True for each label a packet may carry —
-#: a :class:`ProcessState` or :data:`STATE_UNLABELLED` — one entry per
+#: ``_DIRECTIONS[value]`` and ``_STATE_LABELS[label]`` are True for each
+#: direction and state label a packet may carry — uplink or downlink; a
+#: :class:`ProcessState` or :data:`STATE_UNLABELLED` — one entry per
 #: ``uint8`` value.
+_DIRECTIONS = np.zeros(256, dtype=bool)
+_DIRECTIONS[[int(direction) for direction in Direction]] = True
+_DIRECTIONS.setflags(write=False)
 _STATE_LABELS = np.zeros(256, dtype=bool)
 _STATE_LABELS[[int(state) for state in ProcessState]] = True
 _STATE_LABELS[STATE_UNLABELLED] = True
 _STATE_LABELS.setflags(write=False)
 
 
-def state_label_defect(states: np.ndarray) -> Optional[str]:
-    """Why a ``uint8`` state column is not one a packet may carry, or
-    ``None``: one 256-entry table lookup, no per-packet Python."""
-    bad = ~_STATE_LABELS[states]
-    if not bad.any():
-        return None
-    label = int(states[bad.argmax()])
-    return (
-        f"state label {label} is neither a ProcessState nor unlabelled "
-        f"({STATE_UNLABELLED})"
-    )
+def packet_label_defect(data: np.ndarray) -> Optional[str]:
+    """Why a packet record's ``uint8`` direction or state column holds
+    a value no packet may carry, or ``None``: one 256-entry table lookup
+    per column, no per-packet Python. A bad direction is reported before
+    a bad state label."""
+    directions = data["direction"]
+    ok = _DIRECTIONS[directions]
+    if not ok.all():
+        return (
+            f"direction {int(directions[ok.argmin()])} is neither uplink "
+            "(0) nor downlink (1)"
+        )
+    states = data["state"]
+    ok = _STATE_LABELS[states]
+    if not ok.all():
+        return (
+            f"state label {int(states[ok.argmin()])} is neither a "
+            f"ProcessState nor unlabelled ({STATE_UNLABELLED})"
+        )
+    return None
 
 
 #: numpy dtype of one packet record.
@@ -263,8 +276,6 @@ class PacketArray:
             raise TraceError("packet with zero size")
         if np.any(self.timestamps < 0):
             raise TraceError("packet with negative timestamp")
-        valid_dirs = {int(Direction.UPLINK), int(Direction.DOWNLINK)}
-        if not set(np.unique(self.directions)).issubset(valid_dirs):
-            raise TraceError("packet with invalid direction")
-        if state_label_defect(self.states) is not None:
-            raise TraceError("packet with invalid process state label")
+        defect = packet_label_defect(self.data)
+        if defect is not None:
+            raise TraceError(f"packet {defect}")

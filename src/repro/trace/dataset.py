@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.durable import write_atomic
 from repro.errors import TraceError
-from repro.trace.arrays import PACKET_DTYPE, PacketArray, state_label_defect
+from repro.trace.arrays import PACKET_DTYPE, PacketArray, packet_label_defect
 from repro.trace.events import EventLog
 from repro.trace.trace import UserTrace
 
@@ -304,7 +304,7 @@ class Dataset:
                         )
                     if not np.isfinite(data["timestamp"]).all():
                         raise TraceError("packets: non-finite timestamp")
-                    defect = state_label_defect(data["state"])
+                    defect = packet_label_defect(data)
                     if defect is not None:
                         raise TraceError(f"packets: {defect}")
                     events = EventLog.from_arrays(*streams)

@@ -143,6 +143,7 @@ def test_from_checkpoint_byte_identical(checkpointed, capsys):
     for batch_argv, ck_argv in [
         (["figure", "3", "--dataset", study], ["figure", "fig3", "--from-checkpoint", ck]),
         (["figure", "1", "--dataset", study], ["figure", "1", "--from-checkpoint", ck]),
+        (["figure", "2", "--dataset", study], ["figure", "fig2", "--from-checkpoint", ck]),
         (["table", "1", "--dataset", study], ["table", "table1", "--from-checkpoint", ck]),
     ]:
         code, batch_out = run(capsys, *batch_argv)
@@ -253,6 +254,52 @@ def test_report_from_checkpoint_is_totals_tier(checkpointed, capsys):
         assert marker in out
     assert "Figure 4" not in out
     assert "totals-tier report from checkpoint" in out
+
+
+def test_report_is_its_commands_in_order(checkpointed, capsys):
+    """A batch ``repro report`` prints what ``headlines``, ``figure 1``
+    to ``6``, ``table 1`` and ``table 2`` print on the same study, in
+    that order, one blank line apart."""
+    study, _ = checkpointed
+    capsys.readouterr()
+    parts = []
+    for argv in (
+        ["headlines"],
+        *(["figure", str(number)] for number in range(1, 7)),
+        ["table", "1"],
+        ["table", "2"],
+    ):
+        code, out = run(capsys, *argv, "--dataset", study)
+        assert code == 0
+        parts.append(out)
+    code, out = run(capsys, "report", "--dataset", study)
+    assert code == 0
+    assert out == "\n".join(parts)
+
+
+def test_report_from_checkpoint_is_its_commands_in_order(checkpointed, capsys):
+    """``repro report --from-checkpoint`` prints what ``headlines``,
+    ``figure 1`` to ``3`` and ``table 1`` print from the same checkpoint,
+    in that order, one blank line apart, then the one-line totals-tier
+    note."""
+    _, ck = checkpointed
+    capsys.readouterr()
+    parts = []
+    for argv in (
+        ["headlines"],
+        *(["figure", str(number)] for number in range(1, 4)),
+        ["table", "1"],
+    ):
+        code, out = run(capsys, *argv, "--from-checkpoint", ck)
+        assert code == 0
+        parts.append(out)
+    code, out = run(capsys, "report", "--from-checkpoint", ck)
+    assert code == 0
+    joined = "\n".join(parts)
+    assert out.startswith(joined)
+    note = out[len(joined):]
+    assert note.startswith("\n(totals-tier report from checkpoint; ")
+    assert note.endswith(")\n") and note.count("\n") == 2
 
 
 def test_ingest_no_cadence_table1_fails_typed(tmp_path, capsys):

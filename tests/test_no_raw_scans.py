@@ -37,6 +37,10 @@ The eighth keeps study-wide totals on one addition order: no builtin
 ``sum()`` in ``repro.core``, ``repro.store`` or ``repro.follow``,
 whose float result differs between CPython 3.11 and 3.12; those
 packages add through ``repro.core.readout.sequential_sum``.
+
+The ninth keeps the totals-tier artefacts on one renderer registry:
+only ``repro.store.render`` renders Figs 1-3, Table 1 and the totals
+headlines, so the CLI, the store and the server print the same text.
 """
 
 from __future__ import annotations
@@ -551,4 +555,66 @@ def test_no_builtin_sum_in_study_wide_packages():
     assert not offending, (
         "builtin sum() in a study-wide package — add through "
         "repro.core.readout.sequential_sum:\n" + "\n".join(offending)
+    )
+
+
+#: What the ninth guard must catch: the CLI's inline totals-tier renders.
+_PLANTED_INLINE_RENDERS = (
+    "print(report.render_fig1(top10_appearance_counts(readout)))\n"
+    "print(report.render_fig2(top_consumers(s, by='energy'), top))\n"
+    "print(report.render_fig3(state_energy_fractions(readout)))\n"
+    "print(report.render_table1(case_study_table(readout)))\n"
+    "print(render_headline_rows(totals_headline_stats(readout)))\n"
+)
+
+#: Totals-tier renderer → the modules besides ``repro.store.render``
+#: that may call it: ``headline_stats`` extends the totals headlines.
+_REGISTRY_RENDERERS = {
+    "render_fig1": (),
+    "render_fig2": (),
+    "render_fig3": (),
+    "render_table1": (),
+    "totals_headline_stats": ("core/headlines.py",),
+}
+
+
+def _totals_tier_renders(source, name):
+    """Calls of the totals-tier renderers in ``source`` that the module
+    ``name`` (relative to ``src/repro``) may not make."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        called = getattr(func, "attr", None) or getattr(func, "id", None)
+        allowed = _REGISTRY_RENDERERS.get(called)
+        if allowed is not None and name not in allowed:
+            found.append(f"{name}:{node.lineno}: {called}(...)")
+    return found
+
+
+def test_totals_tier_renders_go_through_the_registry():
+    """The CLI once rendered Figs 1-3, Table 1 and the totals headlines
+    inline, 19 times over, while the store and the server rendered them
+    through :data:`repro.store.render.ANALYSES`; the outputs agreed only
+    because the copies did. Every totals-tier print now calls
+    ``render_analysis``."""
+    registry = SRC / "store" / "render.py"
+    assert len(_totals_tier_renders(_PLANTED_INLINE_RENDERS, "planted")) == 5, (
+        "guard matches nothing"
+    )
+    assert len(_totals_tier_renders(registry.read_text(), "registry")) == 5, (
+        "guard matches nothing in the registry"
+    )
+    offending = [
+        hit
+        for path in sorted(SRC.rglob("*.py"))
+        if path != registry
+        for hit in _totals_tier_renders(
+            path.read_text(), path.relative_to(SRC).as_posix()
+        )
+    ]
+    assert not offending, (
+        "a totals-tier artefact rendered outside repro.store.render — "
+        "print render_analysis(name, source) instead:\n" + "\n".join(offending)
     )

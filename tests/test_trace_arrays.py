@@ -87,7 +87,7 @@ def test_concat():
 def test_validate_rejects_bad_direction():
     arr = PacketArray.from_packets(_packets())
     arr.data["direction"][0] = 9
-    with pytest.raises(TraceError):
+    with pytest.raises(TraceError, match="direction 9 is neither uplink"):
         arr.validate()
 
 

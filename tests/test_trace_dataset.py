@@ -252,6 +252,11 @@ MALFORMED_ARCHIVES = {
         _rewritten(packets_1=_with_field("state", 7)),
         r"bad\.npz: user 1: packets: state label 7 is neither a ProcessState",
     ),
+    "packets-direction-7": (
+        _rewritten(packets_1=_with_field("direction", 7)),
+        r"bad\.npz: user 1: packets: direction 7 is neither uplink \(0\) "
+        r"nor downlink \(1\)$",
+    ),
 }
 
 
@@ -308,3 +313,30 @@ def test_state_label_outside_process_state_is_refused_by_both_readers(
     )
     np.testing.assert_array_equal(streamed, loaded.users[0].packets.data)
     assert (loaded.users[0].packets.states[:5] == 255).all()
+
+
+def test_direction_outside_uplink_downlink_is_refused_by_the_stream_reader(
+    tmp_path,
+):
+    """A saved packet direction other than uplink (0) or downlink (1) is
+    a typed StreamError naming the archive, the user and the member,
+    raised before the chunk holding it is yielded; the chunks before it
+    still stream. A bad direction is named before a bad state label in
+    the same chunk."""
+    from repro import StudyConfig, generate_study
+    from repro.errors import StreamError
+    from repro.stream import NpzStreamSource
+
+    dataset = generate_study(StudyConfig(n_users=1, duration_days=1.0, seed=3))
+    data = dataset.users[0].packets.data
+    data["direction"][2500:2505] = 7
+    data["state"][2600] = 7
+    path = dataset.save(tmp_path / "s.npz")
+    chunks = NpzStreamSource(path, chunk_size=1000).iter_chunks(1)
+    assert [len(next(chunks)) for _ in range(2)] == [1000, 1000]
+    with pytest.raises(StreamError) as caught:
+        next(chunks)
+    assert str(caught.value) == (
+        "s.npz: user 1: packets_1: direction 7 is neither uplink (0) nor "
+        "downlink (1)"
+    )
