@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the live-monitoring contract
-# (docs/MONITORING.md): tail growing per-user CSVs with `repro follow`,
-# see a streaming headline, SIGTERM the follower (exit 6), resume it
+# (docs/MONITORING.md): tail growing per-user CSVs with `repro follow`
+# (packets and events appended in writes torn mid-line), see a
+# streaming headline, SIGTERM the follower (exit 6), resume it
 # (`--resume`), and prove the published live windows are byte-identical
 # to a follower that was never interrupted. Finishes by serving the
 # live store with `repro serve --live` and curling the /live routes.
@@ -29,7 +30,7 @@ echo "==> synthesise a tiny study as per-user CSV tails"
 # The live-store key fingerprints fold in the tailed paths (the
 # source signature), so the reference run and the interrupted run must
 # tail the SAME files: write the full CSVs, run the reference over
-# them, then truncate the packets back to half for the live run.
+# them, then cut the packets and the events back for the live run.
 python - "$workdir" <<'EOF'
 import sys
 from pathlib import Path
@@ -40,18 +41,47 @@ from repro.trace.io_text import write_events_csv, write_packets_csv
 work = Path(sys.argv[1])
 dataset = generate_study(StudyConfig(n_users=2, duration_days=2.0, seed=23))
 (work / "live").mkdir()
+
+
+def mid_line(data, at):
+    """A byte cut at or after ``at`` that tears a line: never just past
+    a line end, never between a CR and its LF."""
+    while data[at - 1 : at] in (b"\n", b"\r") or data[at : at + 1] == b"\n":
+        at += 1
+    return at
+
+
+def stash(name, data, first, second):
+    """The live run starts from data[:first]; the rest arrives in two
+    appends, split at ``second``."""
+    (work / f"half_{name}").write_bytes(data[:first])
+    (work / f"rest1_{name}").write_bytes(data[first:second])
+    (work / f"rest2_{name}").write_bytes(data[second:])
+
+
 for user in dataset.users:
-    packets = work / "live" / f"u{user.user_id}.csv"
-    events = work / "live" / f"u{user.user_id}.events.csv"
+    uid = user.user_id
+    packets = work / "live" / f"u{uid}.csv"
+    events = work / "live" / f"u{uid}.events.csv"
     write_packets_csv(packets, user.packets, dataset.registry)
     write_events_csv(events, user.events, dataset.registry)
-    # Stash the halves: the live run starts from ~half the packet
-    # lines (header included, always whole lines) and the rest gets
-    # appended mid-follow; events stay complete throughout.
-    lines = packets.read_text().splitlines(keepends=True)
-    half = 1 + (len(lines) - 1) // 2
-    (work / f"half_u{user.user_id}").write_text("".join(lines[:half]))
-    (work / f"rest_u{user.user_id}").write_text("".join(lines[half:]))
+    # Packets: torn mid-line at ~1/2 and at ~3/4 of the file.
+    data = packets.read_bytes()
+    half, three_quarters = len(data) // 2, 3 * len(data) // 4
+    stash(
+        packets.name,
+        data,
+        mid_line(data, half),
+        mid_line(data, three_quarters),
+    )
+    # Events: torn inside the app name of an input row. The writer puts
+    # input rows after every process row, so the packets read meanwhile
+    # get the reference's labels; a torn name read as an app would
+    # register it and shift every later app id.
+    data = events.read_bytes()
+    inputs = data.index(b",input,")
+    torn = data.index(b",input,", (inputs + len(data)) // 2) + 12
+    stash(events.name, data, torn, mid_line(data, (torn + len(data)) // 2))
 EOF
 
 users_live=""
@@ -71,10 +101,9 @@ grep -q "\[short #" "$workdir/ref.out" || {
     echo "FAIL: reference run emitted no headline"; cat "$workdir/ref.out"; exit 1;
 }
 
-echo "==> rewind the packet tails to their first half"
+echo "==> rewind the packets and events tails to a cut in mid-line"
 for half in "$workdir"/half_u*; do
-    uid="${half##*half_}"
-    cp "$half" "$workdir/live/$uid.csv"
+    cp "$half" "$workdir/live/${half##*half_}"
 done
 
 echo "==> live: follow the half-written tails in the background"
@@ -97,10 +126,15 @@ grep -q "\[short #" "$workdir/live.out" || {
 }
 echo "    live headline seen: $(grep -m1 '\[short #' "$workdir/live.out")"
 
-echo "==> append the rest of the rows while the follower runs"
-for rest in "$workdir"/rest_u*; do
-    uid="${rest##*rest_}"
-    cat "$rest" >> "$workdir/live/$uid.csv"
+echo "==> append the rest in two writes, each torn mid-line"
+# The follower polls between the writes (--poll-interval 0.1) and must
+# hold the torn packets and events lines back.
+for rest in "$workdir"/rest1_u*; do
+    cat "$rest" >> "$workdir/live/${rest##*rest1_}"
+done
+sleep 0.5
+for rest in "$workdir"/rest2_u*; do
+    cat "$rest" >> "$workdir/live/${rest##*rest2_}"
 done
 sleep 1
 

@@ -10,17 +10,17 @@ exactly the consumed prefix durable: its checkpoint stores the
 snapshot of the last chunk it *processed*, and a resumed source
 re-reads anything that was polled but never folded.
 
-Torn data never enters the pipeline: the CSV tail cuts its read at the
-last complete line (a half-written row stays in the file for the next
-poll), and the drop directory only consumes whole ``.npz`` files
-published with an atomic rename. A source that *shrinks* raises
+Torn data never enters the pipeline: the CSV tail cuts its reads of
+packets and events at the last complete line (a half-written row, or a
+quoted record still open, stays in the file for the next poll), and
+the drop directory only consumes whole ``.npz`` files published with
+an atomic rename. A source that *shrinks* raises
 :class:`~repro.errors.SourceTruncated` — the cursor would otherwise
 point into rewritten history.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from pathlib import Path
@@ -31,17 +31,15 @@ import numpy as np
 from repro import faults
 from repro.errors import FollowError, SourceTruncated, StreamError, TraceError
 from repro.follow.windows import FOLLOW_WINDOW_END
-from repro.stream.chunks import DEFAULT_CHUNK_SIZE, NpzStreamSource
+from repro.stream.chunks import DEFAULT_CHUNK_SIZE, CsvStreamSource, NpzStreamSource
 from repro.trace.arrays import PacketArray
 from repro.trace.dataset import AppRegistry
 from repro.trace.events import EventLog
-from repro.trace.intervals import label_packet_states
 from repro.trace.io_text import (
-    PACKET_COLUMNS,
     PathLike,
-    parse_packet_fields,
-    read_events_csv,
-    undecodable,
+    _line_ends,
+    _packet_reader,
+    _read_events,
 )
 
 #: Upper bound on bytes read per tail poll — keeps one poll's memory
@@ -52,14 +50,15 @@ TAIL_READ_LIMIT = 1 << 20
 class TailCsvSource:
     """Follow growing ``io_text`` packets CSVs, one file per user.
 
-    Each user has a byte cursor just past the last complete line
-    consumed; a poll stats the file, reads at most
-    :data:`TAIL_READ_LIMIT` new bytes, cuts at the final newline and
-    parses the complete rows through the batch reader's exact parse
-    (:func:`~repro.trace.io_text.parse_packet_fields`), so app ids are
-    assigned in arrival order exactly as a batch read of the final file
-    would. Event CSVs are re-read whole whenever they grow (event
-    streams are tiny next to packet tables) and label every chunk.
+    Each user has a byte cursor just past the last complete row
+    consumed; a poll stats the file, reads at most :data:`TAIL_READ_LIMIT`
+    new bytes, cuts at the final newline (for ``max_chunks``, at the
+    ``max_chunks * chunk_size``-th line end, so that no app registers
+    past the rows returned) and parses them, chunks and labels exactly
+    as :class:`~repro.stream.CsvStreamSource` does. A record left inside
+    quotes waits for the next poll. Event CSVs are re-read whole when
+    their complete lines grow. App ids follow reading order — a user's
+    events, then its new rows, poll by poll — not a batch read's.
     """
 
     def __init__(
@@ -78,16 +77,19 @@ class TailCsvSource:
         ]
         self.registry = AppRegistry()
         #: Per-user tail position: byte offset past the last consumed
-        #: complete line, surviving-row count, last timestamp seen.
+        #: complete row, surviving-row count, last timestamp seen.
         self._cursors: Dict[int, Dict[str, float]] = {
             uid: {"offset": 0, "rows": 0, "last_ts": float("-inf")}
             for uid in self.user_ids
         }
-        self._fieldnames: Dict[int, List[str]] = {}
+        self._headers: Dict[int, bytes] = {}
+        #: File lines before each user's cursor, once its header is read.
+        self._lines: Dict[int, int] = {}
         self._events: Dict[int, EventLog] = {
             uid: EventLog() for uid in self.user_ids
         }
-        self._events_size: Dict[int, int] = {uid: -1 for uid in self.user_ids}
+        #: Bytes of each user's events CSV read: its complete lines.
+        self._events_size: Dict[int, int] = {uid: 0 for uid in self.user_ids}
 
     @property
     def user_ids(self) -> List[int]:
@@ -148,6 +150,7 @@ class TailCsvSource:
                 "rows": int(snapshot["rows"]),
                 "last_ts": float(snapshot["last_ts"]),
             }
+            self._lines.pop(uid, None)  # recounted at the next poll
 
     # ------------------------------------------------------------------
     # Polling
@@ -161,7 +164,8 @@ class TailCsvSource:
         advances only over rows that were handed out; a trailing torn
         line (no newline yet) stays for the next poll. Raises
         :class:`~repro.errors.SourceTruncated` if the file shrank below
-        the cursor.
+        the cursor, and :class:`~repro.errors.StreamError` naming the
+        byte offset of a line longer than :data:`TAIL_READ_LIMIT`.
         """
         faults.fire("follow.tail")
         packets_path, _ = self._files[user_id - 1]
@@ -175,135 +179,122 @@ class TailCsvSource:
             raise SourceTruncated(
                 packets_path, int(cursor["offset"]), size
             )
-        if cursor["offset"] == 0 and not self._read_header(user_id):
+        if user_id not in self._lines and not self._read_header(user_id, size):
             return []
         if size <= cursor["offset"]:
             return []
         self._refresh_events(user_id)
-        fieldnames = self._ensure_fieldnames(user_id)
-        with open(packets_path, "rb") as handle:
-            handle.seek(int(cursor["offset"]))
-            data = handle.read(
-                min(size - int(cursor["offset"]), TAIL_READ_LIMIT)
-            )
-        cut = data.rfind(b"\n")
-        if cut < 0:
+        data = _whole_lines(packets_path, int(cursor["offset"]), size)
+        ends = _line_ends(data)
+        cut = len(ends)
+        if max_chunks is not None:
+            cut = min(cut, max_chunks * self.chunk_size)
+        polled = self._parse(user_id, data[: ends[cut - 1] + 1], ends) if cut else []
+        if not polled and cut < len(ends):
+            # A quoted record spans more lines than the poll may return
+            # rows: read on, past ``max_chunks``, to the end of the read.
+            polled = self._parse(user_id, data, ends)
+        if not polled:
+            _check_fits(packets_path, int(cursor["offset"]), size)
+        return polled
+
+    def _parse(
+        self, user_id: int, data: bytes, ends: np.ndarray
+    ) -> List[Tuple[PacketArray, dict]]:
+        """The rows of ``data``, whole lines from the cursor, as chunks."""
+        path, _ = self._files[user_id - 1]
+        cursor, before = self._cursors[user_id], self._lines[user_id]
+        span = self._headers[user_id] + data
+        numbers, blocks, last_ts = [], [], cursor["last_ts"]
+        for block_lines, packets in CsvStreamSource._read(
+            path, self.registry, span=(span, before - 1)
+        ):
+            ts = packets.timestamps
+            last_ts = CsvStreamSource._check_order(path, block_lines, ts, last_ts)
+            numbers.append(block_lines)
+            blocks.append(packets.data)
+        if not blocks:
             return []
-        data = data[: cut + 1]
-        lines = data.split(b"\n")[:-1]
+        lines, start, rows = np.concatenate(numbers), int(cursor["offset"]), 0
         out: List[Tuple[PacketArray, dict]] = []
-        rows: List[tuple] = []
-        consumed = 0
-        for raw in lines:
-            consumed += len(raw) + 1
-            text = raw.decode("utf-8", "surrogateescape").rstrip("\r")
-            if not text:
-                continue
-            fields = next(csv.reader([text]))
-            try:
-                if undecodable(text):
-                    raise TraceError("row is not valid UTF-8")
-                row = parse_packet_fields(
-                    dict(zip(fieldnames, fields)), self.registry
-                )
-            except (TraceError, ValueError, TypeError, KeyError) as exc:
-                raise StreamError(
-                    f"{packets_path.name}: malformed tailed row "
-                    f"{text!r}: {exc}"
-                ) from exc
-            if row[0] < cursor["last_ts"]:
-                raise StreamError(
-                    f"{packets_path.name}: tailed packets not "
-                    f"time-sorted (t={row[0]} after t={cursor['last_ts']})"
-                )
-            cursor["last_ts"] = row[0]
-            rows.append(row)
-            if len(rows) >= self.chunk_size:
-                out.append(self._emit(user_id, rows, consumed))
-                rows, consumed = [], 0
-                if max_chunks is not None and len(out) >= max_chunks:
-                    return out
-        if rows:
-            out.append(self._emit(user_id, rows, consumed))
+        for chunk in CsvStreamSource._rechunked(blocks, self.chunk_size):
+            rows += len(chunk)
+            # The chunk ends where its last row's last line does.
+            line = int(lines[rows - 1])
+            cursor["offset"] = start + int(ends[line - before - 1]) + 1
+            cursor["rows"] = int(cursor["rows"]) + len(chunk)
+            cursor["last_ts"] = float(chunk["timestamp"][-1])
+            self._lines[user_id] = line
+            chunk = CsvStreamSource._labelled(chunk, self._events[user_id])
+            out.append((chunk, self.cursor_snapshot(user_id)))
         return out
 
-    def _emit(
-        self, user_id: int, rows: List[tuple], n_bytes: int
-    ) -> Tuple[PacketArray, dict]:
-        """Advance the cursor over ``rows`` and build their chunk."""
-        cursor = self._cursors[user_id]
-        cursor["offset"] = int(cursor["offset"]) + n_bytes
-        cursor["rows"] = int(cursor["rows"]) + len(rows)
-        columns = list(zip(*rows))
-        chunk = PacketArray.from_columns(
-            np.array(columns[0], dtype=np.float64),
-            np.array(columns[1], dtype=np.uint32),
-            np.array(columns[2], dtype=np.uint8),
-            np.array(columns[3], dtype=np.uint16),
-            np.array(columns[4], dtype=np.uint32),
-        )
-        label_packet_states(chunk, self._events[user_id])
-        return chunk, self.cursor_snapshot(user_id)
-
-    def _read_header(self, user_id: int) -> bool:
-        """Consume the header line once a complete one exists."""
+    def _read_header(self, user_id: int, size: int) -> bool:
+        """Check a complete header; count the file lines before the cursor."""
         packets_path, _ = self._files[user_id - 1]
-        with open(packets_path, "rb") as handle:
-            head = handle.read(TAIL_READ_LIMIT)
-        end = head.find(b"\n")
-        if end < 0:
-            return False
-        fieldnames = _header_fields(packets_path, head[:end])
-        if not PACKET_COLUMNS.issubset(fieldnames):
-            raise FollowError(
-                f"{packets_path.name}: packets CSV must have columns "
-                f"{sorted(PACKET_COLUMNS)}, got {fieldnames}"
-            )
-        self._fieldnames[user_id] = fieldnames
-        self._cursors[user_id]["offset"] = end + 1
-        return True
-
-    def _ensure_fieldnames(self, user_id: int) -> List[str]:
-        """Fieldnames for a user whose header is already consumed.
-
-        After a restore the cursor sits mid-file but the header was
-        never parsed in this process; read it back from offset 0.
-        """
-        if user_id not in self._fieldnames:
-            packets_path, _ = self._files[user_id - 1]
-            with open(packets_path, "rb") as handle:
-                head = handle.read(TAIL_READ_LIMIT)
-            end = head.find(b"\n")
-            if end < 0:
+        cursor = self._cursors[user_id]
+        head = _whole_lines(packets_path, 0, size)
+        end = head.find(b"\n") + 1
+        if not end:
+            if cursor["offset"]:
                 raise FollowError(
                     f"{packets_path.name}: no header line under a "
                     "non-zero cursor — file was replaced?"
                 )
-            self._fieldnames[user_id] = _header_fields(
-                packets_path, head[:end]
-            )
-        return self._fieldnames[user_id]
+            _check_fits(packets_path, 0, size)
+            return False
+        self._headers[user_id] = head[:end]
+        try:  # the reader checks a header as it opens the file
+            list(_packet_reader(packets_path, self.registry, span=(head[:end], 0)))
+        except TraceError as exc:
+            raise FollowError(str(exc)) from None
+        cursor["offset"] = int(cursor["offset"]) or end
+        self._lines[user_id] = _count_lines(packets_path, cursor["offset"])
+        return True
 
     def _refresh_events(self, user_id: int) -> None:
-        """Re-read the user's events CSV whole when it changed size."""
+        """Re-read the user's events CSV up to its last complete line
+        when that grew: a torn last line waits for its newline."""
         _, events_path = self._files[user_id - 1]
         if events_path is None or not events_path.exists():
             return
         size = events_path.stat().st_size
         if size == self._events_size[user_id]:
             return
-        self._events[user_id] = read_events_csv(events_path, self.registry)
-        self._events_size[user_id] = size
+        data = _whole_lines(events_path, 0, size, limit=size)
+        if len(data) != self._events_size[user_id]:
+            self._events[user_id] = _read_events(events_path, self.registry, (data, 0))
+            self._events_size[user_id] = len(data)
 
 
-def _header_fields(path: Path, raw: bytes) -> List[str]:
-    """A tailed packets CSV's column names, from its raw header line."""
-    text = raw.decode("utf-8", "surrogateescape").rstrip("\r")
-    if undecodable(text):
-        raise FollowError(
-            f"{path.name}: packets CSV header is not valid UTF-8"
+def _whole_lines(path: Path, start: int, size: int, limit=TAIL_READ_LIMIT) -> bytes:
+    """The whole lines in the next ``limit`` bytes of ``path`` from ``start``."""
+    with open(path, "rb") as handle:
+        handle.seek(start)
+        data = handle.read(min(size - start, limit))
+    return data[: data.rfind(b"\n") + 1]
+
+
+def _check_fits(path: Path, offset: int, size: int) -> None:
+    """Refuse the line at ``offset`` if no poll can read it whole: a
+    full :data:`TAIL_READ_LIMIT` read from there held no complete row."""
+    if size - offset >= TAIL_READ_LIMIT:
+        raise StreamError(
+            f"{path.name}: the line at byte {offset} is longer than "
+            f"TAIL_READ_LIMIT ({TAIL_READ_LIMIT} bytes)"
         )
-    return next(csv.reader([text]))
+
+
+def _count_lines(path: Path, stop: int) -> int:
+    """The lines ``_line_ends`` finds in the first ``stop`` bytes of ``path``."""
+    count = 0
+    with open(path, "rb") as handle:
+        for start in range(0, stop, TAIL_READ_LIMIT):
+            n = min(TAIL_READ_LIMIT, stop - start)
+            handle.seek(start)
+            # A byte more tells a "\r" that ends the piece from "\r\n".
+            count += int(np.count_nonzero(_line_ends(handle.read(n + 1)) < n))
+    return count
 
 
 class NpzDropSource:

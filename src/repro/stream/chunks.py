@@ -24,6 +24,8 @@ import functools
 import hashlib
 import json
 import zipfile
+import zlib
+from contextlib import contextmanager
 from pathlib import Path
 from typing import (
     Dict,
@@ -40,14 +42,13 @@ import numpy as np
 
 from repro import faults
 from repro.errors import StreamError, TraceError
-from repro.trace.arrays import PACKET_DTYPE, PacketArray, packet_label_defect
-from repro.trace.dataset import AppRegistry
+from repro.trace.arrays import PACKET_DTYPE, PacketArray, packet_defect
+from repro.trace.dataset import AppRegistry, _open_archive, _read_header
 from repro.trace.events import EventLog
 from repro.trace.intervals import label_packet_states
 from repro.trace.io_text import (
     PathLike,
-    _iter_packet_times,
-    iter_packet_blocks,
+    _packet_reader,
     read_events_csv,
 )
 
@@ -180,23 +181,10 @@ class CsvStreamSource:
             count = 0
             last_ts = -np.inf
             for line_numbers, ts in self._read(
-                _iter_packet_times, packets_path, on_bad_row=on_bad
+                packets_path, self.registry, on_bad_row=on_bad, times_only=True
             ):
-                previous = np.concatenate(([last_ts], ts[:-1]))
-                behind = np.flatnonzero(ts < previous)
-                if len(behind):
-                    # Line numbers, not surviving-row ordinals: with
-                    # quarantine dropping rows the two diverge, and "sort
-                    # the file" advice must point at the actual file line.
-                    i = behind[0]
-                    raise StreamError(
-                        f"{packets_path.name}:{line_numbers[i]}: "
-                        f"packets not time-sorted (t={float(ts[i])} after "
-                        f"t={float(previous[i])}); "
-                        "sort the file before streaming it"
-                    )
+                last_ts = self._check_order(packets_path, line_numbers, ts, last_ts)
                 count += len(ts)
-                last_ts = float(ts[-1])
             if count:
                 horizon = max(horizon, last_ts)
             events = (
@@ -224,13 +212,30 @@ class CsvStreamSource:
         """Total packet rows of one user (known from the prepass)."""
         return self._counts[user_id]
 
-    def _read(self, read, packets_path: Path, **options) -> Iterator:
-        """``read``'s blocks of one packets file, with trace defects
-        surfaced as StreamError."""
+    @staticmethod
+    def _read(path: Path, registry: AppRegistry, **options) -> Iterator:
+        """``_packet_reader``'s blocks, with trace defects as StreamError."""
         try:
-            yield from read(packets_path, self.registry, **options)
+            yield from _packet_reader(path, registry, **options)
         except TraceError as exc:
             raise StreamError(f"malformed packet row: {exc}") from exc
+
+    @staticmethod
+    def _check_order(path: Path, line_numbers, ts: np.ndarray, last_ts: float) -> float:
+        """The last of ``ts``, once checked to follow ``last_ts`` in order."""
+        previous = np.concatenate(([last_ts], ts[:-1]))
+        behind = np.flatnonzero(ts < previous)
+        if len(behind):
+            # Line numbers, not surviving-row ordinals: with quarantine
+            # dropping rows the two diverge, and "sort the file" advice
+            # must point at the actual file line.
+            i = behind[0]
+            raise StreamError(
+                f"{path.name}:{line_numbers[i]}: packets not time-sorted "
+                f"(t={float(ts[i])} after t={float(previous[i])}); "
+                "sort the file before streaming it"
+            )
+        return float(ts[-1])
 
     @staticmethod
     def _drop_silently(error: Exception) -> None:
@@ -250,13 +255,17 @@ class CsvStreamSource:
         packets_path, _ = self._files[user_id - 1]
         events = self._events[user_id]
         on_bad = self._drop_silently if self._quarantine_rows else None
-        size = self.chunk_size
+        blocks = self._read(packets_path, self.registry, on_bad_row=on_bad, inject=True)
+        datas = (packets.data for _, packets in blocks)
+        for data in self._rechunked(datas, self.chunk_size, skip):
+            yield self._labelled(data, events)
+
+    @staticmethod
+    def _rechunked(arrays, size: int, skip: int = 0) -> Iterator[np.ndarray]:
+        """``arrays``' records, less the first ``skip``, in chunks of ``size``."""
         held: List[np.ndarray] = []
         n_held = 0
-        for block in self._read(
-            iter_packet_blocks, packets_path, on_bad_row=on_bad, inject=True
-        ):
-            data = block.packets.data
+        for data in arrays:
             if skip:
                 dropped = min(skip, len(data))
                 data = data[dropped:]
@@ -268,11 +277,11 @@ class CsvStreamSource:
             data = np.concatenate(held)
             full = n_held - n_held % size
             for start in range(0, full, size):
-                yield self._labelled(data[start : start + size], events)
+                yield data[start : start + size]
             held = [data[full:]]
             n_held -= full
         if n_held:
-            yield self._labelled(np.concatenate(held), events)
+            yield np.concatenate(held)
 
     @staticmethod
     def _labelled(data: np.ndarray, events: EventLog) -> PacketArray:
@@ -323,25 +332,19 @@ class NpzStreamSource:
         #: there is no row-level quarantine); present so ingest can
         #: flush any source's quarantine uniformly.
         self.quarantine = RowQuarantine()
-        with zipfile.ZipFile(self.path) as archive:
-            with archive.open("header.npy") as handle:
-                header_bytes = _read_npy_stream_fully(handle)
-        header = json.loads(header_bytes.tobytes().decode("utf-8"))
-        self.registry = AppRegistry.from_json(json.dumps(header["registry"]))
-        self._users = {
-            int(entry["user_id"]): (
-                float(entry["start"]),
-                float(entry["end"]),
-            )
-            for entry in header["users"]
-        }
-        self._order = [int(entry["user_id"]) for entry in header["users"]]
         self._counts: Dict[int, int] = {}
-        with zipfile.ZipFile(self.path) as archive:
-            for uid in self._order:
-                with archive.open(f"packets_{uid}.npy") as handle:
-                    shape, dtype = _read_npy_header(handle, f"packets_{uid}")
-                    self._counts[uid] = int(shape[0])
+        try:
+            with _open_archive(self.path) as archive:
+                self.registry, entries, _ = _read_header(archive, self.path)
+                for uid, _, _ in entries:
+                    with self._packets(archive.zip, int(uid)) as (_, rows, _):
+                        self._counts[int(uid)] = rows
+        except TraceError as exc:
+            raise StreamError(str(exc)) from None
+        self._users = {
+            int(uid): (float(start), float(end)) for uid, start, end in entries
+        }
+        self._order = [int(uid) for uid, _, _ in entries]
 
     @property
     def user_ids(self) -> List[int]:
@@ -362,37 +365,58 @@ class NpzStreamSource:
         """Yield one user's packets in bounded chunks, decompressing
         ``chunk_size`` records at a time straight off the archive.
 
-        A direction other than uplink or downlink, or a state label
-        that is neither a :class:`~repro.trace.events.ProcessState` nor
-        unlabelled, raises :class:`StreamError` naming the archive, the
-        user and the member, before its chunk is yielded.
+        A timestamp that is not finite, a direction other than uplink or
+        downlink, or a state label that is neither a
+        :class:`~repro.trace.events.ProcessState` nor unlabelled raises
+        :class:`StreamError` naming the archive, the user and the
+        member, before its chunk is yielded (:func:`packet_defect`, the
+        check :meth:`Dataset.load` runs). So does a member that is
+        damaged or cut short.
         """
-        with zipfile.ZipFile(self.path) as archive:
-            with archive.open(f"packets_{user_id}.npy") as raw:
-                shape, dtype = _read_npy_header(
-                    raw, f"packets_{user_id}"
-                )
-                # The npz.member fault site: an injected "truncate"
-                # makes this stream end early, exactly like a cut-short
-                # archive; _read_exactly below turns that into
-                # StreamError, never a silently short chunk.
-                handle = faults.maybe_truncate_stream("npz.member", raw)
-                total = int(shape[0])
-                itemsize = dtype.itemsize
-                _discard_exactly(handle, skip * itemsize)
-                remaining = total - skip
-                while remaining > 0:
-                    rows = min(self.chunk_size, remaining)
-                    buffer = _read_exactly(handle, rows * itemsize)
-                    chunk = np.frombuffer(buffer, dtype=dtype).copy()
-                    defect = packet_label_defect(chunk)
-                    if defect is not None:
-                        raise StreamError(
-                            f"{self.path.name}: user {user_id}: "
-                            f"packets_{user_id}: {defect}"
-                        )
-                    remaining -= rows
-                    yield PacketArray(chunk)
+        with zipfile.ZipFile(self.path) as archive, self._packets(
+            archive, user_id
+        ) as (raw, total, dtype):
+            # The npz.member fault site: an injected "truncate" makes
+            # this stream end early, exactly like a cut-short archive;
+            # _read_exactly below turns that into StreamError, never a
+            # silently short chunk.
+            handle = faults.maybe_truncate_stream("npz.member", raw)
+            itemsize = dtype.itemsize
+            _discard_exactly(handle, skip * itemsize)
+            remaining = total - skip
+            while remaining > 0:
+                rows = min(self.chunk_size, remaining)
+                buffer = _read_exactly(handle, rows * itemsize)
+                chunk = np.frombuffer(buffer, dtype=dtype).copy()
+                defect = packet_defect(chunk)
+                if defect is not None:
+                    raise StreamError(
+                        f"{self.path.name}: user {user_id}: "
+                        f"packets_{user_id}: {defect}"
+                    )
+                remaining -= rows
+                yield PacketArray(chunk)
+
+    @contextmanager
+    def _packets(self, archive: zipfile.ZipFile, user_id: int):
+        """One user's packets member of the open ``archive``, read past
+        its ``.npy`` header: ``(handle, rows, dtype)``. A member that is
+        missing, damaged, cut short or of another layout is a
+        :class:`StreamError` naming the archive, the user and the
+        member."""
+        name = f"packets_{user_id}"
+        try:
+            with archive.open(f"{name}.npy") as handle:
+                shape, dtype = _read_npy_header(handle)
+                yield handle, int(shape[0]), dtype
+        except KeyError:
+            raise StreamError(f"{self.path.name}: no member {name!r}") from None
+        except (
+            TraceError, ValueError, EOFError, zipfile.BadZipFile, zlib.error
+        ) as exc:
+            raise StreamError(
+                f"{self.path.name}: user {user_id}: {name}: {exc}"
+            ) from None
 
     def signature(self) -> str:
         """Digest binding a checkpoint to this archive."""
@@ -411,12 +435,13 @@ class NpzStreamSource:
 StreamSource = Union[CsvStreamSource, NpzStreamSource]
 
 
-def _read_npy_header(handle, member: str) -> Tuple[tuple, np.dtype]:
+def _read_npy_header(handle) -> Tuple[tuple, np.dtype]:
     """Parse one ``.npy`` member's header off a zip stream.
 
     Leaves the stream positioned at the first data byte and validates
     the layout a packet table must have (C-order records of
-    :data:`~repro.trace.arrays.PACKET_DTYPE`).
+    :data:`~repro.trace.arrays.PACKET_DTYPE`): :class:`TraceError` if
+    it is another.
     """
     version = np.lib.format.read_magic(handle)
     if version == (1, 0):
@@ -424,26 +449,14 @@ def _read_npy_header(handle, member: str) -> Tuple[tuple, np.dtype]:
     elif version == (2, 0):
         shape, fortran, dtype = np.lib.format.read_array_header_2_0(handle)
     else:
-        raise StreamError(f"{member}: unsupported .npy version {version}")
+        raise TraceError(f"unsupported .npy version {version}")
     if fortran:
-        raise StreamError(f"{member}: Fortran-order arrays not supported")
+        raise TraceError("Fortran-order arrays not supported")
     if dtype != PACKET_DTYPE:
-        raise StreamError(
-            f"{member}: expected packet dtype {PACKET_DTYPE}, got {dtype}"
+        raise TraceError(
+            f"expected packet dtype {PACKET_DTYPE}, got {dtype}"
         )
     return shape, dtype
-
-
-def _read_npy_stream_fully(handle) -> np.ndarray:
-    """Read one small non-packet ``.npy`` member (the JSON header)."""
-    version = np.lib.format.read_magic(handle)
-    if version == (1, 0):
-        shape, _, dtype = np.lib.format.read_array_header_1_0(handle)
-    else:
-        shape, _, dtype = np.lib.format.read_array_header_2_0(handle)
-    count = int(np.prod(shape)) if shape else 1
-    buffer = _read_exactly(handle, count * dtype.itemsize)
-    return np.frombuffer(buffer, dtype=dtype).reshape(shape)
 
 
 def _read_exactly(handle, n_bytes: int) -> bytes:
@@ -453,7 +466,7 @@ def _read_exactly(handle, n_bytes: int) -> bytes:
     while remaining > 0:
         piece = handle.read(remaining)
         if not piece:
-            raise StreamError("truncated packet member in archive")
+            raise EOFError("truncated packet member in archive")
         parts.append(piece)
         remaining -= len(piece)
     return b"".join(parts)
@@ -465,5 +478,5 @@ def _discard_exactly(handle, n_bytes: int) -> None:
     while remaining > 0:
         piece = handle.read(min(remaining, 1 << 20))
         if not piece:
-            raise StreamError("truncated packet member in archive")
+            raise EOFError("truncated packet member in archive")
         remaining -= len(piece)

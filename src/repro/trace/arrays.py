@@ -34,11 +34,17 @@ _STATE_LABELS[STATE_UNLABELLED] = True
 _STATE_LABELS.setflags(write=False)
 
 
-def packet_label_defect(data: np.ndarray) -> Optional[str]:
-    """Why a packet record's ``uint8`` direction or state column holds
-    a value no packet may carry, or ``None``: one 256-entry table lookup
-    per column, no per-packet Python. A bad direction is reported before
-    a bad state label."""
+def packet_defect(data: np.ndarray) -> Optional[str]:
+    """Why packet records hold a value no packet may carry, or ``None``:
+    a timestamp that is not finite, a direction other than uplink or
+    downlink, a state label that is neither a :class:`ProcessState` nor
+    unlabelled — reported in that order. One vectorised pass per column
+    (a 256-entry table lookup for each ``uint8`` one), no per-packet
+    Python."""
+    timestamps = data["timestamp"]
+    finite = np.isfinite(timestamps)
+    if not finite.all():
+        return f"non-finite timestamp {float(timestamps[finite.argmin()])}"
     directions = data["direction"]
     ok = _DIRECTIONS[directions]
     if not ok.all():
@@ -276,6 +282,6 @@ class PacketArray:
             raise TraceError("packet with zero size")
         if np.any(self.timestamps < 0):
             raise TraceError("packet with negative timestamp")
-        defect = packet_label_defect(self.data)
+        defect = packet_defect(self.data)
         if defect is not None:
             raise TraceError(f"packet {defect}")

@@ -19,13 +19,13 @@ import zipfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.durable import write_atomic
 from repro.errors import TraceError
-from repro.trace.arrays import PACKET_DTYPE, PacketArray, packet_label_defect
+from repro.trace.arrays import PACKET_DTYPE, PacketArray, packet_defect
 from repro.trace.events import EventLog
 from repro.trace.trace import UserTrace
 
@@ -264,36 +264,12 @@ class Dataset:
         missing file raises ``FileNotFoundError``.
         """
         path = Path(path)
-        try:
-            archive = np.load(path)
-        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-            raise TraceError(f"{path.name}: not a dataset: {exc}") from None
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise TraceError(f"{path.name}: not a dataset: a bare array")
-
-        def member(name: str) -> np.ndarray:
-            try:
-                return archive[name]
-            except KeyError:
-                raise TraceError(f"{path.name}: no member {name!r}") from None
-            except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
-                raise TraceError(f"{path.name}: {name}: {exc}") from None
-
-        with archive:
-            try:
-                header = json.loads(bytes(member("header")).decode("utf-8"))
-                registry = AppRegistry.from_json(json.dumps(header["registry"]))
-                entries = [
-                    (entry["user_id"], entry["start"], entry["end"])
-                    for entry in header["users"]
-                ]
-                metadata = dict(header["metadata"])
-            except (ValueError, KeyError, TypeError) as exc:
-                raise TraceError(f"{path.name}: header: {exc!r}") from None
+        with _open_archive(path) as archive:
+            registry, entries, metadata = _read_header(archive, path)
             users = []
             for uid, start, end in entries:
                 data, *streams = [
-                    member(f"{kind}_{uid}")
+                    _member(archive, path, f"{kind}_{uid}")
                     for kind in ("packets", "proc", "screen", "input")
                 ]
                 try:
@@ -302,9 +278,7 @@ class Dataset:
                             f"packets: expected dtype {PACKET_DTYPE}, "
                             f"got {data.dtype}"
                         )
-                    if not np.isfinite(data["timestamp"]).all():
-                        raise TraceError("packets: non-finite timestamp")
-                    defect = packet_label_defect(data)
+                    defect = packet_defect(data)
                     if defect is not None:
                         raise TraceError(f"packets: {defect}")
                     events = EventLog.from_arrays(*streams)
@@ -320,4 +294,52 @@ class Dataset:
             f"Dataset(users={len(self.users)}, apps={len(self.registry)}, "
             f"packets={self.total_packets})"
         )
+
+
+def _open_archive(path: Path) -> np.lib.npyio.NpzFile:
+    """A saved dataset's archive, open: :class:`TraceError` naming the
+    file when it is not a zip of arrays (not a zip, cut short)."""
+    try:
+        archive = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise TraceError(f"{path.name}: not a dataset: {exc}") from None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise TraceError(f"{path.name}: not a dataset: a bare array")
+    return archive
+
+
+def _member(
+    archive: np.lib.npyio.NpzFile, path: Path, name: str
+) -> np.ndarray:
+    """One member of an open archive: :class:`TraceError` naming the
+    file and the member when it is missing or damaged."""
+    try:
+        return archive[name]
+    except KeyError:
+        raise TraceError(f"{path.name}: no member {name!r}") from None
+    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise TraceError(f"{path.name}: {name}: {exc}") from None
+
+
+def _read_header(
+    archive: np.lib.npyio.NpzFile, path: Path
+) -> Tuple[AppRegistry, List[tuple], dict]:
+    """What the JSON header member of an archive :meth:`Dataset.save`
+    wrote holds: the registry, each user's ``(user_id, start, end)`` and
+    the metadata. :class:`TraceError` naming the file when the header is
+    missing or is not that JSON. Both dataset readers —
+    :meth:`Dataset.load` and :class:`repro.stream.NpzStreamSource` —
+    read it here."""
+    try:
+        raw = bytes(_member(archive, path, "header"))
+        header = json.loads(raw.decode("utf-8"))
+        registry = AppRegistry.from_json(json.dumps(header["registry"]))
+        entries = [
+            (entry["user_id"], entry["start"], entry["end"])
+            for entry in header["users"]
+        ]
+        metadata = dict(header["metadata"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise TraceError(f"{path.name}: header: {exc!r}") from None
+    return registry, entries, metadata
 

@@ -25,7 +25,8 @@ names (case-insensitive); screen values are ``on``/``off``.
 Both are read and written as UTF-8. A byte that is not valid UTF-8
 makes its row malformed — a :class:`~repro.errors.TraceError` naming
 the file and line, or a quarantined row — and makes a header an error.
-So does a timestamp that is not finite (``inf``, ``nan``).
+So does a timestamp that is not finite (``inf``, ``nan``), and a field
+longer than :func:`csv.field_size_limit`.
 """
 
 from __future__ import annotations
@@ -147,9 +148,9 @@ def parse_uint32(token, field: str) -> int:
 def parse_packet_fields(row, registry: AppRegistry) -> PacketRow:
     """Parse one raw packets-CSV row dict into a :data:`PacketRow`.
 
-    The per-row parse behind :func:`iter_packet_rows` and the live tail
-    (:class:`repro.follow.TailCsvSource`); the block fast path of
-    :func:`iter_packet_blocks` applies the same casts column by column.
+    The per-row parse behind :func:`iter_packet_rows`; the block fast
+    path of :func:`iter_packet_blocks` applies the same casts column by
+    column.
     Field order matters: timestamp, size and direction parse *before*
     the app name registers, so a row rejected on those fields leaves
     the registry untouched and surviving rows get identical app ids
@@ -176,20 +177,27 @@ class _Lines:
     counts the lines the ``csv`` reader never saw, so its ``line_num``
     plus ``bypassed`` is the true file line. A line the ``csv`` reader
     gets that is not valid UTF-8 is held against the record it ends up
-    in, until :meth:`check_decoded`.
+    in, until :meth:`check_decoded`. ``ended`` turns true once the
+    ``csv`` reader asks for a line past the last; ``span`` marks the
+    lines of a span (:func:`_open_csv`), whose end may cut a record.
     """
 
-    def __init__(self, handle) -> None:
+    def __init__(self, handle, span: bool = False) -> None:
         self._handle = handle
         self._unread: List[str] = []
         self.bypassed = 0
         self._undecodable = False
+        self.span = span
+        self.ended = False
 
     def __iter__(self) -> "_Lines":
         return self
 
     def __next__(self) -> str:
-        line = self._unread.pop() if self._unread else next(self._handle)
+        line = self._unread.pop() if self._unread else next(self._handle, None)
+        if line is None:
+            self.ended = True
+            raise StopIteration
         if undecodable(line):
             self._undecodable = True
         return line
@@ -213,25 +221,63 @@ class _Lines:
         return not self._unread
 
 
+def _line_ends(data: bytes) -> np.ndarray:
+    """Where ``data``'s lines end as the readers split lines: at each
+    ``\\n``, and each ``\\r`` that no ``\\n`` follows."""
+    raw = np.frombuffer(data, np.uint8)
+    ends = raw == 10
+    ends[:-1] |= (raw[:-1] == 13) & ~ends[1:]
+    return np.flatnonzero(ends)
+
+
 @contextmanager
-def _open_csv(path: Path, kind: str, required: frozenset):
-    """Open a UTF-8 CSV: its ``DictReader`` (header checked) and lines."""
-    with open(
-        path, newline="", encoding="utf-8", errors="surrogateescape"
-    ) as handle:
-        lines = _Lines(handle)
+def _open_csv(path: Path, kind: str, required: frozenset, span: Optional[tuple] = None):
+    """Open a UTF-8 CSV: its ``DictReader`` (header checked) and lines.
+    Given a ``span``, ``(data, skipped)``, read ``data`` instead: the
+    file's header line, then whole lines from ``skipped`` lines past it."""
+    data, skipped = span or (b"", 0)
+    handle = (
+        io.StringIO(data.decode("utf-8", "surrogateescape"), newline="")
+        if span
+        else open(path, newline="", encoding="utf-8", errors="surrogateescape")
+    )
+    with handle:
+        lines = _Lines(handle, span is not None)
+        lines.bypassed = skipped
         reader = csv.DictReader(lines)
-        fieldnames = reader.fieldnames
         try:
+            fieldnames = reader.fieldnames
             lines.check_decoded(f"{kind} CSV header")
-        except TraceError as exc:
-            raise TraceError(f"{path.name}:{reader.line_num}: {exc}") from None
+        except (TraceError, csv.Error) as exc:
+            raise TraceError(
+                f"{path.name}:{reader.reader.line_num}: {exc}"
+            ) from None
         if fieldnames is None or not required.issubset(fieldnames):
             raise TraceError(
                 f"{path.name}: {kind} CSV must have columns "
                 f"{sorted(required)}, got {fieldnames}"
             )
         yield reader, lines
+
+
+def _records(
+    reader: csv.DictReader, lines: _Lines
+) -> Iterator[Union[dict, TraceError]]:
+    """``reader``'s row dicts, or for a record the ``csv`` module refuses
+    (a field over :func:`csv.field_size_limit`) the :class:`TraceError`
+    that makes it a malformed row; ``reader.reader.line_num`` names its
+    line. Of a span, not a record its end cuts inside quotes."""
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            row = TraceError(str(exc))
+        # The reader asks for a line past the end mid-record only.
+        if lines.span and lines.ended:
+            return
+        yield row
 
 
 def _row_path(
@@ -243,14 +289,16 @@ def _row_path(
     inject: bool,
 ) -> Iterator[Tuple[int, PacketRow]]:
     """The per-row path: ``(line_number, row)`` for each good row."""
-    for row in reader:
-        if inject:
+    for row in _records(reader, lines):
+        if inject and isinstance(row, dict):
             spec = faults.fire("io.packet_row")
             if spec is not None and spec.action == "corrupt":
                 row = faults.corrupt_row(row)
-        line_num = reader.line_num + lines.bypassed
+        line_num = reader.reader.line_num + lines.bypassed
         try:
             lines.check_decoded()
+            if isinstance(row, TraceError):
+                raise row
             parsed = parse_packet_fields(row, registry)
         except (TraceError, ValueError, TypeError) as exc:
             error = TraceError(f"{path.name}:{line_num}: {exc}")
@@ -332,7 +380,7 @@ def _block_loop(
         block = lines.take(_BLOCK_LINES)
         if not block:
             return
-        parsed = fast(block, reader.line_num + lines.bypassed + 1)
+        parsed = fast(block, reader.reader.line_num + lines.bypassed + 1)
         if parsed is not None:
             lines.bypassed += len(block)
             yield parsed
@@ -382,16 +430,20 @@ def _split_block(block: List[str], n_fields: int) -> Optional[List[str]]:
 def _packet_reader(
     path: PathLike,
     registry: AppRegistry,
-    on_bad_row: Optional[Callable[[TraceError], None]],
-    inject: bool,
-    times_only: bool,
+    on_bad_row: Optional[Callable[[TraceError], None]] = None,
+    inject: bool = False,
+    times_only: bool = False,
+    span: Optional[tuple] = None,
 ) -> Iterator[Tuple[np.ndarray, Union[PacketArray, np.ndarray]]]:
-    """``(line_numbers, packets)`` per block of a packets CSV, or with
-    ``times_only`` ``(line_numbers, timestamps)``: see
-    :func:`iter_packet_blocks` and :func:`_iter_packet_times`."""
+    """``(line_numbers, packets)`` per block of a packets CSV: see
+    :func:`iter_packet_blocks`, whose rows, checks, errors, ``on_bad_row``
+    calls and app registration order these are. With ``times_only`` —
+    the stream prepass — ``(line_numbers, timestamps)``: sizes, conns and
+    directions are checked and never built. ``span`` is
+    :func:`_open_csv`'s."""
     path = Path(path)
     per_row = inject and faults.active_plan() is not None
-    with _open_csv(path, "packets", PACKET_COLUMNS) as (reader, lines):
+    with _open_csv(path, "packets", PACKET_COLUMNS, span) as (reader, lines):
         n_fields = len(reader.fieldnames)
         # A DictReader row keeps the last of duplicated columns.
         columns = {name: i for i, name in enumerate(reader.fieldnames)}
@@ -424,8 +476,9 @@ def iter_packet_blocks(
 ) -> Iterator[PacketBlock]:
     """Parse a packets CSV in blocks of about 2,048 lines.
 
-    Every packets reader — batch and streaming — goes through here.
-    Yields exactly the rows of :func:`iter_packet_rows` — the same
+    Every packets reader — batch, streaming and the live tail — goes
+    through its block reader (:func:`_packet_reader`). Yields exactly the
+    rows of :func:`iter_packet_rows` — the same
     values, app registration order, errors, line numbers and
     ``on_bad_row`` calls — as column blocks, several times faster. A
     block with no ``"``, NUL or byte that is not valid UTF-8, no line
@@ -448,22 +501,6 @@ def iter_packet_blocks(
         path, registry, on_bad_row, inject, times_only=False
     ):
         yield PacketBlock(line_numbers, packets)
-
-
-def _iter_packet_times(
-    path: PathLike,
-    registry: AppRegistry,
-    on_bad_row: Optional[Callable[[TraceError], None]] = None,
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """:func:`iter_packet_blocks` that only validates:
-    ``(line_numbers, timestamps)`` per block.
-
-    The same rows, checks, errors, ``on_bad_row`` calls and app
-    registration order, but of each row only its timestamp is kept;
-    sizes, conns and directions are checked and never built. The
-    stream prepass reads through here.
-    """
-    return _packet_reader(path, registry, on_bad_row, False, times_only=True)
 
 
 def _packet_columns(
@@ -620,12 +657,14 @@ def _event_row_path(
     path: Path, reader: csv.DictReader, lines: _Lines, registry: AppRegistry
 ) -> Iterator[_EventFields]:
     """The events per-row path: each row's fields, in file order."""
-    for row in reader:
+    for row in _records(reader, lines):
         try:
             lines.check_decoded()
+            if isinstance(row, TraceError):
+                raise row
             fields = _parse_event_fields(row, registry)
         except (TraceError, ValueError, TypeError) as exc:
-            line_num = reader.line_num + lines.bypassed
+            line_num = reader.reader.line_num + lines.bypassed
             raise TraceError(f"{path.name}:{line_num}: {exc}") from None
         yield fields
 
@@ -726,8 +765,15 @@ def read_events_csv(path: PathLike, registry: AppRegistry) -> EventLog:
     value or app, is re-read row by row, so events, app registration
     order and errors are exactly :func:`iter_event_rows`'.
     """
+    return _read_events(path, registry)
+
+
+def _read_events(
+    path: PathLike, registry: AppRegistry, span: Optional[tuple] = None
+) -> EventLog:
+    """:func:`read_events_csv`, or of the :func:`_open_csv` ``span``."""
     path = Path(path)
-    with _open_csv(path, "events", EVENT_COLUMNS) as (reader, lines):
+    with _open_csv(path, "events", EVENT_COLUMNS, span) as (reader, lines):
         n_fields = len(reader.fieldnames)
         # A DictReader row keeps the last of duplicated columns.
         columns = {name: i for i, name in enumerate(reader.fieldnames)}

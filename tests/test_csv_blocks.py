@@ -10,6 +10,7 @@ also assert that the fast path really took them.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -256,6 +257,9 @@ BAD_ROWS = {
     "timestamp-inf": "inf,100,up,app.bad,1",
     "timestamp-neg-inf": "-inf,100,up,app.bad,1",
     "timestamp-nan": "nan,100,up,app.bad,1",
+    # A field longer than csv.field_size_limit(): the csv module's own
+    # error, which must be a malformed row like any other.
+    "field-limit": "1.0,100,up,app." + "x" * (1 << 17) + ",1",
     **UNDECODABLE_ROWS,
 }
 
@@ -504,3 +508,141 @@ def test_armed_plan_chunks_equal_unarmed(tmp_path):
     assert [len(c) for c in armed] == [len(c) for c in unarmed]
     for got, want in zip(armed, unarmed):
         np.testing.assert_array_equal(got.data, want.data)
+
+
+# ----------------------------------------------------------------------
+# A field over csv's field limit: a malformed row at every door
+# ----------------------------------------------------------------------
+def test_field_over_the_limit_is_a_quarantinable_row(tmp_path, capsys):
+    """The stream source and ``repro ingest`` fail on the row, naming
+    its file line, or drop it under quarantine; the file's other rows
+    stream as if it were not there."""
+    lines = lines_for(BLOCK + 5)
+    bad = BAD_ROWS["field-limit"]
+    path = write(tmp_path, lines[:7] + [bad] + lines[7:])
+    clean = write(tmp_path, lines, name="clean.csv")
+    expected = "p.csv:9: field larger than field limit (131072)"
+    with pytest.raises(StreamError, match=re.escape(expected)):
+        CsvStreamSource([(path, None)])
+    source = CsvStreamSource([(path, None)], quarantine_rows=True)
+    assert source.quarantine.samples == [expected]
+    np.testing.assert_array_equal(
+        np.concatenate([c.data for c in source.iter_chunks(1)]),
+        np.concatenate(
+            [c.data for c in CsvStreamSource([(clean, None)]).iter_chunks(1)]
+        ),
+    )
+    argv = ["ingest", "--user", str(path), "--checkpoint", str(tmp_path / "c.npz")]
+    with pytest.raises(StreamError, match=re.escape(expected)):
+        main(argv)
+    assert main(argv + ["--quarantine"]) == 0
+    assert "quarantined: 1 malformed row(s)" in capsys.readouterr().out
+
+
+def test_events_field_over_the_limit_is_a_typed_error(tmp_path):
+    packets = write(tmp_path, lines_for(3))
+    rows = ["1.0,process,app.0,foreground", "2.0,input,app." + "x" * (1 << 17) + ","]
+    events = write(tmp_path, rows, header=EVENTS_HEADER, name="e.csv")
+    expected = "e.csv:3: field larger than field limit (131072)"
+    for build in (
+        lambda: read_events_csv(events, AppRegistry()),
+        lambda: CsvStreamSource([(packets, events)]),
+    ):
+        with pytest.raises(TraceError) as caught:
+            build()
+        assert str(caught.value) == expected
+
+
+# ----------------------------------------------------------------------
+# Spans: whole lines of a growing file, as the live tail reads them
+# ----------------------------------------------------------------------
+def span_blocks(path, registry, start, stop, header):
+    """The blocks of the file's bytes ``[start, stop)``, whole lines
+    past the header line ``header``."""
+    data = path.read_bytes()
+    # A byte past the start tells a lone "\r" ending it from "\r\n".
+    before = np.count_nonzero(io_text._line_ends(data[: start + 1]) < start)
+    span = header + data[start:stop]
+    return list(io_text._packet_reader(path, registry, span=(span, before - 1)))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_spans_read_what_the_whole_file_reads(tmp_path, newline):
+    """Cut at line ends into spans, a file reads span by span as it
+    reads whole: the same rows, line numbers and app registration."""
+    lines = lines_for(3 * BLOCK)
+    lines[BLOCK + 10] = '"12.5",100,up,"app, with comma",3'
+    lines[BLOCK + 20] = ""
+    path = write(tmp_path, lines, newline=newline)
+    # The tail cuts its spans at a "\n": the last line end is one.
+    data = path.read_bytes().rstrip(b"\r\n") + b"\r\n"
+    path.write_bytes(data)
+    ends = io_text._line_ends(data)
+    assert len(ends) == len(lines) + 1
+    header = data[: ends[0] + 1]
+    whole, by_span = AppRegistry(), AppRegistry()
+    expected = list(iter_packet_blocks(path, whole))
+    cuts = [0, 1, 700, BLOCK + 15, BLOCK + 16, 3 * BLOCK]
+    got = []
+    for a, b in zip(cuts, cuts[1:]):
+        got += span_blocks(path, by_span, ends[a] + 1, ends[b] + 1, header)
+    for i, want in enumerate(zip(*expected)):
+        np.testing.assert_array_equal(
+            np.concatenate([g[i] if i == 0 else g[i].data for g in got]),
+            np.concatenate([w if i == 0 else w.data for w in want]),
+        )
+    assert by_span.to_json() == whole.to_json()
+
+
+def test_span_holds_back_a_record_open_inside_quotes(tmp_path):
+    """A span whose end falls inside a quoted field stops before that
+    record and registers none of its app; the next span, from the same
+    start, reads it whole."""
+    lines = lines_for(5)
+    lines[3] = '1.0,100,up,"two\nlines",1'
+    path = write(tmp_path, lines)
+    data = path.read_bytes()
+    ends = io_text._line_ends(data)
+    header = data[: ends[0] + 1]
+    registry = AppRegistry()
+    torn = span_blocks(path, registry, ends[0] + 1, ends[4] + 1, header)
+    assert [n.tolist() for n, _ in torn] == [[2, 3, 4]]
+    assert "two\nlines" not in registry
+    whole = span_blocks(path, registry, ends[3] + 1, len(data), header)
+    assert [n.tolist() for n, _ in whole] == [[6, 7]]
+    assert registry.name_of(int(whole[0][1].apps[0])) == "two\nlines"
+
+
+def test_span_events_hold_back_a_record_open_inside_quotes(tmp_path):
+    rows = ["1.0,process,app.0,foreground", '2.0,input,"app\nname",']
+    path = write(tmp_path, rows, header=EVENTS_HEADER, name="e.csv")
+    data = path.read_bytes()
+    registry = AppRegistry()
+    torn = io_text._read_events(
+        path, registry, (data[: data.rindex(b"name")], 0)
+    )
+    assert len(torn.process) == 1 and len(torn.input) == 0
+    assert [app.name for app in registry] == ["app.0"]
+    log = io_text._read_events(path, registry, (data, 0))
+    assert len(log.input) == 1
+    assert [app.name for app in registry] == ["app.0", "app\nname"]
+
+
+def test_span_header_is_checked_as_every_reader_checks_it(tmp_path):
+    path = tmp_path / "p.csv"
+    for header, message in [
+        (b"time,bytes\r\n", r"p\.csv: packets CSV must have"),
+        (HEADER.encode() + b"\xff\n", r"p\.csv:1: .* not valid UTF-8"),
+    ]:
+        span = header + b"1.0,100,up,app.1,1\n"
+        with pytest.raises(TraceError, match=message):
+            list(io_text._packet_reader(path, AppRegistry(), span=(span, 5)))
+
+
+def test_header_field_over_the_limit_is_a_typed_error(tmp_path):
+    path = write(tmp_path, lines_for(3), header=HEADER + ",x" + "x" * (1 << 17))
+    expected = "p.csv:1: field larger than field limit (131072)"
+    for read in (iter_packet_rows, iter_packet_blocks):
+        with pytest.raises(TraceError) as caught:
+            list(read(path, AppRegistry()))
+        assert str(caught.value) == expected

@@ -297,6 +297,10 @@ BAD_ROWS = {
     "screen": ("1.0,screen,,dim", "screen value must be on/off"),
     "app": ("1.0,process,   ,visible", "empty app name"),
     "input-app": ("1.0,input,,", "empty app name"),
+    "field-limit": (
+        "1.0,process,app." + "x" * (1 << 17) + ",foreground",
+        "field larger than field limit (131072)",
+    ),
 }
 
 

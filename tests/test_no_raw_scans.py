@@ -41,6 +41,10 @@ packages add through ``repro.core.readout.sequential_sum``.
 The ninth keeps the totals-tier artefacts on one renderer registry:
 only ``repro.store.render`` renders Figs 1-3, Table 1 and the totals
 headlines, so the CLI, the store and the server print the same text.
+
+The tenth keeps CSV parsing in one module: only ``repro.trace.io_text``
+imports ``csv`` or calls ``parse_packet_fields``, so every reader —
+batch, stream and live tail — reads a row the same way.
 """
 
 from __future__ import annotations
@@ -617,4 +621,58 @@ def test_totals_tier_renders_go_through_the_registry():
     assert not offending, (
         "a totals-tier artefact rendered outside repro.store.render — "
         "print render_analysis(name, source) instead:\n" + "\n".join(offending)
+    )
+
+
+#: What the tenth guard must catch: a second CSV parser.
+_PLANTED_CSV_PARSER = (
+    "import csv\n"
+    "from csv import reader\n"
+    "from repro.trace.io_text import parse_packet_fields\n"
+    "row = io_text.parse_packet_fields(dict(zip(names, fields)), registry)\n"
+)
+
+
+def _csv_parsing(source, name):
+    """Imports of ``csv`` and calls of ``parse_packet_fields`` in
+    ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(alias.name == "csv" for alias in node.names):
+                found.append(f"{name}:{node.lineno}: import csv")
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            found.append(f"{name}:{node.lineno}: from csv import ...")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called = getattr(func, "attr", None) or getattr(func, "id", None)
+            if called == "parse_packet_fields":
+                found.append(f"{name}:{node.lineno}: parse_packet_fields(...)")
+    return found
+
+
+def test_one_csv_parser():
+    """The live tail once split its reads at each newline and parsed
+    every line with its own ``csv.reader`` and ``parse_packet_fields``
+    loop, beside the block reader, and the two disagreed (a quoted
+    newline). Every packets and events CSV now parses in
+    :mod:`repro.trace.io_text`."""
+    io_text = SRC / "trace" / "io_text.py"
+    assert len(_csv_parsing(_PLANTED_CSV_PARSER, "planted")) == 3, (
+        "guard matches nothing"
+    )
+    assert _csv_parsing(io_text.read_text(), "io_text"), (
+        "guard matches nothing in io_text"
+    )
+    offending = [
+        hit
+        for path in sorted(SRC.rglob("*.py"))
+        if path != io_text
+        for hit in _csv_parsing(
+            path.read_text(), path.relative_to(SRC).as_posix()
+        )
+    ]
+    assert not offending, (
+        "CSV parsed outside repro.trace.io_text — read through its "
+        "block reader:\n" + "\n".join(offending)
     )

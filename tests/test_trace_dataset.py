@@ -340,3 +340,85 @@ def test_direction_outside_uplink_downlink_is_refused_by_the_stream_reader(
         "s.npz: user 1: packets_1: direction 7 is neither uplink (0) nor "
         "downlink (1)"
     )
+
+
+#: The MALFORMED_ARCHIVES cases that damage an event member, which the
+#: stream reader never opens: it streams packets only.
+EVENT_MEMBER_CASES = {
+    "proc-missing",
+    "proc-foreign-dtype",
+    "proc-state-9",
+    "screen-on-2",
+    "input-nan-time",
+}
+
+STREAM_CASES = {
+    **{
+        case: damage
+        for case, (damage, _) in MALFORMED_ARCHIVES.items()
+        if case not in EVENT_MEMBER_CASES
+    },
+    "packets-missing": _rewritten(packets_1=None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_stream_reader_refuses_malformed_archive(tmp_path, case):
+    """The stream door refuses what ``Dataset.load`` refuses, as a
+    StreamError naming the file — never a raw zip, JSON or key error,
+    and never a non-finite time streamed on into the attribution."""
+    from repro.errors import StreamError
+    from repro.stream import NpzStreamSource
+
+    path = Dataset(_registry(), [_trace(1), _trace(2)]).save(tmp_path / "ok.npz")
+    bad = tmp_path / "bad.npz"
+    STREAM_CASES[case](path, bad)
+    with pytest.raises(StreamError, match=r"^bad\.npz: "):
+        list(NpzStreamSource(bad).iter_chunks(1))
+
+
+@pytest.mark.parametrize("case", sorted(EVENT_MEMBER_CASES))
+def test_stream_reader_never_reads_event_members(tmp_path, case):
+    from repro.stream import NpzStreamSource
+
+    path = Dataset(_registry(), [_trace(1), _trace(2)]).save(tmp_path / "ok.npz")
+    bad = tmp_path / "bad.npz"
+    MALFORMED_ARCHIVES[case][0](path, bad)
+    streamed = list(NpzStreamSource(bad).iter_chunks(1))
+    np.testing.assert_array_equal(streamed[0].data, _trace(1).packets.data)
+
+
+def test_stream_reader_names_a_member_cut_short(tmp_path):
+    """A packets member whose compressed stream ends early is a
+    StreamError naming the file, the user and the member."""
+    import zipfile
+
+    from repro.errors import StreamError
+    from repro.stream import NpzStreamSource
+
+    path = Dataset(_registry(), [_trace(1), _trace(2)]).save(tmp_path / "ok.npz")
+    source = NpzStreamSource(path)
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    members["packets_2.npy"] = members["packets_2.npy"][:-8]
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+    with pytest.raises(
+        StreamError, match=r"^ok\.npz: user 2: packets_2: truncated"
+    ):
+        list(source.iter_chunks(2))
+
+
+def test_packet_defect_names_a_non_finite_time_first():
+    from repro.trace.arrays import packet_defect
+
+    packets = _trace(1).packets.data.copy()
+    assert packet_defect(packets) is None
+    packets["direction"][0] = 7
+    packets["timestamp"][1] = np.nan
+    assert packet_defect(packets) == "non-finite timestamp nan"
+    with pytest.raises(TraceError, match="packet non-finite timestamp nan"):
+        from repro.trace.arrays import PacketArray
+
+        PacketArray(packets).validate()
