@@ -23,7 +23,7 @@
 # coverage by their differential suites on its own
 # (tests/test_csv_blocks.py and tests/test_csv_event_blocks.py pin the
 # packets and events block readers to the per-row reference,
-# tests/test_csv_prepass.py the validate-only stream prepass to a full
+# tests/test_csv_prepass.py the stream prepass to a full
 # parse, tests/test_csv_writers.py the writers to their frozen row
 # loop).
 # Needs pytest-cov; skipped (exit 0, with a note) where it is not

@@ -4,7 +4,10 @@
 # the merged checkpoint is indistinguishable from the unsharded one —
 # same figure bytes, same store key (a store warmed by the unsharded
 # render answers --store-only for the merged checkpoint). Also proves
-# the typed failure mode: merging an incomplete plan exits 5.
+# the typed failure mode: merging an incomplete plan exits 5. Then the
+# same study as per-user CSVs: a resumed (--max-chunks, --resume) and
+# a sharded ingest render the uninterrupted one's fig3 bytes, and no
+# command leaves a file in TMPDIR.
 #
 # Run from anywhere; needs only python + numpy. CI runs this as the
 # shard-smoke job.
@@ -81,5 +84,56 @@ python -m repro.cli figure fig3 \
     --from-checkpoint "$workdir/merged2.ckpt.npz" >"$workdir/fig3.healed"
 cmp "$workdir/fig3.plain" "$workdir/fig3.healed"
 echo "    healed merge still byte-identical"
+
+echo "==> the same study as per-user CSVs"
+# A CSV source spills its parsed rows to an anonymous temporary file;
+# with TMPDIR pointed at an empty directory, every command must leave
+# it empty.
+mkdir "$workdir/csv" "$workdir/tmp"
+python - "$workdir" <<'EOF'
+import sys
+from pathlib import Path
+
+from repro.trace.dataset import Dataset
+from repro.trace.io_text import write_events_csv, write_packets_csv
+
+work = Path(sys.argv[1])
+dataset = Dataset.load(work / "study.npz")
+for user in dataset.users:
+    uid = user.user_id
+    write_packets_csv(work / "csv" / f"u{uid}.csv", user.packets, dataset.registry)
+    write_events_csv(work / "csv" / f"u{uid}.events.csv", user.events, dataset.registry)
+EOF
+users=()
+for packets in "$workdir"/csv/u?.csv; do
+    users+=(--user "$packets:${packets%.csv}.events.csv")
+done
+csv() {
+    TMPDIR="$workdir/tmp" python -m repro.cli "$@"
+    if [ -n "$(ls -A "$workdir/tmp")" ]; then
+        echo "FAIL: repro $1 left files in TMPDIR" >&2
+        ls -la "$workdir/tmp" >&2
+        exit 1
+    fi
+}
+csv ingest "${users[@]}" --checkpoint "$workdir/csv.ckpt.npz" >/dev/null
+csv ingest "${users[@]}" --chunk-size 500 --max-chunks 2 \
+    --checkpoint "$workdir/csv-resumed.ckpt.npz" >/dev/null
+csv ingest "${users[@]}" --chunk-size 500 --resume \
+    --checkpoint "$workdir/csv-resumed.ckpt.npz" >/dev/null
+csv shard plan "${users[@]}" --shards 3 --out "$workdir/csv-plan.json" >/dev/null
+csv shard run "$workdir/csv-plan.json" --shard-workers 2 --quiet
+csv shard merge "$workdir/csv-plan.json" \
+    --out "$workdir/csv-merged.ckpt.npz" >/dev/null
+for run in csv csv-resumed csv-merged; do
+    csv figure fig3 --from-checkpoint "$workdir/$run.ckpt.npz" >"$workdir/fig3.$run"
+done
+for run in csv-resumed csv-merged; do
+    cmp "$workdir/fig3.csv" "$workdir/fig3.$run" || {
+        echo "FAIL: fig3 of the $run CSV ingest differs from the uninterrupted one"
+        exit 1
+    }
+done
+echo "    resumed and sharded CSV ingests byte-identical; TMPDIR left empty"
 
 echo "shard smoke: OK"

@@ -23,6 +23,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
+import tempfile
+import weakref
 import zipfile
 import zlib
 from contextlib import contextmanager
@@ -120,15 +123,19 @@ class RowQuarantine:
 class CsvStreamSource:
     """Stream per-user packets from ``io_text`` CSV files.
 
-    A prepass walks every user's files once — validating every packet
-    row but building only its timestamp, registering app names in the
-    exact order the batch reader would and recording the row count and
-    time horizon — so ids, windows and state labels match
+    A prepass parses every user's files once — registering app names in
+    the exact order the batch reader would and recording the row count
+    and time horizon — so ids, windows and state labels match
     :func:`~repro.trace.io_text.dataset_from_csv` over the same files
     exactly, and a malformed row fails construction. Packet CSVs must
     already be time-sorted (the batch path sorts in RAM; a
     bounded-memory reader cannot), which the prepass checks, naming
     the file and line of the first row out of order.
+
+    The parsed, unlabelled records (24 bytes a row) wait for
+    :meth:`iter_chunks` in an anonymous temporary file, closed with the
+    source: memory stays one chunk, and a CSV edited or deleted after
+    construction does not change what streams.
 
     Event CSVs are read whole in the prepass (event streams are tiny
     next to packet tables) and used to state-label each chunk; only
@@ -167,6 +174,10 @@ class CsvStreamSource:
         self._quarantine_rows = bool(quarantine_rows)
         self._events: Dict[int, EventLog] = {}
         self._counts: Dict[int, int] = {}
+        #: Byte offset of each user's first record in the spill.
+        self._first: Dict[int, int] = {}
+        self._spill = tempfile.TemporaryFile(buffering=0)
+        weakref.finalize(self, self._spill.close)
         horizon = 0.0
         for uid, (packets_path, events_path) in enumerate(
             self._files, start=1
@@ -180,11 +191,14 @@ class CsvStreamSource:
             )
             count = 0
             last_ts = -np.inf
-            for line_numbers, ts in self._read(
-                packets_path, self.registry, on_bad_row=on_bad, times_only=True
+            self._first[uid] = self._spill.tell()
+            for line_numbers, packets in self._read(
+                packets_path, self.registry, on_bad_row=on_bad
             ):
+                ts = packets.timestamps
                 last_ts = self._check_order(packets_path, line_numbers, ts, last_ts)
                 count += len(ts)
+                self._write_spill(packets_path, packets.data)
             if count:
                 horizon = max(horizon, last_ts)
             events = (
@@ -237,6 +251,15 @@ class CsvStreamSource:
             )
         return float(ts[-1])
 
+    def _write_spill(self, path: Path, data: np.ndarray) -> None:
+        """Append ``data`` to the spill: a full disk is a StreamError."""
+        view = memoryview(data).cast("B")
+        try:
+            while view:
+                view = view[self._spill.write(view) :]
+        except OSError as exc:
+            raise StreamError(f"{path.name}: cannot spill parsed rows: {exc}") from None
+
     @staticmethod
     def _drop_silently(error: Exception) -> None:
         """Re-iteration skip hook: the prepass already recorded the row."""
@@ -248,16 +271,28 @@ class CsvStreamSource:
 
         ``skip`` drops that many leading (surviving) rows — how a
         resumed run seeks past packets its checkpoint already accounted
-        for (the rows are re-read but nothing is recomputed). This is
-        the one CSV iteration wired to the ``io.packet_row`` fault
-        site.
+        for. Chunks are read back from the prepass's spill, each at its
+        own offset; while a fault plan is armed, and only then, the CSV
+        is parsed again: the one CSV iteration wired to the
+        ``io.packet_row`` fault site.
         """
         packets_path, _ = self._files[user_id - 1]
         events = self._events[user_id]
-        on_bad = self._drop_silently if self._quarantine_rows else None
-        blocks = self._read(packets_path, self.registry, on_bad_row=on_bad, inject=True)
-        datas = (packets.data for _, packets in blocks)
-        for data in self._rechunked(datas, self.chunk_size, skip):
+        if faults.active_plan() is not None:
+            on_bad = self._drop_silently if self._quarantine_rows else None
+            blocks = self._read(packets_path, self.registry, on_bad_row=on_bad, inject=True)
+            datas = (packets.data for _, packets in blocks)
+            for data in self._rechunked(datas, self.chunk_size, skip):
+                yield self._labelled(data, events)
+            return
+        size, first = PACKET_DTYPE.itemsize, self._first[user_id]
+        end = first + self._counts[user_id] * size
+        for start in range(first + skip * size, end, self.chunk_size * size):
+            want = min(self.chunk_size * size, end - start)
+            buffer = os.pread(self._spill.fileno(), want, start)
+            if len(buffer) != want:
+                raise StreamError(f"{packets_path.name}: spilled packets cut short")
+            data = np.frombuffer(buffer, PACKET_DTYPE).copy()
             yield self._labelled(data, events)
 
     @staticmethod
@@ -337,14 +372,12 @@ class NpzStreamSource:
             with _open_archive(self.path) as archive:
                 self.registry, entries, _ = _read_header(archive, self.path)
                 for uid, _, _ in entries:
-                    with self._packets(archive.zip, int(uid)) as (_, rows, _):
-                        self._counts[int(uid)] = rows
+                    with self._packets(archive.zip, uid) as (_, rows, _):
+                        self._counts[uid] = rows
         except TraceError as exc:
             raise StreamError(str(exc)) from None
-        self._users = {
-            int(uid): (float(start), float(end)) for uid, start, end in entries
-        }
-        self._order = [int(uid) for uid, _, _ in entries]
+        self._users = {uid: (start, end) for uid, start, end in entries}
+        self._order = [uid for uid, _, _ in entries]
 
     @property
     def user_ids(self) -> List[int]:

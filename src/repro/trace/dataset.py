@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -323,13 +324,14 @@ def _member(
 
 def _read_header(
     archive: np.lib.npyio.NpzFile, path: Path
-) -> Tuple[AppRegistry, List[tuple], dict]:
+) -> Tuple[AppRegistry, List[Tuple[int, float, float]], dict]:
     """What the JSON header member of an archive :meth:`Dataset.save`
-    wrote holds: the registry, each user's ``(user_id, start, end)`` and
+    wrote holds: the registry, each user's ``(user_id, start, end)`` as
+    an ``int`` and two finite ``float`` times with ``start <= end``, and
     the metadata. :class:`TraceError` naming the file when the header is
-    missing or is not that JSON. Both dataset readers —
-    :meth:`Dataset.load` and :class:`repro.stream.NpzStreamSource` —
-    read it here."""
+    missing or is not that JSON, and the user too when an entry is not
+    so typed. Both dataset readers — :meth:`Dataset.load` and
+    :class:`repro.stream.NpzStreamSource` — read it here."""
     try:
         raw = bytes(_member(archive, path, "header"))
         header = json.loads(raw.decode("utf-8"))
@@ -341,5 +343,22 @@ def _read_header(
         metadata = dict(header["metadata"])
     except (ValueError, KeyError, TypeError) as exc:
         raise TraceError(f"{path.name}: header: {exc!r}") from None
-    return registry, entries, metadata
+    return registry, [_user_window(path, *entry) for entry in entries], metadata
+
+
+def _user_window(path: Path, uid, start, end) -> Tuple[int, float, float]:
+    """One header user entry as ``(int, float, float)``:
+    :class:`TraceError` naming the file and the user unless its id is an
+    integer and its times are finite with ``start <= end``."""
+    try:
+        window = int(uid), float(start), float(end)
+        typed = all(map(math.isfinite, window[1:])) and window[1] <= window[2]
+    except (TypeError, ValueError, OverflowError):
+        typed = False
+    if not typed:
+        raise TraceError(
+            f"{path.name}: header: user {uid!r}: want an integer id and finite "
+            f"times start <= end, got ({uid!r}, {start!r}, {end!r})"
+        )
+    return window
 

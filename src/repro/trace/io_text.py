@@ -266,7 +266,8 @@ def _records(
     """``reader``'s row dicts, or for a record the ``csv`` module refuses
     (a field over :func:`csv.field_size_limit`) the :class:`TraceError`
     that makes it a malformed row; ``reader.reader.line_num`` names its
-    line. Of a span, not a record its end cuts inside quotes."""
+    line. A record the file's end cuts inside quotes is malformed too;
+    of a span, whose end may cut it, it is not a record yet."""
     while True:
         try:
             row = next(reader)
@@ -275,8 +276,10 @@ def _records(
         except csv.Error as exc:
             row = TraceError(str(exc))
         # The reader asks for a line past the end mid-record only.
-        if lines.span and lines.ended:
-            return
+        if lines.ended:
+            if lines.span:
+                return
+            row = TraceError("file ends inside a quoted field")
         yield row
 
 
@@ -432,14 +435,11 @@ def _packet_reader(
     registry: AppRegistry,
     on_bad_row: Optional[Callable[[TraceError], None]] = None,
     inject: bool = False,
-    times_only: bool = False,
     span: Optional[tuple] = None,
-) -> Iterator[Tuple[np.ndarray, Union[PacketArray, np.ndarray]]]:
+) -> Iterator[Tuple[np.ndarray, PacketArray]]:
     """``(line_numbers, packets)`` per block of a packets CSV: see
     :func:`iter_packet_blocks`, whose rows, checks, errors, ``on_bad_row``
-    calls and app registration order these are. With ``times_only`` —
-    the stream prepass — ``(line_numbers, timestamps)``: sizes, conns and
-    directions are checked and never built. ``span`` is
+    calls and app registration order these are. ``span`` is
     :func:`_open_csv`'s."""
     path = Path(path)
     per_row = inject and faults.active_plan() is not None
@@ -452,9 +452,7 @@ def _packet_reader(
             tokens = None if per_row else _split_block(block, n_fields)
             if tokens is None:
                 return None
-            parsed = _packet_columns(
-                tokens, n_fields, columns, registry, times_only
-            )
+            parsed = _packet_columns(tokens, n_fields, columns, registry)
             if parsed is None:
                 return None
             return np.arange(first, first + len(block), dtype=np.int64), parsed
@@ -464,7 +462,7 @@ def _packet_reader(
             lines,
             fast,
             _row_path(path, reader, lines, registry, on_bad_row, inject),
-            _times_from_rows if times_only else _packets_from_rows,
+            _packets_from_rows,
         )
 
 
@@ -497,9 +495,7 @@ def iter_packet_blocks(
     fault plan is armed every block takes the per-row path, so
     ``io.packet_row`` hits land on the same rows.
     """
-    for line_numbers, packets in _packet_reader(
-        path, registry, on_bad_row, inject, times_only=False
-    ):
+    for line_numbers, packets in _packet_reader(path, registry, on_bad_row, inject):
         yield PacketBlock(line_numbers, packets)
 
 
@@ -508,11 +504,9 @@ def _packet_columns(
     n_fields: int,
     columns: Dict[str, int],
     registry: AppRegistry,
-    times_only: bool = False,
-) -> Union[None, PacketArray, np.ndarray]:
+) -> Optional[PacketArray]:
     """The fast path's column step: a split block as a
-    :class:`PacketArray` — with ``times_only``, just its timestamps —
-    or ``None`` when a cast fails or a value is out of range."""
+    :class:`PacketArray`, or ``None`` when a cast or range check fails."""
     n = len(tokens) // n_fields
 
     def column(name: str) -> List[str]:
@@ -524,7 +518,7 @@ def _packet_columns(
         )
         if not np.isfinite(timestamps).all():
             return None
-        sizes = _uint32_column(column("size"), n, times_only)
+        sizes = _uint32_column(column("size"), n)
         direction = column("direction")
         codes = {t: int(_parse_direction(t)) for t in set(direction)}
         conns = None
@@ -532,7 +526,7 @@ def _packet_columns(
             conn = column("conn")
             if "" in conn:
                 conn = [t or "0" for t in conn]
-            conns = _uint32_column(conn, n, times_only)
+            conns = _uint32_column(conn, n)
     except (TraceError, ValueError, OverflowError):
         return None
     app = column("app")
@@ -540,8 +534,6 @@ def _packet_columns(
     if not all(map(str.strip, names)):
         return None
     ids = {token: _app_id(registry, token) for token in names}
-    if times_only:
-        return timestamps
     directions = np.fromiter(map(codes.__getitem__, direction), np.uint8, n)
     apps = np.fromiter(map(ids.__getitem__, app), np.uint16, n)
     return PacketArray.from_columns(
@@ -549,29 +541,12 @@ def _packet_columns(
     )
 
 
-def _uint32_column(
-    tokens: List[str], n: int, check_only: bool = False
-) -> Optional[np.ndarray]:
-    """``int`` of each token; ``OverflowError`` if one is out of range.
-
-    With ``check_only`` a column of 1-9 ASCII digits per token is
-    accepted as it is: ``int`` of such a token cannot fail and fits a
-    ``uint32``. Any other column is cast and range-checked, and nothing
-    is returned.
-    """
-    if check_only:
-        joined = "".join(tokens)
-        if (
-            joined.isascii()
-            and joined.isdigit()
-            and "" not in tokens
-            and max(map(len, tokens)) <= 9
-        ):
-            return None
+def _uint32_column(tokens: List[str], n: int) -> np.ndarray:
+    """``int`` of each token; ``OverflowError`` if one is out of range."""
     values = np.fromiter(map(int, tokens), np.int64, n)
     if values.min() < 0 or values.max() > _UINT32_MAX:
         raise OverflowError("value out of uint32 range")
-    return None if check_only else values.astype(np.uint32)
+    return values.astype(np.uint32)
 
 
 def _packets_from_rows(
@@ -588,16 +563,6 @@ def _packets_from_rows(
             np.array(apps, dtype=np.uint16),
             np.array(conns, dtype=np.uint32),
         ),
-    )
-
-
-def _times_from_rows(
-    parsed: List[Tuple[int, PacketRow]]
-) -> Tuple[np.ndarray, np.ndarray]:
-    line_numbers, rows = zip(*parsed)
-    return (
-        np.array(line_numbers, dtype=np.int64),
-        np.array([row[0] for row in rows], dtype=np.float64),
     )
 
 

@@ -1,12 +1,12 @@
-"""The validate-only stream prepass against a full-parse reference.
+"""The stream prepass against a full-parse reference.
 
-:class:`repro.stream.CsvStreamSource` validates every packet row at
-construction but builds only the timestamp column. What construction
-shows — registry JSON, ``n_packets``, ``duration``, the quarantine
-count and samples, and the error text — must equal a prepass over
-:func:`repro.trace.io_text.iter_packet_blocks`' full arrays, with and
-without quarantine: in particular for the size and conn tokens the
-prepass accepts without casting them.
+:class:`repro.stream.CsvStreamSource` parses every packet row once, at
+construction, and keeps the records for its chunk pass. What
+construction shows — registry JSON, ``n_packets``, ``duration``, the
+quarantine count and samples, and the error text — must equal a
+prepass over :func:`repro.trace.io_text.iter_packet_blocks`' full
+arrays, with and without quarantine: in particular for size and conn
+tokens of every shape.
 """
 
 import functools

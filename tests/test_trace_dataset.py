@@ -1,5 +1,7 @@
 """UserTrace, AppRegistry and Dataset persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,17 @@ def _with_field(field, value):
     return change
 
 
+def _with_user_window(field, value):
+    """A header edit: user 1's ``field`` set to ``value``."""
+
+    def change(raw):
+        header = json.loads(bytes(raw).decode("utf-8"))
+        header["users"][0][field] = value
+        return np.frombuffer(json.dumps(header).encode("utf-8"), np.uint8)
+
+    return change
+
+
 MALFORMED_ARCHIVES = {
     "truncated": (
         lambda path, out: out.write_bytes(path.read_bytes()[:200]),
@@ -223,6 +236,15 @@ MALFORMED_ARCHIVES = {
     "header-not-json": (
         _rewritten(header=lambda _: np.frombuffer(b"{users", np.uint8)),
         r"bad\.npz: header: ",
+    ),
+    "header-start-not-a-time": (
+        _rewritten(header=_with_user_window("start", "soon")),
+        r"bad\.npz: header: user 1: want an integer id and finite times "
+        r"start <= end, got \(1, 'soon', ",
+    ),
+    "header-end-before-start": (
+        _rewritten(header=_with_user_window("end", -1.0)),
+        r"bad\.npz: header: user 1: .* got \(1, 0\.0, -1\.0\)$",
     ),
     "proc-foreign-dtype": (
         _rewritten(proc_1=lambda a: a.astype([("t", "f8"), ("app", "u2"), ("state", "u1")])),

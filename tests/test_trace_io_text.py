@@ -177,6 +177,40 @@ def test_malformed_event_row_names_file_and_line(tmp_path):
         read_events_csv(path, AppRegistry())
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\n"])
+def test_file_ending_inside_a_quoted_field_is_a_malformed_row(tmp_path, newline):
+    """A CSV cut short inside a quoted field is a malformed last row
+    naming its file line, not a row whose app is the cut text and whose
+    missing conn reads 0; quarantined, it registers no app."""
+    from repro.errors import StreamError
+    from repro.stream import CsvStreamSource
+
+    def cut(name, *lines):
+        path = tmp_path / name
+        path.write_text(newline.join(lines), newline="")
+        return path
+
+    packets = cut(
+        "p.csv", "timestamp,size,direction,app,conn", "1.0,100,up,app.a,1",
+        '2.0,100,up,"two', "li",
+    )
+    message = "p.csv:4: file ends inside a quoted field"
+    with pytest.raises(TraceError, match=f"^{message}$"):
+        read_packets_csv(packets, AppRegistry())
+    with pytest.raises(StreamError, match=f"^malformed packet row: {message}$"):
+        CsvStreamSource([(packets, None)])
+    source = CsvStreamSource([(packets, None)], quarantine_rows=True)
+    assert source.quarantine.samples == [message]
+    assert source.n_packets(1) == 1
+    assert [app.name for app in source.registry] == ["app.a"]
+    events = cut(
+        "e.csv", "timestamp,kind,app,value", "1.0,process,app.a,foreground",
+        '2.0,input,"two', "li",
+    )
+    with pytest.raises(TraceError, match=r"^e\.csv:4: file ends inside a quoted"):
+        read_events_csv(events, AppRegistry())
+
+
 def test_iterators_match_batch_readers(packets_file, events_file):
     from repro.trace.io_text import iter_event_rows, iter_packet_rows
 
