@@ -31,7 +31,7 @@ python -m repro.cli ingest --dataset "$workdir/study.npz" \
 echo "==> shard plan / run / merge"
 python -m repro.cli shard plan --dataset "$workdir/study.npz" \
     --shards 3 --out "$workdir/plan.json"
-python -m repro.cli shard run "$workdir/plan.json" --shard-workers 2 --quiet
+python -m repro.cli shard run "$workdir/plan.json" --workers 2 --quiet
 python -m repro.cli shard merge "$workdir/plan.json" \
     --out "$workdir/merged.ckpt.npz" >/dev/null
 
@@ -77,7 +77,7 @@ grep -q "not mergeable" "$workdir/merge.err" || {
 echo "    exit 5 with a typed error naming the shard"
 
 echo "==> rerun resumes only the missing shard, then the merge heals"
-python -m repro.cli shard run "$workdir/plan.json" --shard-workers 2 --quiet
+python -m repro.cli shard run "$workdir/plan.json" --workers 2 --quiet
 python -m repro.cli shard merge "$workdir/plan.json" \
     --out "$workdir/merged2.ckpt.npz" >/dev/null
 python -m repro.cli figure fig3 \
@@ -122,7 +122,7 @@ csv ingest "${users[@]}" --chunk-size 500 --max-chunks 2 \
 csv ingest "${users[@]}" --chunk-size 500 --resume \
     --checkpoint "$workdir/csv-resumed.ckpt.npz" >/dev/null
 csv shard plan "${users[@]}" --shards 3 --out "$workdir/csv-plan.json" >/dev/null
-csv shard run "$workdir/csv-plan.json" --shard-workers 2 --quiet
+csv shard run "$workdir/csv-plan.json" --workers 2 --quiet
 csv shard merge "$workdir/csv-plan.json" \
     --out "$workdir/csv-merged.ckpt.npz" >/dev/null
 for run in csv csv-resumed csv-merged; do

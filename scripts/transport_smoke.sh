@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the remote transport (docs/SCALING.md,
 # "Remote transport"): start two real `repro shard worker` processes
-# on ephemeral ports, run a sharded ingest over them with
-# --transport http, and prove the merged checkpoint is *byte-identical*
+# on ephemeral ports, run a sharded ingest over them with a worker-URL
+# --workers, and prove the merged checkpoint is *byte-identical*
 # to an unsharded ingest's. Then the failure modes: a worker killed
 # mid-run costs reassignment but not correctness, and a pool that is
 # entirely dead exits 8 with a typed error.
@@ -82,7 +82,7 @@ set -- $worker_pids
 victim_pid="$1"
 ( sleep 0.5; kill "$victim_pid" 2>/dev/null || true ) &
 python -m repro.cli shard run "$workdir/plan.json" \
-    --transport http --workers "$u0,$u1" --quiet \
+    --workers "$u0,$u1" --quiet \
     --metrics-json "$workdir/kill.metrics.json"
 python -m repro.cli shard merge "$workdir/plan.json" \
     --out "$workdir/killed.ckpt.npz" >/dev/null
@@ -107,7 +107,7 @@ echo "==> a fully dead pool fails typed with exit 8"
 python -m repro.cli shard plan --dataset "$workdir/study.npz" --shards 2 \
     --out "$workdir/dead.json" >/dev/null
 set +e
-python -m repro.cli shard run "$workdir/dead.json" --transport http \
+python -m repro.cli shard run "$workdir/dead.json" \
     --workers "http://127.0.0.1:9,http://127.0.0.1:10" --quiet \
     2>"$workdir/dead.err"
 code=$?

@@ -39,11 +39,12 @@ maintains a store directory. The contract is docs/SERVING.md::
     repro serve --from-checkpoint ck.npz --store results/ --port 8080
     curl http://127.0.0.1:8080/figures/fig3
 
-Sharded runs pick their executor with ``--transport``: ``repro shard
-run PLAN --transport http --workers URL,URL`` places shards on a pool
-of ``repro shard worker`` processes (docs/SCALING.md documents the
-worker contract); a worker-pool failure that leaves shards unplaced is
-exit 8 (:data:`~repro.exitcodes.EXIT_TRANSPORT_FAILED`).
+Sharded runs pick their executor with ``--workers``: a count runs
+shards in this box's process pool, and ``repro shard run PLAN
+--workers URL,URL`` places them on a pool of ``repro shard worker``
+processes (docs/SCALING.md documents the worker contract); a
+worker-pool failure that leaves shards unplaced is exit 8
+(:data:`~repro.exitcodes.EXIT_TRANSPORT_FAILED`).
 
 This package is the CLI: one module per command family
 (:mod:`~repro.cli.analyses`, :mod:`~repro.cli.serving`,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import List, Optional, Sequence, Tuple
 
 from repro import RunMetrics, StudyConfig, StudyEnergy, generate_study
 from repro.core import report
@@ -225,6 +226,32 @@ def _store_render(args: argparse.Namespace, source, analysis: str) -> int:
     return 0
 
 
+def _user_pairs(specs: Sequence[str]) -> List[Tuple[str, Optional[str]]]:
+    """``(packets, events)`` per ``--user PACKETS_CSV[:EVENTS_CSV]``;
+    ``events`` is ``None`` when the spec names no events file."""
+    pairs = []
+    for spec in specs:
+        parts = spec.split(":")
+        events = parts[1] if len(parts) > 1 and parts[1] else None
+        pairs.append((parts[0], events))
+    return pairs
+
+
+def _serve(server, max_requests: Optional[int]) -> None:
+    """Serve ``max_requests`` requests (all of them when unset) until
+    interrupted, then close the server."""
+    try:
+        if max_requests:
+            for _ in range(max_requests):
+                server.handle_request()
+        else:
+            server.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        server.server_close()
+
+
 def _stream_source(args: argparse.Namespace):
     """Build the chunk source from ``--dataset``/``--user`` flags, or
     ``None`` when neither was given (callers print usage and exit 2)."""
@@ -232,13 +259,8 @@ def _stream_source(args: argparse.Namespace):
     if args.dataset:
         return NpzStreamSource(args.dataset, chunk_size=chunk_size)
     if args.user:
-        pairs = []
-        for spec in args.user:
-            parts = spec.split(":")
-            events = parts[1] if len(parts) > 1 and parts[1] else None
-            pairs.append((parts[0], events))
         return CsvStreamSource(
-            pairs,
+            _user_pairs(args.user),
             chunk_size=chunk_size,
             duration=args.duration,
             quarantine_rows=getattr(args, "quarantine", False),

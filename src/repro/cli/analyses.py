@@ -64,6 +64,7 @@ from repro.cli._shared import (
     _store_source,
     _study,
     _table_number,
+    _user_pairs,
 )
 
 __all__ = ["TABLE2_APPS"]
@@ -478,13 +479,7 @@ def _cmd_lab(args: argparse.Namespace) -> int:
 def _cmd_import(args: argparse.Namespace) -> int:
     from repro.trace.io_text import dataset_from_csv
 
-    pairs = []
-    for spec in args.user:
-        parts = spec.split(":")
-        packets = parts[0]
-        events = parts[1] if len(parts) > 1 and parts[1] else None
-        pairs.append((packets, events))
-    dataset = dataset_from_csv(pairs)
+    dataset = dataset_from_csv(_user_pairs(args.user))
     dataset.save(args.out)
     print(f"wrote {args.out}: {dataset}")
     return 0

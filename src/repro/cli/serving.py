@@ -20,6 +20,7 @@ from repro.cli._shared import (
     _add_checkpoint_arg,
     _add_study_args,
     _metrics,
+    _serve,
     _store_source,
 )
 
@@ -54,16 +55,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"(store: {store_dir})",
             flush=True,
         )
-    try:
-        if args.max_requests:
-            for _ in range(args.max_requests):
-                server.handle_request()
-        else:
-            server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
+    _serve(server, args.max_requests)
     return 0
 
 

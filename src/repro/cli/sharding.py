@@ -1,15 +1,13 @@
 """The sharding command family: plan, run, merge — and the worker.
 
-``repro shard run`` is where the transport seam surfaces: the default
-``--transport local`` fans shards over this box's process pool exactly
-as before, while ``--transport http --workers URL[,URL...]`` drives a
-pool of ``repro shard worker`` processes through
-:class:`~repro.shard.transport.HttpTransport` — same manifest, same
-shard directory, same merge. ``--workers`` is polymorphic
-(:func:`~repro.shard.transport.parse_worker_spec`): a bare count keeps
-the local pool, anything with ``://`` is the remote pool, so
-``--transport`` can usually be inferred and exists to catch mismatches
-loudly.
+``repro shard run`` is where the transport seam surfaces, and its
+``--workers`` value alone picks the transport
+(:func:`~repro.shard.transport.parse_worker_spec`, then
+:func:`~repro.shard.transport.make_transport`): a process count
+(default ``0``, one per CPU) fans the shards over this box's process
+pool, while a ``URL[,URL...]`` list drives a pool of ``repro shard
+worker`` processes through :class:`~repro.shard.transport.HttpTransport`
+— same manifest, same shard directory, same merge.
 
 ``_ingest_sharded`` (the ``repro ingest --shards N`` one-box path)
 rides the same transports, so a single command can plan, execute
@@ -35,7 +33,6 @@ from repro.shard import (
     merge_to_checkpoint,
     parse_worker_spec,
 )
-from repro.shard.transport import TRANSPORT_NAMES
 from repro.stream import DEFAULT_CHUNK_SIZE
 
 from repro.cli._shared import (
@@ -43,40 +40,41 @@ from repro.cli._shared import (
     _metrics,
     _print_quarantine_tally,
     _print_readout_summary,
+    _serve,
     _stream_source,
 )
 
 
-def _resolve_transport(
-    args: argparse.Namespace, workers: Union[int, List[str]]
-):
-    """The transport a shard-running command asked for (or implied).
+def _worker_spec(text: str) -> Union[int, List[str]]:
+    """The argparse ``type=`` of a shard-running command's ``--workers``:
+    :func:`~repro.shard.transport.parse_worker_spec`, with a malformed
+    or negative count a usage error naming the option."""
+    try:
+        return parse_worker_spec(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a process count (>= 0) or a worker-URL list: {text!r}"
+        ) from None
 
-    ``--transport`` wins when given; otherwise a URL-list ``--workers``
-    means http and anything else means local. Mismatches raise
-    ``ValueError`` from :func:`make_transport` — callers turn that into
-    a usage error.
+
+def _transport(args: argparse.Namespace, manifest_path):
+    """The transport ``--workers`` selects, carrying the run's options.
+
+    Raises ``ValueError`` for an option the selected pool cannot honour
+    (see :func:`make_transport`); callers turn that into a usage error.
     """
-    name = getattr(args, "transport", None)
-    if name is None:
-        name = "http" if isinstance(workers, list) else "local"
     return make_transport(
-        name,
-        workers=workers,
+        args.workers,
         checkpoint_every=args.checkpoint_every,
         retries=args.retries,
         task_timeout=args.task_timeout,
         quarantine=args.quarantine,
-        manifest_path=getattr(args, "manifest", None)
-        or getattr(args, "_manifest_path", None),
+        manifest_path=manifest_path,
     )
 
 
 def _ingest_sharded(
-    args: argparse.Namespace,
-    source,
-    metrics: RunMetrics,
-    workers: Union[int, List[str]],
+    args: argparse.Namespace, source, metrics: RunMetrics
 ) -> int:
     """The one-box convenience path: plan + run + merge in one command.
 
@@ -97,27 +95,22 @@ def _ingest_sharded(
         )
         return 2
     manifest_path = Path(str(args.checkpoint) + ".plan.json")
-    args._manifest_path = manifest_path
     try:
-        transport = _resolve_transport(args, workers)
+        transport = _transport(args, manifest_path)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     with metrics.stage("shard.plan"):
-        if manifest_path.exists():
-            manifest = ShardManifest.load(manifest_path)
-            if (
-                manifest.signature != source.signature()
-                or manifest.n_shards != args.shards
-            ):
-                manifest = ShardManifest.plan(
-                    source,
-                    args.shards,
-                    model_name=args.model,
-                    cadence=not args.no_cadence,
-                )
-                manifest.save(manifest_path)
-        else:
+        manifest = (
+            ShardManifest.load(manifest_path)
+            if manifest_path.exists()
+            else None
+        )
+        if (
+            manifest is None
+            or manifest.signature != source.signature()
+            or manifest.n_shards != args.shards
+        ):
             manifest = ShardManifest.plan(
                 source,
                 args.shards,
@@ -193,12 +186,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     )
     if args.shard_command == "run":
         try:
-            workers = (
-                parse_worker_spec(args.workers)
-                if args.workers is not None
-                else args.shard_workers
-            )
-            transport = _resolve_transport(args, workers)
+            transport = _transport(args, args.manifest)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -277,29 +265,8 @@ def _cmd_shard_worker(
         f"listening on http://{host}:{port} (workdir: {args.workdir})",
         flush=True,
     )
-    try:
-        if args.max_requests:
-            for _ in range(args.max_requests):
-                server.handle_request()
-        else:
-            server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
+    _serve(server, args.max_requests)
     return 0
-
-
-def _add_transport_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--transport",
-        choices=TRANSPORT_NAMES,
-        help=(
-            "where shards execute: 'local' (process pool, default) or "
-            "'http' (a pool of `repro shard worker` URLs); inferred "
-            "from --workers when omitted"
-        ),
-    )
 
 
 def add_shard(sub) -> None:
@@ -372,19 +339,13 @@ def add_shard(sub) -> None:
         help="run only shard K (repeatable; default: all shards)",
     )
     sp.add_argument(
-        "--shard-workers",
-        type=_at_least(int, 0),
-        default=0,
-        metavar="N",
-        help="shard processes at once (0 = one per CPU)",
-    )
-    _add_transport_args(sp)
-    sp.add_argument(
         "--workers",
+        type=_worker_spec,
+        default=0,
         metavar="N|URL[,URL...]",
         help=(
-            "local process count, or the worker-URL pool for "
-            "--transport http (overrides --shard-workers)"
+            "shard processes at once (0 = one per CPU), or the "
+            "`repro shard worker` URL pool to run the shards on"
         ),
     )
     sp.add_argument(
@@ -414,7 +375,11 @@ def add_shard(sub) -> None:
     sp.add_argument(
         "--quarantine",
         action="store_true",
-        help="drop malformed rows / poison users inside shards",
+        help=(
+            "quarantine users whose chunks the radio layer rejects "
+            "(local shard pool only); malformed CSV rows follow the plan "
+            "(`repro shard plan --quarantine`)"
+        ),
     )
     sp.add_argument(
         "--quiet", action="store_true", help="no per-shard progress lines"
@@ -449,7 +414,7 @@ def add_shard(sub) -> None:
     sp.set_defaults(func=_cmd_shard)
     sp = shard_sub.add_parser(
         "worker",
-        help="serve this box as an HTTP shard executor (--transport http)",
+        help="serve this box as an HTTP shard executor (a --workers URL)",
     )
     sp.add_argument(
         "--workdir",

@@ -23,7 +23,6 @@ from repro.follow import (
     parse_window_spec,
 )
 from repro.radio.registry import available_models, get_model
-from repro.shard.transport import parse_worker_spec
 from repro.store import ResultStore
 from repro.stream import DEFAULT_CHUNK_SIZE, StreamIngestor
 
@@ -32,37 +31,23 @@ from repro.cli._shared import (
     _metrics,
     _print_quarantine_tally,
     _stream_source,
+    _user_pairs,
 )
-from repro.cli.sharding import _add_transport_args, _ingest_sharded
+from repro.cli.sharding import _ingest_sharded, _worker_spec
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     metrics = _metrics(args)
-    try:
-        workers = parse_worker_spec(args.workers)
-    except ValueError:
+    if not args.shards and (
+        args.workers != 1 or args.retries or args.task_timeout is not None
+    ):
         print(
-            f"ingest --workers must be a process count (>= 0) or a "
-            f"worker-URL list: {args.workers!r}",
+            "an unsharded ingest runs in process: --workers, --retries "
+            "and --task-timeout set up the shard pool, so add --shards N "
+            "to use them",
             file=sys.stderr,
         )
-        return 2
-    if not args.shards:
-        if isinstance(workers, list) or args.transport == "http":
-            print(
-                "a remote worker pool executes *shards*: add --shards N to "
-                "use --transport http / --workers URL[,URL...]",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        if workers != 1 or args.retries or args.task_timeout is not None:
-            print(
-                "an unsharded ingest runs in process: --workers, --retries "
-                "and --task-timeout set up the shard pool, so add --shards N "
-                "to use them",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+        return EXIT_USAGE
     source = _stream_source(args)
     if source is None:
         print(
@@ -71,7 +56,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         )
         return 2
     if args.shards:
-        return _ingest_sharded(args, source, metrics, workers)
+        return _ingest_sharded(args, source, metrics)
     ingestor = StreamIngestor(
         source,
         model=get_model(args.model),
@@ -131,12 +116,9 @@ def _cmd_follow(args: argparse.Namespace) -> int:
     if args.drops:
         source = NpzDropSource(args.drops, chunk_size=args.chunk_size)
     else:
-        pairs = []
-        for spec in args.user:
-            parts = spec.split(":")
-            events = parts[1] if len(parts) > 1 and parts[1] else None
-            pairs.append((parts[0], events))
-        source = TailCsvSource(pairs, chunk_size=args.chunk_size)
+        source = TailCsvSource(
+            _user_pairs(args.user), chunk_size=args.chunk_size
+        )
     windows = (
         tuple(parse_window_spec(text) for text in args.window)
         if args.window
@@ -332,7 +314,8 @@ def add_ingest(sub) -> None:
     )
     p.add_argument(
         "--workers",
-        default="1",
+        type=_worker_spec,
+        default=1,
         metavar="N|URL[,URL...]",
         help=(
             "with --shards: shard processes (0 = one per CPU) or the "
@@ -340,7 +323,6 @@ def add_ingest(sub) -> None:
             "unsharded ingest runs in process and takes only 1"
         ),
     )
-    _add_transport_args(p)
     p.add_argument(
         "--retries",
         type=_at_least(int, 0),

@@ -510,39 +510,20 @@ def map_tasks(
     task: Callable[[T], R],
     items: Sequence[T],
     workers: Optional[int] = 1,
-    *,
-    retries: int = 0,
-    task_timeout: Optional[float] = None,
-    quarantine: bool = False,
-    metrics: Optional[RunMetrics] = None,
-) -> List[Union[R, TaskFailure]]:
+) -> List[R]:
     """``[task(item) for item in items]``, optionally across processes.
 
     Order is preserved. With ``workers`` resolved to 1 — or fewer than
     two items, where a pool can only add overhead — the map runs in
     process, so callers need no serial/parallel branch of their own.
-    The keyword options carry the :class:`TaskPool` failure policy
-    (bounded retry, per-task timeout, poison-task quarantine) for a
-    one-shot fan-out. Requesting ``task_timeout`` disables the
-    small-round shortcut: a timeout is only enforceable across a
-    process boundary, so even a single item then runs in a pool when
-    ``workers`` allows one.
+    A failed item's error propagates; nothing is retried.
 
     Put the bulky shared state (packet arrays, configs) on the *task*
     and keep ``items`` small (ids): the task crosses into workers once
     per pool — for free under ``fork`` — while every item crosses a
     pipe per call.
     """
-    resolved = resolve_workers(workers)
     items = list(items)
-    if task_timeout is None:
-        resolved = min(resolved, max(len(items), 1))
-    with TaskPool(
-        task,
-        resolved,
-        retries=retries,
-        task_timeout=task_timeout,
-        quarantine=quarantine,
-        metrics=metrics,
-    ) as pool:
+    resolved = min(resolve_workers(workers), max(len(items), 1))
+    with TaskPool(task, resolved) as pool:
         return pool.map(items)

@@ -72,7 +72,6 @@ from repro.shard.plan import (
     source_spec,
 )
 from repro.shard.transport import (
-    TRANSPORT_NAMES,
     HttpTransport,
     LocalTransport,
     ShardTransport,
@@ -87,7 +86,6 @@ from repro.shard.worker import (
 
 __all__ = [
     "MANIFEST_FORMAT",
-    "TRANSPORT_NAMES",
     "WORKER_ROUTES",
     "HttpTransport",
     "LocalTransport",

@@ -32,8 +32,8 @@ from typing import Dict, List, Optional, Union
 from repro.core.readout import TotalsReadout, readout_from_loaded_checkpoint
 from repro.errors import ShardError, ShardIncomplete, StreamError
 from repro.metrics import RunMetrics
-from repro.shard.execute import shard_checkpoint_path
-from repro.shard.plan import ShardManifest, shard_header, shard_signature
+from repro.shard.execute import _verify_binding, shard_checkpoint_path
+from repro.shard.plan import ShardManifest, shard_signature
 from repro.stream.checkpoint import StreamCheckpoint, UserCheckpoint
 
 PathLike = Union[str, Path]
@@ -71,13 +71,7 @@ def merge_shard_checkpoints(
                 continue
             if checkpoint.loaded_from_fallback:
                 metrics.count("faults.checkpoint_fallback")
-            expected_header = shard_header(manifest, index)
-            if checkpoint.shard != expected_header:
-                raise ShardError(
-                    f"checkpoint {path} belongs to a different plan or "
-                    f"shard (checkpoint header {checkpoint.shard!r}, "
-                    f"expected {expected_header!r})"
-                )
+            _verify_binding(checkpoint, manifest, index, path)
             if checkpoint.signature != shard_signature(manifest, index):
                 raise ShardError(
                     f"checkpoint {path} was written against a different "

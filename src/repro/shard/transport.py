@@ -20,6 +20,10 @@ runtime-checkable protocol:
   worker's strong ETag, then shard-header binding) and lands it in
   ``shard_dir``.
 
+The CLI's ``--workers`` value picks the transport on its own
+(:func:`parse_worker_spec`, then :func:`make_transport`): a process
+count can only mean the local pool, a URL list only the worker pool.
+
 The merge is transport-oblivious by construction: whichever transport
 ran the shards, the same verified checkpoints sit in the same
 directory, so the merged checkpoint — and its
@@ -48,9 +52,6 @@ from repro.shard.plan import ShardManifest
 
 PathLike = Union[str, Path]
 
-#: The transport vocabulary the CLI accepts (``--transport``).
-TRANSPORT_NAMES = ("local", "http")
-
 
 @runtime_checkable
 class ShardTransport(Protocol):
@@ -66,7 +67,7 @@ class ShardTransport(Protocol):
     merge to trip on.
     """
 
-    #: Short transport name (``"local"``, ``"http"``) for CLI/metrics.
+    #: Short transport name (``"local"``, ``"http"``).
     name: str
 
     def dispatch(
@@ -203,7 +204,7 @@ def parse_worker_spec(value: Union[str, int, None]) -> Union[int, List[str]]:
     """Interpret the CLI's polymorphic ``--workers`` value.
 
     A value containing ``://`` is a comma-separated worker-URL list
-    (the ``--transport http`` pool); anything else is the familiar
+    (the ``repro shard worker`` pool); anything else is the familiar
     integer process count (``0`` = one per CPU). Raises ``ValueError``
     on a malformed or negative count; the CLI reports it as a usage
     error.
@@ -220,9 +221,8 @@ def parse_worker_spec(value: Union[str, int, None]) -> Union[int, List[str]]:
 
 
 def make_transport(
-    name: str,
+    workers: Union[int, List[str]],
     *,
-    workers: Union[int, List[str], None] = None,
     checkpoint_every: int = 0,
     retries: int = 0,
     task_timeout: Optional[float] = None,
@@ -230,22 +230,19 @@ def make_transport(
     timeout: Optional[float] = 30.0,
     manifest_path: Optional[PathLike] = None,
 ) -> ShardTransport:
-    """Build the named transport from CLI-shaped options.
+    """The transport a :func:`parse_worker_spec` value selects.
 
-    ``workers`` is :func:`parse_worker_spec` output: a process count
-    for ``local``, the URL pool for ``http``. Mismatches (URLs handed
-    to ``local``, a bare count to ``http``) raise ``ValueError`` with
-    the fix spelled out. The http transport floors ``retries`` at 2:
-    reassignment after a worker death *is* a retry, so a zero budget
-    would turn every transient network blip into exit 8. Only a local
-    pool of two or more processes takes a ``task_timeout``.
+    A process count is the local pool (:class:`LocalTransport`), a URL
+    list the ``repro shard worker`` pool (:class:`HttpTransport`);
+    anything else raises ``ValueError``. Only a local pool of two or
+    more processes takes a ``task_timeout``, and only a local pool
+    quarantines poison users: a worker runs its shards without it, so
+    ``quarantine`` with a URL list raises ``ValueError`` too. The http
+    transport floors ``retries`` at 2: reassignment after a worker
+    death *is* a retry, so a zero budget would turn every transient
+    network blip into exit 8.
     """
-    if name == "local":
-        if isinstance(workers, list):
-            raise ValueError(
-                "worker URLs require --transport http; --transport local "
-                "takes a process count"
-            )
+    if isinstance(workers, int):
         shard_pool_workers(workers, task_timeout)
         return LocalTransport(
             shard_workers=workers,
@@ -254,24 +251,27 @@ def make_transport(
             task_timeout=task_timeout,
             quarantine=quarantine,
         )
-    if name == "http":
-        if not isinstance(workers, list):
-            raise ValueError(
-                "--transport http needs --workers URL[,URL...] naming the "
-                "`repro shard worker` pool"
-            )
-        if task_timeout is not None:
-            raise ValueError(
-                "--task-timeout times out local shard workers; --transport "
-                "http marks a worker that stops answering dead instead"
-            )
-        return HttpTransport(
-            workers,
-            retries=max(retries, 2),
-            timeout=timeout,
-            checkpoint_every=checkpoint_every,
-            manifest_path=manifest_path,
+    if not isinstance(workers, list):
+        raise ValueError(
+            f"workers must be a process count or a worker-URL list: "
+            f"{workers!r}"
         )
-    raise ValueError(
-        f"unknown transport {name!r} (expected one of {TRANSPORT_NAMES})"
+    if task_timeout is not None:
+        raise ValueError(
+            "--task-timeout times out local shard workers; a worker-URL "
+            "pool marks a worker that stops answering dead instead"
+        )
+    if quarantine:
+        raise ValueError(
+            "--quarantine quarantines poison users in local shard "
+            "workers; a worker-URL pool runs shards without it (to "
+            "quarantine malformed CSV rows, plan with `repro shard plan "
+            "--quarantine`)"
+        )
+    return HttpTransport(
+        workers,
+        retries=max(retries, 2),
+        timeout=timeout,
+        checkpoint_every=checkpoint_every,
+        manifest_path=manifest_path,
     )

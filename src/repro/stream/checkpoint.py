@@ -274,7 +274,10 @@ class StreamCheckpoint:
     def _load_verified(cls, path: Path) -> "StreamCheckpoint":
         """Parse + checksum-verify one file; any defect → StreamError."""
         try:
-            with np.load(path) as archive:
+            # np.load is handed an open file, not the path: a path it
+            # opens itself stays open when a cut-short zip fails inside
+            # NpzFile, until the garbage collector closes it.
+            with open(path, "rb") as handle, np.load(handle) as archive:
                 members = {name: archive[name] for name in archive.files}
             stored = members.pop("checksum", None)
             if stored is None:

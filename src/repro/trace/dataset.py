@@ -18,6 +18,7 @@ import json
 import math
 import zipfile
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
@@ -297,16 +298,22 @@ class Dataset:
         )
 
 
-def _open_archive(path: Path) -> np.lib.npyio.NpzFile:
-    """A saved dataset's archive, open: :class:`TraceError` naming the
-    file when it is not a zip of arrays (not a zip, cut short)."""
-    try:
-        archive = np.load(path)
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise TraceError(f"{path.name}: not a dataset: {exc}") from None
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise TraceError(f"{path.name}: not a dataset: a bare array")
-    return archive
+@contextmanager
+def _open_archive(path: Path) -> Iterator[np.lib.npyio.NpzFile]:
+    """A saved dataset's archive, open for the ``with`` block:
+    :class:`TraceError` naming the file when it is not a zip of arrays
+    (not a zip, cut short). The file is opened here, not by
+    ``np.load``, so it is closed on every exit: ``np.load`` keeps a file
+    it opened itself when a cut-short zip fails inside ``NpzFile``."""
+    with open(path, "rb") as handle:
+        try:
+            archive = np.load(handle)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise TraceError(f"{path.name}: not a dataset: {exc}") from None
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise TraceError(f"{path.name}: not a dataset: a bare array")
+        with archive:
+            yield archive
 
 
 def _member(

@@ -350,7 +350,7 @@ BAD_NUMBERS = [
          "--chunk-size", "0"],
         "--chunk-size",
     ),
-    (["shard", "run", "plan.json", "--shard-workers", "-1"], "--shard-workers"),
+    (["shard", "run", "plan.json", "--workers", "-1"], "--workers"),
     (["shard", "plan", "--dataset", "{study}", "--shards", "0"], "--shards"),
     (
         ["ingest", "--dataset", "{study}", "--shards", "-1",
@@ -447,6 +447,35 @@ def test_task_timeout_needs_a_local_shard_pool(
     assert "timeout" in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["ingest", "shard-run"])
+def test_quarantine_needs_a_local_shard_pool(
+    checkpointed, tmp_path, capsys, command
+):
+    """A ``repro shard worker`` runs its shards without user quarantine:
+    ``--quarantine`` with a worker-URL pool is a usage error, raised
+    before any plan or shard file is written, that names the plan
+    option which quarantines malformed rows."""
+    study, _ = checkpointed
+    plan = tmp_path / "plan.json"
+    assert main(
+        ["shard", "plan", "--dataset", study, "--shards", "2",
+         "--out", str(plan)]
+    ) == 0
+    capsys.readouterr()
+    pool = ["--workers", "http://127.0.0.1:9", "--quarantine"]
+    argv = {
+        "ingest": ["ingest", "--dataset", study, "--checkpoint",
+                   str(tmp_path / "c.npz"), "--shards", "2", *pool],
+        "shard-run": ["shard", "run", str(plan), *pool],
+    }[command]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "repro shard plan --quarantine" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [plan]
 
 
 @pytest.mark.parametrize(

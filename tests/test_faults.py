@@ -277,18 +277,6 @@ def test_single_item_round_still_enforces_timeout():
     assert excinfo.value.kind == "timeout"
 
 
-def test_map_tasks_single_item_still_enforces_timeout():
-    """Same carve-out for the one-shot helper: requesting a timeout
-    disables the small-round serial shortcut."""
-    plan = FaultPlan([FaultSpec("parallel.worker", "hang", hit=1, arg=60.0)])
-    started = time.monotonic()
-    with faults.installed(plan):
-        with pytest.raises(TaskFailure) as excinfo:
-            map_tasks(_double, [7], workers=2, task_timeout=0.75)
-    assert time.monotonic() - started < 20.0
-    assert excinfo.value.kind == "timeout"
-
-
 def test_env_hook_reaches_spawn_workers():
     """The plan must cross into workers that share no memory with this
     process — JSON via the environment, read on first fire."""
@@ -344,26 +332,8 @@ def test_close_is_idempotent_and_del_safe_after_use():
 
 
 # ----------------------------------------------------------------------
-# map_tasks carries the same policy
+# map_tasks
 # ----------------------------------------------------------------------
-def test_map_tasks_policy_passthrough(tmp_path):
-    metrics = RunMetrics()
-    results = map_tasks(
-        _FlakyOnceTask(tmp_path),
-        [1, 2, 3, 4],
-        workers=2,
-        retries=1,
-        metrics=metrics,
-    )
-    assert results == [101, 102, 103, 104]
-    assert metrics.counter("faults.task_retries") >= 1
-    quarantined = map_tasks(
-        _PoisonTask(poison=9), [8, 9], workers=2, quarantine=True
-    )
-    assert quarantined[0] == 80
-    assert isinstance(quarantined[1], TaskFailure)
-
-
 def test_map_tasks_serial_and_parallel_agree():
     items = list(range(10))
     assert (

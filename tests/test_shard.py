@@ -506,7 +506,7 @@ def test_cli_plan_run_merge_roundtrip(
          "--chunk-size", str(CHUNK), "--out", str(plan)]
     ) == 0
     assert main(
-        ["shard", "run", str(plan), "--shard-workers", "1", "--quiet"]
+        ["shard", "run", str(plan), "--workers", "1", "--quiet"]
     ) == 0
     assert main(
         ["shard", "merge", str(plan), "--out", str(merged)]
@@ -532,7 +532,7 @@ def test_cli_merge_exit_code_on_missing_shard(study_npz, tmp_path, capsys):
          "--chunk-size", str(CHUNK), "--out", str(plan)]
     ) == 0
     assert main(
-        ["shard", "run", str(plan), "--shard", "0", "--shard-workers", "1",
+        ["shard", "run", str(plan), "--shard", "0", "--workers", "1",
          "--quiet"]
     ) == 0
     code = main(

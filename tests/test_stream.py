@@ -10,7 +10,9 @@ chunk, resume mid-tail — each get a dedicated test.
 
 from __future__ import annotations
 
+import gc
 import io
+import warnings
 import zipfile
 
 import numpy as np
@@ -32,6 +34,7 @@ from repro.stream import (
     StreamCheckpoint,
     StreamIngestor,
 )
+from repro.trace.dataset import Dataset
 from repro.trace.io_text import (
     dataset_from_csv,
     write_events_csv,
@@ -618,6 +621,33 @@ def test_checkpoint_truncated_at_every_byte(tmp_path):
     assert outcomes == {"ok": 0, "rejected": len(payload)}
     target.write_bytes(payload)
     _assert_checkpoints_equal(StreamCheckpoint.load(target), original)
+
+
+def test_damaged_archives_leave_no_file_open(tmp_path, saved_study):
+    """A torn checkpoint and a cut-short dataset are refused through
+    every door that opens them — ``StreamCheckpoint.load``,
+    ``Dataset.load`` and ``NpzStreamSource`` — with the file closed on
+    the way out, not left for the garbage collector (``np.load`` keeps
+    a file it opened itself when a cut-short zip fails inside it)."""
+    path, _ = saved_study
+    checkpoint = _tiny_checkpoint()
+    checkpoint.save(tmp_path / "full.ckpt.npz")
+    torn = tmp_path / "torn.ckpt.npz"
+    payload = (tmp_path / "full.ckpt.npz").read_bytes()
+    torn.write_bytes(payload[: len(payload) // 2])
+    cut = tmp_path / "cut.npz"
+    payload = path.read_bytes()
+    cut.write_bytes(payload[: len(payload) // 2])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(StreamError, match="torn or corrupt"):
+            StreamCheckpoint.load(torn)
+        with pytest.raises(TraceError, match="cut.npz: not a dataset"):
+            Dataset.load(cut)
+        with pytest.raises(StreamError, match="cut.npz: not a dataset"):
+            NpzStreamSource(cut)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 @pytest.mark.parametrize(

@@ -166,14 +166,15 @@ def test_parse_worker_spec():
 
 
 def test_make_transport_rejects_mismatches():
-    assert make_transport("local", workers=2).name == "local"
-    assert make_transport("http", workers=["http://h:1"]).name == "http"
-    with pytest.raises(ValueError, match="--transport http"):
-        make_transport("local", workers=["http://h:1"])
-    with pytest.raises(ValueError, match="--workers URL"):
-        make_transport("http", workers=2)
-    with pytest.raises(ValueError, match="unknown transport"):
-        make_transport("carrier-pigeon")
+    """The worker spec alone picks the transport: a count is the local
+    pool, a URL list the worker pool, anything else a ``ValueError``."""
+    assert isinstance(make_transport(2), LocalTransport)
+    assert isinstance(make_transport(["http://h:1"]), HttpTransport)
+    for workers in (None, "2", "http://h:1", 2.0):
+        with pytest.raises(ValueError, match="process count or a worker-URL"):
+            make_transport(workers)
+    with pytest.raises(ValueError):
+        make_transport([])
     with pytest.raises(ValueError):
         HttpTransport([])
 
@@ -465,8 +466,6 @@ def test_cli_exit_8_when_pool_unreachable(study_npz, tmp_path, capsys):
             "shard",
             "run",
             str(plan_path),
-            "--transport",
-            "http",
             "--workers",
             DEAD_URL,
             "--quiet",
@@ -475,13 +474,3 @@ def test_cli_exit_8_when_pool_unreachable(study_npz, tmp_path, capsys):
     assert code == EXIT_TRANSPORT_FAILED == 8
     err = capsys.readouterr().err
     assert "could not be placed" in err
-
-
-def test_cli_transport_mismatch_is_usage_error(study_npz, tmp_path, capsys):
-    plan_path = tmp_path / "plan.json"
-    make_manifest(study_npz, 2).save(plan_path)
-    code = main(
-        ["shard", "run", str(plan_path), "--transport", "http", "--quiet"]
-    )
-    assert code == 2
-    assert "--workers URL" in capsys.readouterr().err
