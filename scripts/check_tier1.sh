@@ -15,8 +15,10 @@
 # frozen per-burst/per-packet/per-day loops, tests/test_cadence.py the
 # streaming cadence tracker to its frozen per-group reference,
 # tests/test_keyed_fold.py the keyed fold to its frozen np.unique
-# group-bys, and tests/test_radio_agreement.py the one radio kernel,
-# whole-trace and streamed, to the frozen batch engine in
+# group-bys and the per-user UserTotals record to one whole-run add,
+# its saved names and its load check, and
+# tests/test_radio_agreement.py the one radio kernel, whole-trace and
+# streamed, to the frozen batch engine in
 # tests/radio_reference.py), and the file protocol every checkpoint,
 # manifest, blob and saved dataset goes through. Before that it gates
 # src/repro/trace/io_text.py, the CSV readers and writers, at 90% line

@@ -73,9 +73,7 @@ def _transport(args: argparse.Namespace, manifest_path):
     )
 
 
-def _ingest_sharded(
-    args: argparse.Namespace, source, metrics: RunMetrics
-) -> int:
+def _ingest_sharded(args: argparse.Namespace, metrics: RunMetrics) -> int:
     """The one-box convenience path: plan + run + merge in one command.
 
     ``--checkpoint`` names the *merged* whole-study checkpoint; the plan
@@ -85,7 +83,8 @@ def _ingest_sharded(
     ones continue, and the merge re-emits the same bytes. With a URL
     ``--workers`` pool the shards execute on remote ``repro shard
     worker`` processes instead of local subprocesses — the merged
-    checkpoint is the same either way.
+    checkpoint is the same either way. Every usage error is raised
+    before the source is built, which over ``--user`` CSVs parses them.
     """
     if not args.checkpoint:
         print(
@@ -100,6 +99,7 @@ def _ingest_sharded(
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    source = _stream_source(args)
     with metrics.stage("shard.plan"):
         manifest = (
             ShardManifest.load(manifest_path)

@@ -48,15 +48,16 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    source = _stream_source(args)
-    if source is None:
+    if not (args.dataset or args.user):
         print(
             "ingest needs --dataset FILE or --user PACKETS_CSV[:EVENTS_CSV]",
             file=sys.stderr,
         )
         return 2
     if args.shards:
-        return _ingest_sharded(args, source, metrics)
+        return _ingest_sharded(args, metrics)
+    # Built after every usage check: over --user CSVs this parses them.
+    source = _stream_source(args)
     ingestor = StreamIngestor(
         source,
         model=get_model(args.model),
@@ -89,7 +90,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         )
     )
     print(
-        f"\nusers: {len(result.users)}  chunks: "
+        f"\nusers: {len(result.user_ids)}  chunks: "
         f"{counters.get('stream.chunks', 0)}  checkpoints: "
         f"{counters.get('stream.checkpoints', 0)}"
     )

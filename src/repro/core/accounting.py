@@ -53,7 +53,7 @@ from repro.core.periodicity import (
     inter_burst_intervals,
 )
 from repro.errors import AnalysisError
-from repro.keyed import KeyedTotals
+from repro.keyed import UserTotals
 from repro.metrics import RunMetrics
 from repro.radio import attribution  # attribute_energy, looked up per call
 from repro.radio.attribution import AttributionResult, TailPolicy
@@ -216,27 +216,21 @@ class StudyEnergy(EnergyReadout):
     def user_totals(self, user_id: int) -> UserTotalsView:
         """One user's totals-tier view (memoized).
 
-        The same keyed dicts a totals-only readout carries: per-app and
-        per-(app, state) joules straight from the attribution bincounts
-        and exact per-(app, state) byte integers. Analyses that fold
-        over these perform identical float additions on every readout.
+        The same keyed dicts a totals-only readout carries: the whole
+        trace folded as one :class:`~repro.keyed.UserTotals` run, so
+        analyses that fold over these perform identical float additions
+        on every readout.
         """
         view = self._user_totals.get(user_id)
         if view is not None:
             return view
         result = self.user_result(user_id)
         packets = self._traces[user_id].packets
-        app_state = KeyedTotals()
-        app_state.add(packets.apps, result.per_packet, packets.states)
-        bytes_state = KeyedTotals(dtype=np.int64)
-        bytes_state.add(packets.apps, packets.sizes, packets.states)
-        view = UserTotalsView(
-            user_id,
-            result.energy_by_app(),
-            app_state.as_dict(),
-            bytes_state.as_dict(),
-            result.idle_energy,
+        totals = UserTotals()
+        totals.add(
+            packets.apps, result.per_packet, packets.states, packets.sizes
         )
+        view = UserTotalsView(user_id, *totals.as_dicts(), result.idle_energy)
         self._user_totals[user_id] = view
         return view
 

@@ -27,9 +27,10 @@ analyses one surface over both, and folds the study-wide totals once:
   totals-only readout fails fast with a typed, actionable
   :class:`~repro.errors.NeedsPacketDetail` instead of an
   ``AttributeError`` three reductions deep.
-* :class:`~repro.keyed.KeyedTotals` — the one keyed accumulator both
-  engines share (float64 carry-first bincount; int64 exact addition;
-  defined in :mod:`repro.keyed` beside the fold it carries).
+* :class:`~repro.keyed.UserTotals` — the one per-user record both
+  engines fill: three :class:`~repro.keyed.KeyedTotals` (float64
+  carry-first bincount, int64 exact addition; re-exported here, and
+  defined in :mod:`repro.keyed` beside the fold they carry).
 
 Table 1 needs more than totals (flows per app, burst intervals); that
 is the *cadence* tier: :class:`AppCadence` summaries that the batch
@@ -54,7 +55,7 @@ from repro.core.periodicity import (
     frequency_from_intervals,
 )
 from repro.errors import NeedsPacketDetail, StreamError
-from repro.keyed import KeyedTotals, split_app_state
+from repro.keyed import KeyedTotals, UserTotals, split_app_state
 from repro.trace.dataset import AppRegistry
 from repro.trace.events import background_state_values
 
@@ -119,8 +120,8 @@ class UserTotalsView:
 
     Energy dicts iterate in sorted-combined-key order — the order
     :func:`~repro.keyed.fold_totals` produces for the batch sums and
-    :class:`KeyedTotals` preserves — so any sequential fold over them
-    performs the same float additions on every readout.
+    :class:`~repro.keyed.UserTotals` preserves — so any sequential fold
+    over them performs the same float additions on every readout.
     """
 
     def __init__(
@@ -548,6 +549,7 @@ def readout_from_loaded_checkpoint(checkpoint) -> TotalsReadout:
     """Build the readout from an already-loaded ``StreamCheckpoint``."""
     # Deferred for the same import cycle as readout_from_checkpoint's.
     from repro.stream.cadence import CadenceTracker
+    from repro.stream.checkpoint import TOTALS_NAME
 
     shard = getattr(checkpoint, "shard", None)
     if shard is not None:
@@ -582,19 +584,9 @@ def readout_from_loaded_checkpoint(checkpoint) -> TotalsReadout:
                 "re-run `repro ingest` to write an analysable checkpoint"
             )
         windows[uid] = (float(user.window[0]), float(user.window[1]))
-        energy = KeyedTotals(user.energy_keys, user.energy_values)
-        app_state = KeyedTotals(user.state_keys, user.state_values)
-        bytes_state = KeyedTotals(
-            user.bytes_keys, user.bytes_values, dtype=np.int64
-        )
+        saved = UserTotals.from_arrays(user.totals, TOTALS_NAME)
         totals.append(
-            UserTotalsView(
-                uid,
-                energy.as_dict(),
-                app_state.as_dict(),
-                bytes_state.as_dict(),
-                float(user.idle_energy),
-            )
+            UserTotalsView(uid, *saved.as_dicts(), float(user.idle_energy))
         )
         if cadences is not None:
             cadences[uid] = (

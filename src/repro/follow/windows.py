@@ -1,4 +1,4 @@
-"""Rolling-window keyed totals: a ring of per-bucket ``KeyedTotals``.
+"""Rolling-window keyed totals: a ring of per-bucket ``UserTotals``.
 
 A live follower cannot afford "recompute the last hour from scratch"
 on every new chunk, and a subtractive window (``total -= expired``)
@@ -8,11 +8,11 @@ does not undo float addition. The ring takes the third road:
 * Trace time is divided into fixed **buckets** of ``bucket_s`` seconds
   (bucket ``b`` covers ``[b*bucket_s, (b+1)*bucket_s)``).
 * Each (bucket, user) pair owns its own
-  :class:`~repro.keyed.KeyedTotals` triple (per-app energy,
-  per-(app, state) energy, per-(app, state) bytes). Because
-  ``KeyedTotals.add`` is chunk-invariant (the carry-first bincount
-  replay), a bucket's totals do not depend on how the stream was
-  chunked — only on which settled packets fell into it.
+  :class:`~repro.keyed.UserTotals` (per-app energy, per-(app, state)
+  energy, per-(app, state) bytes). Because ``UserTotals.add`` is
+  chunk-invariant (the carry-first bincount replay), a bucket's totals
+  do not depend on how the stream was chunked — only on which settled
+  packets fell into it.
 * A **window** ending at sealed bucket ``B`` is the fold of buckets
   ``(B-n, B]`` in ascending bucket order through the study-wide
   :func:`~repro.core.readout.merge_keyed_totals` — the exact fold
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,12 +49,7 @@ from repro.core.readout import (
     merge_keyed_totals,
 )
 from repro.errors import FollowError
-from repro.keyed import (
-    APP_KEY_BOUND,
-    APP_STATE_KEY_BOUND,
-    KeyedTotals,
-    key_defect,
-)
+from repro.keyed import UserTotals
 from repro.trace.dataset import AppRegistry
 
 #: Observation-window end for followed users: tailed sources have no
@@ -128,37 +123,19 @@ def parse_window_spec(text: str) -> WindowSpec:
     return WindowSpec(name, span, bucket)
 
 
-#: A bucket slot's saved accumulators: (array tag, key bound, dtype).
-_SLOT_ARRAYS = (
-    ("e", APP_KEY_BOUND, np.float64),
-    ("s", APP_STATE_KEY_BOUND, np.float64),
-    ("y", APP_STATE_KEY_BOUND, np.int64),
-)
-
-
-class _BucketSlot:
-    """One (bucket, user) cell: the three keyed accumulators."""
-
-    __slots__ = ("energy", "app_state", "bytes")
-
-    def __init__(
-        self,
-        energy: Optional[KeyedTotals] = None,
-        app_state: Optional[KeyedTotals] = None,
-        bytes_state: Optional[KeyedTotals] = None,
-    ) -> None:
-        self.energy = energy or KeyedTotals()
-        self.app_state = app_state or KeyedTotals()
-        self.bytes = bytes_state or KeyedTotals(dtype=np.int64)
+def _bucket_names(prefix: str, bucket: int, user_id: int) -> str:
+    """The :meth:`UserTotals.arrays` naming of one (bucket, user)
+    cell's saved totals: ``{prefix}_b{bucket}_u{user}_{e|s|y}{k|v}``."""
+    return f"{prefix}_b{bucket}_u{user_id}_{{m}}{{p}}"
 
 
 class WindowRing:
-    """The ring of per-bucket, per-user :class:`KeyedTotals`."""
+    """The ring of per-bucket, per-user :class:`UserTotals`."""
 
     def __init__(self, spec: WindowSpec) -> None:
         self.spec = spec
-        #: bucket id -> user id -> :class:`_BucketSlot`.
-        self._buckets: Dict[int, Dict[int, _BucketSlot]] = {}
+        #: bucket id -> user id -> that cell's :class:`UserTotals`.
+        self._buckets: Dict[int, Dict[int, UserTotals]] = {}
         #: Highest sealed bucket this ring was evaluated (headlined,
         #: published) at; ``None`` before the first evaluation.
         self.last_evaluated: Optional[int] = None
@@ -183,8 +160,8 @@ class WindowRing:
         """Fold one settled, time-sorted packet run into its buckets.
 
         The run is split at bucket boundaries; each segment enters its
-        (bucket, user) slot's accumulators as one ``add``. Since
-        ``KeyedTotals.add`` is chunk-invariant, any chunking of the
+        (bucket, user) cell's totals as one ``add``. Since
+        ``UserTotals.add`` is chunk-invariant, any chunking of the
         same packets lands every bucket on bit-identical totals.
         """
         if len(timestamps) == 0:
@@ -197,18 +174,10 @@ class WindowRing:
         ends = np.concatenate([cuts, [len(ids)]])
         self._forget_folds(int(ids.min()), int(ids.max()))
         for lo, hi in zip(starts, ends):
-            slot = self._slot(int(ids[lo]), user_id)
-            seg_apps = apps[lo:hi]
-            seg_states = states[lo:hi]
-            seg_energy = energies[lo:hi]
-            slot.energy.add(seg_apps, seg_energy)
-            slot.app_state.add(seg_apps, seg_energy, seg_states)
-            slot.bytes.add(seg_apps, sizes[lo:hi], seg_states)
-
-    def _slot(self, bucket: int, user_id: int) -> _BucketSlot:
-        return self._buckets.setdefault(bucket, {}).setdefault(
-            user_id, _BucketSlot()
-        )
+            cells = self._buckets.setdefault(int(ids[lo]), {})
+            cells.setdefault(user_id, UserTotals()).add(
+                apps[lo:hi], energies[lo:hi], states[lo:hi], sizes[lo:hi]
+            )
 
     # ------------------------------------------------------------------
     # Fold + eviction
@@ -242,17 +211,17 @@ class WindowRing:
         )
         out: Dict[int, UserFold] = {}
         for uid in users:
-            slots = [
-                self._buckets[b][uid]
-                for b in selected
-                if uid in self._buckets[b]
-            ]
+            energy, state, sizes = zip(
+                *(
+                    self._buckets[b][uid].as_dicts()
+                    for b in selected
+                    if uid in self._buckets[b]
+                )
+            )
             out[uid] = (
-                merge_keyed_totals(s.energy.as_dict() for s in slots),
-                merge_keyed_totals(s.app_state.as_dict() for s in slots),
-                merge_keyed_totals(
-                    (s.bytes.as_dict() for s in slots), zero=0
-                ),
+                merge_keyed_totals(energy),
+                merge_keyed_totals(state),
+                merge_keyed_totals(sizes, zero=0),
             )
         return out
 
@@ -348,7 +317,7 @@ class WindowRing:
         """(meta JSON dict, named arrays) for the checkpoint extras.
 
         Array names are ``{prefix}_b{bucket}_u{user}_{e|s|y}{k|v}`` —
-        keys/values of the energy, app-state and bytes accumulators.
+        keys/values of each cell's energy, app-state and bytes totals.
         """
         meta = {
             "name": self.spec.name,
@@ -363,16 +332,8 @@ class WindowRing:
         }
         arrays: Dict[str, np.ndarray] = {}
         for b, users in self._buckets.items():
-            for uid, slot in users.items():
-                stem = f"{prefix}_b{b}_u{uid}"
-                for tag, totals in (
-                    ("e", slot.energy),
-                    ("s", slot.app_state),
-                    ("y", slot.bytes),
-                ):
-                    keys, values = totals.payload()
-                    arrays[f"{stem}_{tag}k"] = keys
-                    arrays[f"{stem}_{tag}v"] = values
+            for uid, totals in users.items():
+                arrays.update(totals.arrays(_bucket_names(prefix, b, uid)))
         return meta, arrays
 
     @classmethod
@@ -381,7 +342,7 @@ class WindowRing:
     ) -> "WindowRing":
         """Rebuild a ring saved by :meth:`payload`, bit-identically.
 
-        A key array that is not a saved accumulator's (see
+        A key array that :meth:`UserTotals.from_arrays` refuses (see
         :func:`~repro.keyed.key_defect`) raises
         :class:`~repro.errors.FollowError` naming it.
         """
@@ -396,19 +357,12 @@ class WindowRing:
         for bucket_text, uids in meta["buckets"].items():
             b = int(bucket_text)
             for uid in uids:
-                stem = f"{prefix}_b{b}_u{int(uid)}"
-                totals = []
-                for tag, bound, dtype in _SLOT_ARRAYS:
-                    keys = arrays[f"{stem}_{tag}k"]
-                    values = arrays[f"{stem}_{tag}v"]
-                    defect = key_defect(keys, values, bound)
-                    if defect is not None:
-                        raise FollowError(
-                            f"follow window array {stem}_{tag}k: {defect}"
-                        )
-                    totals.append(KeyedTotals(keys, values, dtype=dtype))
-                ring._buckets.setdefault(b, {})[int(uid)] = _BucketSlot(
-                    *totals
-                )
+                try:
+                    totals = UserTotals.from_arrays(
+                        arrays, _bucket_names(prefix, b, int(uid))
+                    )
+                except ValueError as exc:
+                    raise FollowError(f"follow window array {exc}") from None
+                ring._buckets.setdefault(b, {})[int(uid)] = totals
         return ring
 

@@ -23,15 +23,22 @@ over every ``uint8`` state (``STATE_UNLABELLED`` and labels outside
 would index 256 slots per app, most of them empty.
 
 Batch attribution (:class:`~repro.radio.attribution.AttributionResult`),
-the packet store (:meth:`~repro.trace.arrays.PacketArray.bytes_by_app`),
-and, through :class:`KeyedTotals`, the stream accumulators, the follow
-window ring and :meth:`StudyEnergy.user_totals
-<repro.core.accounting.StudyEnergy.user_totals>` all call it.
+the packet store (:meth:`~repro.trace.arrays.PacketArray.bytes_by_app`)
+and :class:`KeyedTotals` all call it.
+
+:class:`UserTotals` is the per-user record the paper's accounting rests
+on: three :class:`KeyedTotals` (joules per app, joules and bytes per
+(app, state)), one ``add`` for all three, and one saved form, checked
+at load by :func:`key_defect`. :meth:`StudyEnergy.user_totals
+<repro.core.accounting.StudyEnergy.user_totals>`, each stream
+accumulator, each follow window bucket and a loaded checkpoint hold
+one; no other module builds a :class:`KeyedTotals` or checks a saved
+key array.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -211,3 +218,94 @@ class KeyedTotals:
 
     def __len__(self) -> int:
         return len(self._keys)
+
+
+class UserTotals:
+    """One user's totals: joules per app, joules and bytes per (app, state).
+
+    The record every totals-tier artefact rests on (§3 gives each
+    device's energy to apps and to process states). :meth:`add` folds
+    one run of settled packets into its three :class:`KeyedTotals`, so
+    any chunking of the same packets lands on the same bits.
+    :meth:`arrays` and :meth:`from_arrays` save and load the six
+    key/value arrays under the caller's names.
+    """
+
+    #: The members: (name, one-letter tag, key bound, value dtype).
+    _MEMBERS = (
+        ("energy", "e", APP_KEY_BOUND, np.float64),
+        ("state", "s", APP_STATE_KEY_BOUND, np.float64),
+        ("bytes", "y", APP_STATE_KEY_BOUND, np.int64),
+    )
+
+    __slots__ = ("_members",)
+
+    def __init__(self) -> None:
+        self._members = tuple(
+            KeyedTotals(dtype=dtype) for _, _, _, dtype in self._MEMBERS
+        )
+
+    def add(
+        self,
+        apps: np.ndarray,
+        energies: np.ndarray,
+        states: np.ndarray,
+        sizes: np.ndarray,
+    ) -> None:
+        """Fold one run of packets: their app ids, joules, process
+        states and byte sizes."""
+        energy, app_state, bytes_state = self._members
+        energy.add(apps, energies)
+        app_state.add(apps, energies, states)
+        bytes_state.add(apps, sizes, states)
+
+    def as_dicts(
+        self,
+    ) -> Tuple[Dict[int, float], Dict[int, float], Dict[int, int]]:
+        """(joules by app, joules by app-state key, bytes by app-state
+        key), each in key order."""
+        energy, app_state, bytes_state = self._members
+        return energy.as_dict(), app_state.as_dict(), bytes_state.as_dict()
+
+    def arrays(self, name: str) -> Dict[str, np.ndarray]:
+        """The six saved arrays, named by the template ``name``.
+
+        ``name`` is a :meth:`str.format` template over ``{member}``
+        (``energy``, ``state``, ``bytes``) and ``{part}`` (``keys``,
+        ``values``), or over their one-letter tags ``{m}`` (``e``,
+        ``s``, ``y``) and ``{p}`` (``k``, ``v``).
+        """
+        out: Dict[str, np.ndarray] = {}
+        for (member, tag, _, _), totals in zip(self._MEMBERS, self._members):
+            keys_name, values_name = _member_names(name, member, tag)
+            out[keys_name], out[values_name] = totals.payload()
+        return out
+
+    @classmethod
+    def from_arrays(
+        cls, arrays: Mapping[str, np.ndarray], name: str
+    ) -> "UserTotals":
+        """Load the record :meth:`arrays` saved under ``name``.
+
+        Each member's key array must pass :func:`key_defect`; the first
+        that does not raises ``ValueError("<keys name>: <defect>")``.
+        """
+        record = cls()
+        members = []
+        for member, tag, bound, dtype in cls._MEMBERS:
+            keys_name, values_name = _member_names(name, member, tag)
+            keys, values = arrays[keys_name], arrays[values_name]
+            defect = key_defect(keys, values, bound)
+            if defect is not None:
+                raise ValueError(f"{keys_name}: {defect}")
+            members.append(KeyedTotals(keys, values, dtype=dtype))
+        record._members = tuple(members)
+        return record
+
+
+def _member_names(name: str, member: str, tag: str) -> Tuple[str, str]:
+    """One member's (keys, values) array names under template ``name``."""
+    return (
+        name.format(member=member, part="keys", m=tag, p="k"),
+        name.format(member=member, part="values", m=tag, p="v"),
+    )

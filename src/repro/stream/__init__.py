@@ -26,11 +26,7 @@ Typical use::
 The same surface is exposed on the command line as ``repro ingest``.
 """
 
-from repro.stream.accumulate import (
-    StreamResult,
-    UserStreamAccumulator,
-    UserStreamResult,
-)
+from repro.stream.accumulate import StreamResult, UserStreamAccumulator
 from repro.stream.cadence import CadenceTracker
 from repro.stream.checkpoint import StreamCheckpoint, UserCheckpoint
 from repro.stream.chunks import (
@@ -52,5 +48,4 @@ __all__ = [
     "StreamResult",
     "UserCheckpoint",
     "UserStreamAccumulator",
-    "UserStreamResult",
 ]

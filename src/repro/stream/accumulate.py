@@ -3,10 +3,11 @@
 The accumulation tier of the streaming stack, split out of
 ``stream.ingest`` so shard executors and mergers (:mod:`repro.shard`)
 can reuse it without importing the driver: one
-:class:`UserStreamAccumulator` per user carries the radio state and the
-:class:`~repro.keyed.KeyedTotals` partials across chunks, and a
-completed run's accumulators become a :class:`StreamResult` — a
-totals-tier :class:`~repro.core.readout.EnergyReadout`. Each user's
+:class:`UserStreamAccumulator` per user carries the radio state and a
+partial :class:`~repro.keyed.UserTotals` across chunks, and a completed
+run's accumulators become a :class:`StreamResult` — a totals-tier
+:class:`~repro.core.readout.EnergyReadout` with one
+:class:`~repro.core.readout.UserTotalsView` per user. Each user's
 totals are bit-identical to the batch engine's, and the base class
 folds them into study-wide totals exactly as it folds the batch
 study's.
@@ -20,8 +21,8 @@ import numpy as np
 
 from repro.core.periodicity import DEFAULT_BURST_GAP
 from repro.core.readout import DEFAULT_FLOW_GAP, TotalsReadout, UserTotalsView
-from repro.errors import StreamError, TaskFailure
-from repro.keyed import KeyedTotals
+from repro.errors import TaskFailure
+from repro.keyed import UserTotals
 from repro.radio.attribution import TailPolicy
 from repro.radio.base import RadioModel
 from repro.radio.streaming import (
@@ -30,7 +31,7 @@ from repro.radio.streaming import (
     StreamingAttribution,
 )
 from repro.stream.cadence import CadenceTracker
-from repro.stream.checkpoint import UserCheckpoint
+from repro.stream.checkpoint import TOTALS_NAME, UserCheckpoint
 from repro.trace.arrays import PacketArray
 
 
@@ -41,7 +42,7 @@ class UserStreamAccumulator:
     and the follower both call: the user's own
     :class:`~repro.radio.streaming.StreamingAttribution` settles the
     chunk, the settled packets fold into the
-    :class:`~repro.keyed.KeyedTotals` partials and the raw chunk
+    :class:`~repro.keyed.UserTotals` partials and the raw chunk
     into the cadence tracker.
     """
 
@@ -60,9 +61,7 @@ class UserStreamAccumulator:
         self.rows_consumed = 0
         self.done = False
         self.idle_energy = 0.0
-        self.energy = KeyedTotals()
-        self.app_state = KeyedTotals()
-        self.bytes = KeyedTotals(dtype=np.int64)
+        self.totals = UserTotals()
         self.cadence: Optional[CadenceTracker] = (
             CadenceTracker() if cadence else None
         )
@@ -91,9 +90,9 @@ class UserStreamAccumulator:
         self.done = True
 
     def _add(self, settled: FinalizedChunk) -> None:
-        self.energy.add(settled.apps, settled.per_packet)
-        self.app_state.add(settled.apps, settled.per_packet, settled.states)
-        self.bytes.add(settled.apps, settled.sizes, settled.states)
+        self.totals.add(
+            settled.apps, settled.per_packet, settled.states, settled.sizes
+        )
 
     def _carry_payload(self) -> Optional[Dict[str, np.ndarray]]:
         """The carry as a checkpoint stores it: none before any packet."""
@@ -113,20 +112,12 @@ class UserStreamAccumulator:
             status = "running"
         else:
             status = "pending"
-        energy_keys, energy_values = self.energy.payload()
-        state_keys, state_values = self.app_state.payload()
-        bytes_keys, bytes_values = self.bytes.payload()
         return UserCheckpoint(
             user_id=self.user_id,
             status=status,
             rows_consumed=self.rows_consumed,
             carry=carry,
-            energy_keys=energy_keys,
-            energy_values=energy_values,
-            state_keys=state_keys,
-            state_values=state_values,
-            bytes_keys=bytes_keys,
-            bytes_values=bytes_values,
+            totals=self.totals.arrays(TOTALS_NAME),
             idle_energy=self.idle_energy,
             window=self.window,
             cadence=(
@@ -159,34 +150,10 @@ class UserStreamAccumulator:
         if acc.done:
             acc._done_carry = saved.carry
         acc.idle_energy = saved.idle_energy
-        acc.energy = KeyedTotals(saved.energy_keys, saved.energy_values)
-        acc.app_state = KeyedTotals(saved.state_keys, saved.state_values)
-        acc.bytes = KeyedTotals(
-            saved.bytes_keys, saved.bytes_values, dtype=np.int64
-        )
+        acc.totals = UserTotals.from_arrays(saved.totals, TOTALS_NAME)
         if saved.cadence is not None:
             acc.cadence = CadenceTracker.from_payload(saved.cadence)
         return acc
-
-
-class UserStreamResult(UserTotalsView):
-    """One user's finished streaming totals (grouped views).
-
-    A :class:`~repro.core.readout.UserTotalsView` built from the
-    accumulator's finished :class:`~repro.keyed.KeyedTotals` —
-    the identical view :meth:`StudyEnergy.user_totals
-    <repro.core.accounting.StudyEnergy.user_totals>` derives from the
-    batch arrays.
-    """
-
-    def __init__(self, acc: UserStreamAccumulator) -> None:
-        super().__init__(
-            acc.user_id,
-            acc.energy.as_dict(),
-            acc.app_state.as_dict(),
-            acc.bytes.as_dict(),
-            acc.idle_energy,
-        )
 
 
 class StreamResult(TotalsReadout):
@@ -201,7 +168,7 @@ class StreamResult(TotalsReadout):
 
     def __init__(
         self,
-        users: List[UserStreamResult],
+        users: List[UserTotalsView],
         failures: Optional[Dict[int, TaskFailure]] = None,
         *,
         registry=None,
@@ -218,16 +185,7 @@ class StreamResult(TotalsReadout):
             flow_gap=flow_gap,
             burst_gap=burst_gap,
         )
-        self.users = users
-        self._by_id = {u.user_id: u for u in users}
         #: Quarantined users: ``{user_id: TaskFailure}``. Only populated
         #: when the ingestor ran with ``quarantine=True``; these users'
         #: partial totals are *excluded* from every reduction.
         self.failures: Dict[int, TaskFailure] = dict(failures or {})
-
-    def user(self, user_id: int) -> UserStreamResult:
-        """One user's totals."""
-        try:
-            return self._by_id[user_id]
-        except KeyError:
-            raise StreamError(f"unknown user id {user_id}") from None

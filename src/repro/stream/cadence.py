@@ -11,14 +11,46 @@ in the driver.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.periodicity import DEFAULT_BURST_GAP
 from repro.core.readout import DEFAULT_FLOW_GAP
+from repro.keyed import APP_KEY_BOUND
 from repro.trace.arrays import PacketArray
 from repro.trace.events import state_background_mask
+
+#: A saved tracker's payload members, in checkpoint order, and dtypes.
+CADENCE_MEMBERS = {
+    "flow_keys": np.int64,
+    "flow_last": np.float64,
+    "flow_count_apps": np.int64,
+    "flow_counts": np.int64,
+    "burst_apps": np.int64,
+    "burst_counts": np.int64,
+    "burst_last_ts": np.float64,
+    "burst_last_start": np.float64,
+    "interval_offsets": np.int64,
+    "intervals": np.float64,
+}
+
+#: Payload members holding one entry per key of another member.
+_PAIRED = {
+    "flow_last": "flow_keys",
+    "flow_counts": "flow_count_apps",
+    "burst_counts": "burst_apps",
+    "burst_last_ts": "burst_apps",
+    "burst_last_start": "burst_apps",
+}
+
+#: Key members and their key bounds: flow keys are ``(app << 32) |
+#: conn``, with a ``uint32`` connection id; the others are app ids.
+_KEY_BOUNDS = {
+    "flow_keys": APP_KEY_BOUND << 32,
+    "flow_count_apps": APP_KEY_BOUND,
+    "burst_apps": APP_KEY_BOUND,
+}
 
 
 def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
@@ -26,6 +58,58 @@ def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(
         np.concatenate(([True], sorted_values[1:] != sorted_values[:-1]))
     )
+
+
+def cadence_defect(
+    payload: Dict[str, np.ndarray]
+) -> Optional[Tuple[str, str]]:
+    """Why ``payload`` is not a saved :class:`CadenceTracker`, as
+    ``(member, defect)``, or ``None``.
+
+    A saved payload's members are 1-D arrays of the
+    :data:`CADENCE_MEMBERS` dtypes; each paired member is as long as
+    its keys; the app and flow keys are strictly increasing and within
+    their bounds; and ``interval_offsets`` holds one entry more than
+    ``burst_apps``, rising from 0 to ``len(intervals)``.
+    :meth:`CadenceTracker.from_payload` zips the members, so a short
+    one would otherwise drop an app's cadence without a word.
+    """
+    arrays = {name: np.asarray(payload[name]) for name in CADENCE_MEMBERS}
+    for name, dtype in CADENCE_MEMBERS.items():
+        found = arrays[name]
+        if found.dtype != dtype or found.ndim != 1:
+            return name, (
+                f"{found.dtype} of shape {found.shape}, not 1-D "
+                f"{np.dtype(dtype)}"
+            )
+    for name, keys in _PAIRED.items():
+        if len(arrays[name]) != len(arrays[keys]):
+            return name, (
+                f"{len(arrays[name])} entries for {len(arrays[keys])} {keys}"
+            )
+    for name, bound in _KEY_BOUNDS.items():
+        keys = arrays[name]
+        if len(keys) and (keys.min() < 0 or keys.max() >= bound):
+            return name, (
+                f"keys span [{keys.min()}, {keys.max()}], outside "
+                f"[0, {bound})"
+            )
+        if np.any(np.diff(keys) <= 0):
+            return name, "keys are not strictly increasing"
+    offsets = arrays["interval_offsets"]
+    n_apps, n_intervals = len(arrays["burst_apps"]), len(arrays["intervals"])
+    if len(offsets) != n_apps + 1:
+        return "interval_offsets", (
+            f"{len(offsets)} entries for {n_apps} burst_apps, not "
+            f"{n_apps + 1}"
+        )
+    if offsets[0] != 0 or offsets[-1] != n_intervals or np.any(
+        np.diff(offsets) < 0
+    ):
+        return "interval_offsets", (
+            f"offsets do not rise from 0 to the {n_intervals} intervals"
+        )
+    return None
 
 
 def _carried(

@@ -40,10 +40,11 @@ from repro import durable
 from repro.core.periodicity import DEFAULT_BURST_GAP
 from repro.core.readout import DEFAULT_FLOW_GAP
 from repro.errors import StreamError
-from repro.keyed import APP_KEY_BOUND, APP_STATE_KEY_BOUND, key_defect
+from repro.keyed import UserTotals
 from repro.radio.attribution import TailPolicy
 from repro.radio.base import RadioModel
 from repro.radio.streaming import carry_defect
+from repro.stream.cadence import CADENCE_MEMBERS, cadence_defect
 
 PathLike = Union[str, Path]
 
@@ -54,26 +55,10 @@ PathLike = Union[str, Path]
 #: than misread.
 CHECKPOINT_FORMAT = 2
 
-#: Each user's keyed-total members: (keys, values, key bound) stems.
-TOTALS_MEMBERS = (
-    ("energy_keys", "energy_values", APP_KEY_BOUND),
-    ("state_keys", "state_values", APP_STATE_KEY_BOUND),
-    ("bytes_keys", "bytes_values", APP_STATE_KEY_BOUND),
-)
-
-#: The cadence tracker's fixed payload member names.
-CADENCE_MEMBERS = (
-    "flow_keys",
-    "flow_last",
-    "flow_count_apps",
-    "flow_counts",
-    "burst_apps",
-    "burst_counts",
-    "burst_last_ts",
-    "burst_last_start",
-    "interval_offsets",
-    "intervals",
-)
+#: The :meth:`~repro.keyed.UserTotals.arrays` naming of a user's
+#: ``totals`` payload (``energy_keys`` ... ``bytes_values``); the file
+#: stores each member with a ``_<user id>`` suffix.
+TOTALS_NAME = "{member}_{part}"
 
 
 def _content_digest(arrays: Dict[str, np.ndarray]) -> str:
@@ -99,33 +84,17 @@ class UserCheckpoint:
     rows_consumed: int = 0
     #: Radio carry payload (``running`` users only).
     carry: Optional[Dict[str, np.ndarray]] = None
-    #: Partial per-app energy (keys, values) arrays.
-    energy_keys: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64)
-    )
-    energy_values: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.float64)
-    )
-    #: Partial per-(app, state) energy, keys combined as app*256+state.
-    state_keys: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64)
-    )
-    state_values: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.float64)
-    )
-    #: Partial per-(app, state) byte totals, keys combined as
-    #: app*256+state (exact int64).
-    bytes_keys: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64)
-    )
-    bytes_values: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64)
+    #: Partial :class:`~repro.keyed.UserTotals` payload, its arrays
+    #: named by :data:`TOTALS_NAME`.
+    totals: Dict[str, np.ndarray] = field(
+        default_factory=lambda: UserTotals().arrays(TOTALS_NAME)
     )
     #: Unattributed idle energy (``done`` users only).
     idle_energy: float = 0.0
     #: Observation window (start, end) seconds.
     window: Optional[Tuple[float, float]] = None
-    #: Cadence tracker payload (:data:`CADENCE_MEMBERS` arrays), when
+    #: Cadence tracker payload (the
+    #: :data:`~repro.stream.cadence.CADENCE_MEMBERS` arrays), when
     #: the run tracked flow/burst cadence.
     cadence: Optional[Dict[str, np.ndarray]] = None
 
@@ -219,12 +188,8 @@ class StreamCheckpoint:
                     "has_cadence": user.cadence is not None,
                 }
             )
-            arrays[f"energy_keys_{uid}"] = user.energy_keys
-            arrays[f"energy_values_{uid}"] = user.energy_values
-            arrays[f"state_keys_{uid}"] = user.state_keys
-            arrays[f"state_values_{uid}"] = user.state_values
-            arrays[f"bytes_keys_{uid}"] = user.bytes_keys
-            arrays[f"bytes_values_{uid}"] = user.bytes_values
+            for name, value in user.totals.items():
+                arrays[f"{name}_{uid}"] = value
             arrays[f"idle_{uid}"] = np.float64(user.idle_energy)
             if user.carry is not None:
                 for name, value in user.carry.items():
@@ -252,10 +217,13 @@ class StreamCheckpoint:
         """Read a checkpoint written by :meth:`save`.
 
         A file that fails to parse, whose content checksum does not
-        match, whose keyed-total members are not 1-D int64 keys,
-        strictly increasing, as long as their values and in range (see
-        :func:`~repro.keyed.key_defect`), or whose radio carry is not a
-        saved one (see :func:`~repro.radio.streaming.carry_defect`)
+        match, whose keyed totals do not load as a
+        :class:`~repro.keyed.UserTotals` (1-D int64 keys, strictly
+        increasing, as long as their values and in range: see
+        :func:`~repro.keyed.key_defect`), whose radio carry is not a
+        saved one (see :func:`~repro.radio.streaming.carry_defect`), or
+        whose cadence is not a saved tracker's (see
+        :func:`~repro.stream.cadence.cadence_defect`)
         raises :class:`~repro.errors.StreamError` — never a silently
         wrong checkpoint. A torn — or missing, as after a
         crash between :meth:`save`'s two renames — current file falls
@@ -301,17 +269,14 @@ class StreamCheckpoint:
             users = []
             for entry in header["users"]:
                 uid = int(entry["user_id"])
-                for keys, values, bound in TOTALS_MEMBERS:
-                    defect = key_defect(
-                        members[f"{keys}_{uid}"],
-                        members[f"{values}_{uid}"],
-                        bound,
+                try:
+                    totals = UserTotals.from_arrays(
+                        members, f"{TOTALS_NAME}_{uid}"
                     )
-                    if defect is not None:
-                        raise StreamError(
-                            f"checkpoint {path}: member {keys}_{uid}: "
-                            f"{defect}"
-                        )
+                except ValueError as exc:
+                    raise StreamError(
+                        f"checkpoint {path}: member {exc}"
+                    ) from None
                 carry = None
                 if entry["has_carry"]:
                     carry = {
@@ -331,18 +296,19 @@ class StreamCheckpoint:
                         name: members[f"cad_{name}_{uid}"]
                         for name in CADENCE_MEMBERS
                     }
+                    found = cadence_defect(cadence)
+                    if found is not None:
+                        raise StreamError(
+                            f"checkpoint {path}: member cad_{found[0]}_"
+                            f"{uid}: {found[1]}"
+                        )
                 users.append(
                     UserCheckpoint(
                         user_id=uid,
                         status=str(entry["status"]),
                         rows_consumed=int(entry["rows_consumed"]),
                         carry=carry,
-                        energy_keys=members[f"energy_keys_{uid}"],
-                        energy_values=members[f"energy_values_{uid}"],
-                        state_keys=members[f"state_keys_{uid}"],
-                        state_values=members[f"state_values_{uid}"],
-                        bytes_keys=members[f"bytes_keys_{uid}"],
-                        bytes_values=members[f"bytes_values_{uid}"],
+                        totals=totals.arrays(TOTALS_NAME),
                         idle_energy=float(members[f"idle_{uid}"]),
                         window=(
                             (float(window[0]), float(window[1]))

@@ -39,17 +39,13 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.core.periodicity import DEFAULT_BURST_GAP
-from repro.core.readout import DEFAULT_FLOW_GAP
+from repro.core.readout import DEFAULT_FLOW_GAP, UserTotalsView
 from repro.errors import ReproError, StreamError, TaskFailure
 from repro.metrics import RunMetrics
 from repro.radio.attribution import TailPolicy
 from repro.radio.base import RadioModel
 from repro.radio.lte import LTE_DEFAULT
-from repro.stream.accumulate import (
-    StreamResult,
-    UserStreamAccumulator,
-    UserStreamResult,
-)
+from repro.stream.accumulate import StreamResult, UserStreamAccumulator
 from repro.stream.checkpoint import StreamCheckpoint
 from repro.stream.chunks import StreamSource
 
@@ -200,7 +196,12 @@ class StreamIngestor:
             raise
         ok = [uid for uid in order if uid not in failed]
         result = StreamResult(
-            [UserStreamResult(accs[uid]) for uid in ok],
+            [
+                UserTotalsView(
+                    uid, *accs[uid].totals.as_dicts(), accs[uid].idle_energy
+                )
+                for uid in ok
+            ],
             failures=failed,
             registry=self.source.registry,
             windows={uid: self.source.window(uid) for uid in ok},

@@ -478,6 +478,38 @@ def test_quarantine_needs_a_local_shard_pool(
     assert list(tmp_path.iterdir()) == [plan]
 
 
+SHARDED_USAGE_ERRORS = [
+    ([], "--shards needs --checkpoint FILE"),
+    (
+        ["--checkpoint", "c.npz", "--workers", "http://127.0.0.1:9",
+         "--quarantine"],
+        "repro shard plan --quarantine",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "options, usage",
+    SHARDED_USAGE_ERRORS,
+    ids=["no-checkpoint", "http-quarantine"],
+)
+def test_sharded_usage_errors_come_before_the_input_is_read(
+    tmp_path, capsys, monkeypatch, options, usage
+):
+    """A sharded ingest checks its options before it builds the chunk
+    source, which over ``--user`` CSVs parses every row: over a packets
+    CSV that does not exist, each usage error still exits 2 with its
+    usage message, not a ``FileNotFoundError``."""
+    monkeypatch.chdir(tmp_path)
+    missing = tmp_path / "missing.csv"
+    code = main(["ingest", "--user", str(missing), "--shards", "2", *options])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert usage in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv, option",
     BAD_NUMBERS,

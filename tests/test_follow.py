@@ -574,6 +574,34 @@ def test_follower_emits_headlines_and_checkpoints(tmp_path, csv_tail):
         assert ring.last_evaluated == int(t_seal // ring.spec.bucket_s) - 1
 
 
+def test_follow_checkpoint_window_arrays_keep_their_names(tmp_path, csv_tail):
+    """A follow checkpoint saves each (window, bucket, user) cell of
+    the rings as the six ``x_<prefix>_b<bucket>_u<user>_{e,s,y}{k,v}``
+    arrays of the dtypes it always has, and nothing else under ``x_``,
+    so follow checkpoints written by earlier versions still resume."""
+    pairs, _ = csv_tail
+    checkpoint = tmp_path / "follow.npz"
+    _run_follower(pairs, checkpoint)
+    with np.load(checkpoint) as archive:
+        saved = {
+            name: archive[name].dtype.name
+            for name in archive.files
+            if name.startswith("x_")
+        }
+        header = json.loads(bytes(archive["header"]).decode("utf-8"))
+    want = {}
+    for meta in json.loads(header["extra"])["windows"].values():
+        for bucket, users in meta["buckets"].items():
+            for uid in users:
+                stem = f"x_{meta['prefix']}_b{bucket}_u{uid}"
+                for tag, dtype in (("e", "float64"), ("s", "float64"),
+                                   ("y", "int64")):
+                    want[f"{stem}_{tag}k"] = "int64"
+                    want[f"{stem}_{tag}v"] = dtype
+    assert want
+    assert saved == want
+
+
 def test_follower_backpressure_bounds_the_queue(tmp_path, csv_tail):
     pairs, _ = csv_tail
     follower = Follower(

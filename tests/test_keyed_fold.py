@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.keyed import KeyedTotals, fold_totals
+from repro.keyed import KeyedTotals, UserTotals, fold_totals
 from repro.radio.attribution import attribute_energy
 from repro.radio.lte import LTE_DEFAULT
 from repro.trace.arrays import PACKET_DTYPE, STATE_UNLABELLED, PacketArray
@@ -266,6 +266,125 @@ def test_keyed_totals_carry_across_chunks(rows):
         app_state.payload(), reference_app_state_sum(apps, states, energies)
     )
     assert list(app_state.as_dict()) == want_state[0].tolist()
+
+
+#: The saved forms of a :class:`UserTotals`: a checkpoint's members
+#: (user 7) and a follow window cell's arrays (bucket 3, user 2).
+CHECKPOINT_NAMING = "{member}_{part}_7"
+FOLLOW_NAMING = "w0_b3_u2_{m}{p}"
+
+
+def assert_same_arrays(got, want):
+    """Same names in the same order, same dtypes, same bits."""
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].dtype == want[name].dtype
+        assert np.array_equal(
+            got[name].view(np.int64), want[name].view(np.int64)
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=keyed_rows())
+@example(rows=NAIVE_COLLISION)
+@example(rows=CARRY_FIRST)
+def test_user_totals_any_chunking_equals_one_add(rows):
+    """``UserTotals.add`` chunk by chunk saves the same arrays, bit for
+    bit, as one ``add`` of the whole run: the contract that lets the
+    stream, the follow buckets and batch hold the same record."""
+    apps, states, energies, sizes, cuts = rows
+    chunked, whole = UserTotals(), UserTotals()
+    for lo, hi in chunks_of(cuts, len(apps)):
+        chunked.add(apps[lo:hi], energies[lo:hi], states[lo:hi], sizes[lo:hi])
+    whole.add(apps, energies, states, sizes)
+    assert_same_arrays(
+        chunked.arrays(CHECKPOINT_NAMING), whole.arrays(CHECKPOINT_NAMING)
+    )
+    energy, app_state, bytes_state = whole.as_dicts()
+    assert_same_totals(
+        dict_arrays(energy, np.float64), reference_group_sum(apps, energies)
+    )
+    assert_same_totals(
+        dict_arrays(app_state, np.float64),
+        reference_app_state_sum(apps, states, energies),
+    )
+    assert all(type(v) is int for v in bytes_state.values())
+
+
+@pytest.mark.parametrize(
+    "name, want",
+    [
+        (
+            CHECKPOINT_NAMING,
+            [
+                "energy_keys_7",
+                "energy_values_7",
+                "state_keys_7",
+                "state_values_7",
+                "bytes_keys_7",
+                "bytes_values_7",
+            ],
+        ),
+        (
+            FOLLOW_NAMING,
+            [
+                "w0_b3_u2_ek",
+                "w0_b3_u2_ev",
+                "w0_b3_u2_sk",
+                "w0_b3_u2_sv",
+                "w0_b3_u2_yk",
+                "w0_b3_u2_yv",
+            ],
+        ),
+    ],
+    ids=["checkpoint", "follow"],
+)
+def test_user_totals_round_trip_under_each_naming(name, want):
+    apps, states, energies, sizes, _ = NAIVE_COLLISION
+    totals = UserTotals()
+    totals.add(apps, energies, states, sizes)
+    saved = totals.arrays(name)
+    assert list(saved) == want
+    assert [saved[n].dtype for n in want] == [
+        np.int64, np.float64, np.int64, np.float64, np.int64, np.int64
+    ]
+    loaded = UserTotals.from_arrays(saved, name)
+    assert_same_arrays(loaded.arrays(name), saved)
+    assert loaded.as_dicts() == totals.as_dicts()
+    empty = UserTotals().arrays(name)
+    assert_same_arrays(UserTotals.from_arrays(empty, name).arrays(name), empty)
+
+
+@pytest.mark.parametrize("naming", [CHECKPOINT_NAMING, FOLLOW_NAMING])
+@pytest.mark.parametrize(
+    "member, keys, values, defect",
+    [
+        ("energy", [-1, 5], [1.5, 2.5], "outside"),
+        ("energy", [3, 65536], [1.5, 2.5], "outside"),
+        ("state", [0, 65536 * 256], [1.5, 2.5], "outside"),
+        ("bytes", [3, 65536 * 256], [1, 2], "outside"),
+        ("state", [5, 3], [1.5, 2.5], "strictly increasing"),
+        ("bytes", [3, 3], [1, 2], "strictly increasing"),
+        ("energy", [3.0, 5.0], [1.5, 2.5], "not 1-D int64"),
+        ("bytes", [[3, 5]], [[1, 2]], "not 1-D int64"),
+        ("state", [3, 5], [1.5], "keys for values"),
+    ],
+)
+def test_user_totals_key_defect_names_its_member(
+    naming, member, keys, values, defect
+):
+    """Each member's key array is checked at load, and a defect is one
+    ``ValueError`` naming that member's keys under the caller's
+    naming; a bound is the member's own (app or app-state keys)."""
+    saved = UserTotals().arrays(naming)
+    tag = member[0] if member != "bytes" else "y"
+    fields = dict(member=member, m=tag)
+    keys_name = naming.format(part="keys", p="k", **fields)
+    values_name = naming.format(part="values", p="v", **fields)
+    saved[keys_name] = np.array(keys)
+    saved[values_name] = np.array(values, saved[values_name].dtype)
+    with pytest.raises(ValueError, match=f"^{keys_name}: .*{defect}"):
+        UserTotals.from_arrays(saved, naming)
 
 
 def test_carry_enters_first():

@@ -45,6 +45,10 @@ headlines, so the CLI, the store and the server print the same text.
 The tenth keeps CSV parsing in one module: only ``repro.trace.io_text``
 imports ``csv`` or calls ``parse_packet_fields``, so every reader —
 batch, stream and live tail — reads a row the same way.
+
+The eleventh keeps the per-user totals record in one place: only
+``repro.keyed`` constructs a ``KeyedTotals`` or calls ``key_defect``;
+every other module holds, saves and loads a ``UserTotals``.
 """
 
 from __future__ import annotations
@@ -675,4 +679,53 @@ def test_one_csv_parser():
     assert not offending, (
         "CSV parsed outside repro.trace.io_text — read through its "
         "block reader:\n" + "\n".join(offending)
+    )
+
+
+#: What the eleventh guard must catch: a hand-kept copy of the record.
+_PLANTED_TOTALS_COPY = (
+    "energy = KeyedTotals()\n"
+    "sizes = keyed.KeyedTotals(dtype=np.int64)\n"
+    "defect = key_defect(keys, values, APP_KEY_BOUND)\n"
+)
+
+
+def _keyed_totals_uses(source, name):
+    """``KeyedTotals(...)`` and ``key_defect(...)`` calls in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = getattr(func, "attr", None) or getattr(func, "id", None)
+            if called in ("KeyedTotals", "key_defect"):
+                found.append(f"{name}:{node.lineno}: {called}(...)")
+    return found
+
+
+def test_one_per_user_totals_record():
+    """Batch, stream, checkpoints and follow windows once each kept
+    their own copy of the energy / app-state / bytes triple: its
+    members, key bounds, dtypes, add step, saved names and load check.
+    They now hold a :class:`repro.keyed.UserTotals`, and only
+    :mod:`repro.keyed` builds a ``KeyedTotals`` or checks a saved key
+    array."""
+    keyed = SRC / "keyed.py"
+    assert len(_keyed_totals_uses(_PLANTED_TOTALS_COPY, "planted")) == 3, (
+        "guard matches nothing"
+    )
+    offending = [
+        hit
+        for path in sorted(SRC.rglob("*.py"))
+        if path != keyed
+        for hit in _keyed_totals_uses(
+            path.read_text(), path.relative_to(SRC).as_posix()
+        )
+    ]
+    assert not offending, (
+        "KeyedTotals built or key_defect called outside repro.keyed — "
+        "hold, save and load a repro.keyed.UserTotals:\n"
+        + "\n".join(offending)
+    )
+    assert _keyed_totals_uses(keyed.read_text(), "keyed"), (
+        "guard matches nothing in repro.keyed"
     )

@@ -563,15 +563,13 @@ def _tiny_checkpoint():
     from repro.stream import UserCheckpoint
 
     users = [
-        UserCheckpoint(
-            user_id=1,
-            status="running",
-            rows_consumed=7,
-            energy_keys=np.array([3, 5], dtype=np.int64),
-            energy_values=np.array([1.5, 2.5]),
-        ),
+        UserCheckpoint(user_id=1, status="running", rows_consumed=7),
         UserCheckpoint(user_id=2, status="done", idle_energy=4.25),
     ]
+    users[0].totals.update(
+        energy_keys=np.array([3, 5], dtype=np.int64),
+        energy_values=np.array([1.5, 2.5]),
+    )
     return StreamCheckpoint(
         "sig:test", LTE_DEFAULT, TailPolicy.LAST_PACKET, users, chunks_done=3
     )
@@ -590,10 +588,9 @@ def _assert_checkpoints_equal(a, b):
             ub.rows_consumed,
         )
         assert ua.idle_energy == ub.idle_energy
-        assert np.array_equal(ua.energy_keys, ub.energy_keys)
-        assert np.array_equal(ua.energy_values, ub.energy_values)
-        assert np.array_equal(ua.bytes_keys, ub.bytes_keys)
-        assert np.array_equal(ua.bytes_values, ub.bytes_values)
+        assert list(ua.totals) == list(ub.totals)
+        for name in ua.totals:
+            assert np.array_equal(ua.totals[name], ub.totals[name])
 
 
 def test_checkpoint_truncated_at_every_byte(tmp_path):
@@ -671,8 +668,8 @@ def test_checkpoint_with_bad_keys_is_refused(tmp_path, member, keys, values, def
     checkpoint = _tiny_checkpoint()
     user = checkpoint.users[0]
     dtype = np.int64 if member == "bytes_keys" else np.float64
-    setattr(user, member, np.array(keys))
-    setattr(user, member.replace("_keys", "_values"), np.array(values, dtype))
+    user.totals[member] = np.array(keys)
+    user.totals[member.replace("_keys", "_values")] = np.array(values, dtype)
     path = tmp_path / "bad.ckpt.npz"
     checkpoint.save(path)
     with pytest.raises(StreamError, match=f"member {member}_1: .*{defect}"):
@@ -762,12 +759,172 @@ def test_checkpoint_with_bad_carry_is_refused(tmp_path, member, edit, defect):
         StreamCheckpoint.load(path)
 
 
+@pytest.fixture(scope="module")
+def cadence_checkpoint(saved_study, tmp_path_factory):
+    """A finished ingest checkpoint of the saved study, with cadence."""
+    path = tmp_path_factory.mktemp("cadence") / "run.ckpt.npz"
+    StreamIngestor(NpzStreamSource(saved_study[0]), checkpoint_path=path).run()
+    return path
+
+
+def _drop_last(column):
+    return column[:-1]
+
+
+@pytest.mark.parametrize(
+    "member, edit, defect",
+    [
+        _case("burst-counts-short", "burst_counts", _drop_last, "entries for"),
+        _case("burst-ts-short", "burst_last_ts", _drop_last, "entries for"),
+        _case(
+            "burst-start-short", "burst_last_start", _drop_last, "entries for"
+        ),
+        _case("flow-last-short", "flow_last", _drop_last, "entries for"),
+        _case("flow-counts-short", "flow_counts", _drop_last, "entries for"),
+        _case(
+            "offsets-cut",
+            "interval_offsets",
+            lambda a: a[:2],
+            "entries for .* burst_apps",
+        ),
+        _case(
+            "offsets-start",
+            "interval_offsets",
+            lambda a: a + 1,
+            "do not rise from 0",
+        ),
+        _case(
+            "offsets-end",
+            "interval_offsets",
+            lambda a: _with_value(a, -1, a[-1] - 1),
+            "do not rise from 0",
+        ),
+        _case(
+            "offsets-fall",
+            "interval_offsets",
+            lambda a: _with_value(a, 1, a[-1] + 1),
+            "do not rise from 0",
+        ),
+        _case(
+            "flow-keys-float",
+            "flow_keys",
+            lambda a: a.astype(np.float64),
+            "not 1-D int64",
+        ),
+        _case(
+            "intervals-2d",
+            "intervals",
+            lambda a: a.reshape(1, -1),
+            "not 1-D float64",
+        ),
+        _case(
+            "counts-float",
+            "burst_counts",
+            lambda a: a.astype(np.float64),
+            "not 1-D int64",
+        ),
+        _case(
+            "burst-apps-unsorted",
+            "burst_apps",
+            lambda a: a[::-1].copy(),
+            "strictly increasing",
+        ),
+        _case(
+            "flow-keys-repeated",
+            "flow_keys",
+            lambda a: _with_value(a, 1, a[0]),
+            "strictly increasing",
+        ),
+        _case(
+            "burst-app-range",
+            "burst_apps",
+            lambda a: _with_value(a, -1, 65536),
+            "outside",
+        ),
+        _case(
+            "count-app-range",
+            "flow_count_apps",
+            lambda a: _with_value(a, 0, -1),
+            "outside",
+        ),
+        _case(
+            "flow-app-range",
+            "flow_keys",
+            lambda a: _with_value(a, -1, 65536 << 32),
+            "outside",
+        ),
+    ],
+)
+def test_checkpoint_with_bad_cadence_is_refused(
+    cadence_checkpoint, tmp_path, member, edit, defect
+):
+    """A readout and a resume rebuild each user's cadence tracker by
+    zipping the saved members, so a cadence whose checksum is valid but
+    whose members are short, unsorted, out of range or of another dtype
+    is a StreamError naming the member: never an app's cadence dropped
+    without a word, or an IndexError later."""
+    checkpoint = StreamCheckpoint.load(cadence_checkpoint)
+    user = checkpoint.users[0]
+    user.cadence = dict(user.cadence, **{member: edit(user.cadence[member])})
+    path = tmp_path / "bad.ckpt.npz"
+    checkpoint.save(path)
+    with pytest.raises(
+        StreamError, match=f"member cad_{member}_{user.user_id}: .*{defect}"
+    ):
+        StreamCheckpoint.load(path)
+
+
+#: Each user's members of a finished ingest checkpoint, in file order,
+#: with their dtypes: the format checkpoints have been written in since
+#: format 2, which a resume and a readout still read.
+SAVED_USER_MEMBERS = [
+    ("energy_keys", "int64"),
+    ("energy_values", "float64"),
+    ("state_keys", "int64"),
+    ("state_values", "float64"),
+    ("bytes_keys", "int64"),
+    ("bytes_values", "int64"),
+    ("idle", "float64"),
+    ("carry_floats", "float64"),
+    ("carry_ints", "int64"),
+    ("carry_idle_buffer", "float64"),
+    ("cad_flow_keys", "int64"),
+    ("cad_flow_last", "float64"),
+    ("cad_flow_count_apps", "int64"),
+    ("cad_flow_counts", "int64"),
+    ("cad_burst_apps", "int64"),
+    ("cad_burst_counts", "int64"),
+    ("cad_burst_last_ts", "float64"),
+    ("cad_burst_last_start", "float64"),
+    ("cad_interval_offsets", "int64"),
+    ("cad_intervals", "float64"),
+]
+
+
+def test_ingest_checkpoint_members_keep_their_names(tmp_path):
+    """A saved ingest checkpoint keeps its member names, order and
+    dtypes, so checkpoints written by earlier versions still resume."""
+    study = tmp_path / "study.npz"
+    generate_study(StudyConfig(n_users=2, duration_days=1.0, seed=3)).save(
+        study
+    )
+    path = tmp_path / "run.ckpt.npz"
+    StreamIngestor(NpzStreamSource(study), checkpoint_path=path).run()
+    with np.load(path) as archive:
+        saved = [(name, archive[name].dtype.name) for name in archive.files]
+    assert saved == [
+        (f"{name}_{uid}", dtype)
+        for uid in (1, 2)
+        for name, dtype in SAVED_USER_MEMBERS
+    ] + [("header", "uint8"), ("checksum", "uint8")]
+
+
 def test_checkpoint_keys_at_the_bounds_load(tmp_path):
     checkpoint = _tiny_checkpoint()
     user = checkpoint.users[0]
-    user.energy_keys = np.array([0, 65535], dtype=np.int64)
-    user.state_keys = np.array([0, 65536 * 256 - 1], dtype=np.int64)
-    user.state_values = np.array([0.0, 1.0])
+    user.totals["energy_keys"] = np.array([0, 65535], dtype=np.int64)
+    user.totals["state_keys"] = np.array([0, 65536 * 256 - 1], dtype=np.int64)
+    user.totals["state_values"] = np.array([0.0, 1.0])
     path = tmp_path / "edge.ckpt.npz"
     checkpoint.save(path)
     _assert_checkpoints_equal(StreamCheckpoint.load(path), checkpoint)
