@@ -19,10 +19,14 @@
 # its saved names and its load check, and
 # tests/test_radio_agreement.py the one radio kernel, whole-trace and
 # streamed, to the frozen batch engine in
-# tests/radio_reference.py), and the file protocol every checkpoint,
-# manifest, blob and saved dataset goes through. Before that it gates
-# src/repro/trace/io_text.py, the CSV readers and writers, at 90% line
-# coverage by their differential suites on its own
+# tests/radio_reference.py, tests/test_packet_moves.py every
+# PacketArray row move, the shift policies' retime among them, to its
+# structured-record reference, and tests/test_transitions_folds.py the
+# §4.1 episode folds to the per-episode walk frozen in
+# tests/transitions_reference.py), and the file protocol every
+# checkpoint, manifest, blob and saved dataset goes through. Before
+# that it gates src/repro/trace/io_text.py, the CSV readers and
+# writers, at 90% line coverage by their differential suites on its own
 # (tests/test_csv_blocks.py and tests/test_csv_event_blocks.py pin the
 # packets and events block readers to the per-row reference,
 # tests/test_csv_prepass.py the stream prepass to a full
@@ -58,6 +62,8 @@ if [ "$1" = "--cov" ]; then
         tests/test_radio_agreement.py tests/test_radio_vectorized.py \
         tests/test_radio_machine.py tests/test_stream.py \
         tests/test_durable.py tests/test_store.py \
-        tests/test_cadence.py tests/test_keyed_fold.py "$@"
+        tests/test_cadence.py tests/test_keyed_fold.py \
+        tests/test_packet_moves.py tests/transitions_reference.py \
+        tests/test_transitions_folds.py "$@"
 fi
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} exec python -m pytest -x -q "$@"

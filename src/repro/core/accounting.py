@@ -60,7 +60,7 @@ from repro.radio.attribution import AttributionResult, TailPolicy
 from repro.radio.base import RadioModel
 from repro.radio.lte import LTE_DEFAULT
 from repro.trace.dataset import AppRegistry, Dataset
-from repro.trace.flow import reconstruct_flows
+from repro.trace.flow import count_flows
 from repro.trace.index import TraceIndex
 from repro.trace.trace import UserTrace
 from repro.units import DAY
@@ -226,9 +226,12 @@ class StudyEnergy(EnergyReadout):
             return view
         result = self.user_result(user_id)
         packets = self._traces[user_id].packets
-        totals = UserTotals()
-        totals.add(
-            packets.apps, result.per_packet, packets.states, packets.sizes
+        totals = UserTotals.whole_run(
+            result.app_totals,
+            packets.apps,
+            result.per_packet,
+            packets.states,
+            packets.sizes,
         )
         view = UserTotalsView(user_id, *totals.as_dicts(), result.idle_energy)
         self._user_totals[user_id] = view
@@ -257,7 +260,7 @@ class StudyEnergy(EnergyReadout):
             per_user.append(
                 UserCadence(
                     uid,
-                    len(reconstruct_flows(subset, gap_timeout=flow_gap)),
+                    count_flows(subset, gap_timeout=flow_gap),
                     len(burst_starts(timestamps, burst_gap)),
                     inter_burst_intervals(timestamps, burst_gap),
                 )

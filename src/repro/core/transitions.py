@@ -74,9 +74,27 @@ def _episode_spans(
     return trace.index().background_episodes(app_id)
 
 
+def _episode_bounds(trace: UserTrace, app_id: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of the app's background episodes, as arrays."""
+    episodes = _episode_spans(trace, app_id)
+    starts = np.array([episode.start for episode in episodes], dtype=np.float64)
+    ends = np.array([episode.end for episode in episodes], dtype=np.float64)
+    return starts, ends
+
+
 def _app_packet_times(trace: UserTrace, app_id: int) -> Tuple[np.ndarray, np.ndarray]:
-    packets = trace.index().app_packets(app_id)
-    return packets.timestamps, packets.sizes.astype(np.int64)
+    rows = trace.index().app_indices(app_id)
+    packets = trace.packets
+    return packets.timestamps[rows], packets.sizes[rows].astype(np.int64)
+
+
+def _episode_rows(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every ``range(lo[i], hi[i])`` concatenated (empty where
+    ``hi[i] <= lo[i]``), and the episode ``i`` of each row."""
+    lengths = np.maximum(hi - lo, 0)
+    episodes = np.repeat(np.arange(len(lengths)), lengths)
+    rows = np.arange(len(episodes)) + np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
+    return rows, episodes
 
 
 def persistence_durations(
@@ -156,6 +174,11 @@ def bytes_since_foreground(
     Returns ``(bin_left_edges, byte_totals)``: every background-episode
     packet's offset from its episode's transition, binned at
     ``bin_seconds`` up to ``horizon``, summed over apps and users.
+
+    Each (user, app)'s episodes fold in one pass: one ``searchsorted``
+    per episode bound, then one ``np.add.at`` per user over every
+    episode's packets. The totals are sums of integer byte counts below
+    2**53, exact in any order.
     """
     require_packet_detail(dataset, "bytes_since_foreground")
     if bin_seconds <= 0:
@@ -165,19 +188,25 @@ def bytes_since_foreground(
     registry = dataset.registry
     app_ids = [registry.id_of(a) for a in apps] if apps is not None else None
     for trace in dataset:
+        bins, sizes = [], []
         candidates = app_ids if app_ids is not None else trace.app_ids()
         for app_id in candidates:
-            ts, sizes = _app_packet_times(trace, app_id)
+            ts, app_sizes = _app_packet_times(trace, app_id)
             if len(ts) == 0:
                 continue
-            for episode in _episode_spans(trace, app_id):
-                lo = np.searchsorted(ts, episode.start, side="left")
-                hi = np.searchsorted(ts, min(episode.end, episode.start + horizon))
-                if hi <= lo:
-                    continue
-                offsets = ts[lo:hi] - episode.start
-                bins = (offsets // bin_seconds).astype(np.int64)
-                np.add.at(totals, np.clip(bins, 0, n_bins - 1), sizes[lo:hi])
+            starts, ends = _episode_bounds(trace, app_id)
+            lo = np.searchsorted(ts, starts, side="left")
+            hi = np.searchsorted(ts, np.minimum(ends, starts + horizon))
+            rows, episodes = _episode_rows(lo, hi)
+            offsets = ts[rows] - starts[episodes]
+            bins.append((offsets // bin_seconds).astype(np.int64))
+            sizes.append(app_sizes[rows])
+        if bins:
+            np.add.at(
+                totals,
+                np.clip(np.concatenate(bins), 0, n_bins - 1),
+                np.concatenate(sizes),
+            )
     edges = np.arange(n_bins) * bin_seconds
     return edges, totals
 
@@ -189,6 +218,11 @@ def first_minute_fractions(
 
     The §4.1 headline counts apps whose fraction is >= 0.8; apply
     :func:`fraction_of_apps_above` for that.
+
+    Each (user, app)'s episodes fold in one pass: one ``searchsorted``
+    per episode bound, and each episode's bytes as a difference of
+    prefix sums. The sums are integer byte counts below 2**53, exact in
+    any order.
     """
     require_packet_detail(dataset, "first_minute_fractions")
     first: Dict[int, float] = {}
@@ -196,15 +230,17 @@ def first_minute_fractions(
     for trace in dataset:
         for app_id in trace.app_ids():
             ts, sizes = _app_packet_times(trace, app_id)
-            for episode in _episode_spans(trace, app_id):
-                lo = np.searchsorted(ts, episode.start, side="left")
-                hi = np.searchsorted(ts, episode.end, side="left")
-                if hi <= lo:
-                    continue
-                cut = np.searchsorted(ts, episode.start + window, side="left")
-                cut = min(cut, hi)
-                total[app_id] = total.get(app_id, 0.0) + float(sizes[lo:hi].sum())
-                first[app_id] = first.get(app_id, 0.0) + float(sizes[lo:cut].sum())
+            starts, ends = _episode_bounds(trace, app_id)
+            lo = np.searchsorted(ts, starts, side="left")
+            hi = np.searchsorted(ts, ends, side="left")
+            kept = hi > lo
+            if not kept.any():
+                continue
+            lo, hi = lo[kept], hi[kept]
+            cut = np.minimum(np.searchsorted(ts, starts[kept] + window, side="left"), hi)
+            prefix = np.concatenate(([0], np.cumsum(sizes)))
+            total[app_id] = total.get(app_id, 0.0) + float((prefix[hi] - prefix[lo]).sum())
+            first[app_id] = first.get(app_id, 0.0) + float((prefix[cut] - prefix[lo]).sum())
     registry = dataset.registry
     return {
         registry.name_of(app_id): first.get(app_id, 0.0) / volume

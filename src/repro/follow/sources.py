@@ -212,7 +212,7 @@ class TailCsvSource:
             ts = packets.timestamps
             last_ts = CsvStreamSource._check_order(path, block_lines, ts, last_ts)
             numbers.append(block_lines)
-            blocks.append(packets.data)
+            blocks.append(packets)
         if not blocks:
             return []
         lines, start, rows = np.concatenate(numbers), int(cursor["offset"]), 0
@@ -223,7 +223,7 @@ class TailCsvSource:
             line = int(lines[rows - 1])
             cursor["offset"] = start + int(ends[line - before - 1]) + 1
             cursor["rows"] = int(cursor["rows"]) + len(chunk)
-            cursor["last_ts"] = float(chunk["timestamp"][-1])
+            cursor["last_ts"] = float(chunk.timestamps[-1])
             self._lines[user_id] = line
             chunk = CsvStreamSource._labelled(chunk, self._events[user_id])
             out.append((chunk, self.cursor_snapshot(user_id)))

@@ -28,8 +28,9 @@ and :class:`KeyedTotals` all call it.
 
 :class:`UserTotals` is the per-user record the paper's accounting rests
 on: three :class:`KeyedTotals` (joules per app, joules and bytes per
-(app, state)), one ``add`` for all three, and one saved form, checked
-at load by :func:`key_defect`. :meth:`StudyEnergy.user_totals
+(app, state)), one ``add`` for all three (``whole_run`` when the
+per-app fold is already at hand), and one saved form, checked at load
+by :func:`key_defect`. :meth:`StudyEnergy.user_totals
 <repro.core.accounting.StudyEnergy.user_totals>`, each stream
 accumulator, each follow window bucket and a loaded checkpoint hold
 one; no other module builds a :class:`KeyedTotals` or checks a saved
@@ -258,6 +259,29 @@ class UserTotals:
         energy.add(apps, energies)
         app_state.add(apps, energies, states)
         bytes_state.add(apps, sizes, states)
+
+    @classmethod
+    def whole_run(
+        cls,
+        app_energy: Tuple[np.ndarray, np.ndarray],
+        apps: np.ndarray,
+        energies: np.ndarray,
+        states: np.ndarray,
+        sizes: np.ndarray,
+    ) -> "UserTotals":
+        """The record :meth:`add` of one whole run into an empty record
+        gives, with its joules per app taken from ``app_energy``:
+        ``fold_totals(apps, energies)``, as the caller already holds it
+        (:attr:`AttributionResult.app_totals
+        <repro.radio.attribution.AttributionResult.app_totals>`). That
+        is the fold :meth:`add` runs on an empty record, so the bits
+        are the same and the run's joules fold once."""
+        record = cls()
+        _, app_state, bytes_state = record._members
+        app_state.add(apps, energies, states)
+        bytes_state.add(apps, sizes, states)
+        record._members = (KeyedTotals(*app_energy), app_state, bytes_state)
+        return record
 
     def as_dicts(
         self,

@@ -32,7 +32,6 @@ from repro.policy.base import (
 )
 from repro.policy.drops import DEFAULT_BURST_GAP_S, burst_bounds
 from repro.policy.engine import evaluate_policy
-from repro.trace.arrays import PacketArray
 
 
 @dataclass(frozen=True)
@@ -60,17 +59,15 @@ class OsCoalescingPolicy(PolicyParams):
             is_bg = is_bg & np.isin(packets.apps, np.array(sorted(app_ids)))
         if not is_bg.any():
             return unchanged(packets)
-        data = packets.data.copy()
-        ts = data["timestamp"]
+        ts = packets.timestamps
         rel = ts[is_bg] - context.start
         shifted = np.ceil(rel / self.period) * self.period + context.start
         # Keep everything inside the observation window.
         shifted = np.minimum(shifted, context.end - 1e-6)
         delay = float((shifted - ts[is_bg]).sum())
         moved = int(is_bg.sum())
-        data["timestamp"][is_bg] = shifted
         return PolicyTransform(
-            packets=PacketArray(data).sorted_by_time(),
+            packets=packets.retimed(is_bg, shifted),
             moved_packets=moved,
             delay_seconds=delay,
         )
@@ -97,27 +94,25 @@ class AppBatchingPolicy(PolicyParams):
             raise AnalysisError(f"period must be positive: {self.period}")
 
     def transform(self, packets, context: PolicyContext) -> PolicyTransform:
-        data = None
-        moved = 0
+        rows, times = [], []
         delay = 0.0
         for app_id in context.candidate_apps(self.apps):
             idx = context.index.app_background_indices(app_id)
             if len(idx) == 0:
                 continue
-            if data is None:
-                data = packets.data.copy()
             app_ts = packets.timestamps[idx]
             anchor = app_ts[0]
             shifted = anchor + np.ceil((app_ts - anchor) / self.period) * self.period
             shifted = np.minimum(shifted, context.end - 1e-6)
             delay += float((shifted - app_ts).sum())
-            moved += len(idx)
-            data["timestamp"][idx] = shifted
-        if data is None:
+            rows.append(idx)
+            times.append(shifted)
+        if not rows:
             return unchanged(packets)
+        rows = np.concatenate(rows)
         return PolicyTransform(
-            packets=PacketArray(data).sorted_by_time(),
-            moved_packets=moved,
+            packets=packets.retimed(rows, np.concatenate(times)),
+            moved_packets=len(rows),
             delay_seconds=delay,
         )
 
@@ -167,13 +162,11 @@ class DelayTolerantPolicy(PolicyParams):
         shifted = np.minimum(
             before + np.repeat(delta[move], lengths), context.end - 1e-6
         )
-        data = packets.data.copy()
-        data["timestamp"][moved] = shifted
         # A running total of per-burst sums, in burst order within each
         # app and candidate order across apps.
         delay = np.cumsum(_burst_sums(shifted - before, lengths))[-1]
         return PolicyTransform(
-            packets=PacketArray(data).sorted_by_time(),
+            packets=packets.retimed(moved, shifted),
             moved_packets=len(moved),
             delay_seconds=float(delay),
         )

@@ -201,8 +201,14 @@ class AttributionResult:
         return self.attributed_energy + self.idle_energy
 
     @cached_property
-    def _app_totals(self) -> Tuple[np.ndarray, np.ndarray]:
-        return fold_totals(self.packets.apps, self.per_packet)
+    def app_totals(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(app ids ascending, joules): the per-app fold of
+        ``per_packet`` (:func:`~repro.keyed.fold_totals`), run once per
+        result; both arrays are read-only."""
+        totals = fold_totals(self.packets.apps, self.per_packet)
+        for array in totals:
+            array.setflags(write=False)
+        return totals
 
     def energy_by_app(self) -> Dict[int, float]:
         """Joules attributed to each app id (a fresh dict per call).
@@ -210,7 +216,7 @@ class AttributionResult:
         The per-app fold runs once per result; later calls only
         rebuild the dict.
         """
-        keys, totals = self._app_totals
+        keys, totals = self.app_totals
         return dict(zip(keys.tolist(), totals.tolist()))
 
 

@@ -281,9 +281,9 @@ class CsvStreamSource:
         if faults.active_plan() is not None:
             on_bad = self._drop_silently if self._quarantine_rows else None
             blocks = self._read(packets_path, self.registry, on_bad_row=on_bad, inject=True)
-            datas = (packets.data for _, packets in blocks)
-            for data in self._rechunked(datas, self.chunk_size, skip):
-                yield self._labelled(data, events)
+            chunks = (packets for _, packets in blocks)
+            for chunk in self._rechunked(chunks, self.chunk_size, skip):
+                yield self._labelled(chunk, events)
             return
         size, first = PACKET_DTYPE.itemsize, self._first[user_id]
         end = first + self._counts[user_id] * size
@@ -292,35 +292,33 @@ class CsvStreamSource:
             buffer = os.pread(self._spill.fileno(), want, start)
             if len(buffer) != want:
                 raise StreamError(f"{packets_path.name}: spilled packets cut short")
-            data = np.frombuffer(buffer, PACKET_DTYPE).copy()
-            yield self._labelled(data, events)
+            yield self._labelled(PacketArray.from_buffer(buffer), events)
 
     @staticmethod
-    def _rechunked(arrays, size: int, skip: int = 0) -> Iterator[np.ndarray]:
+    def _rechunked(arrays, size: int, skip: int = 0) -> Iterator[PacketArray]:
         """``arrays``' records, less the first ``skip``, in chunks of ``size``."""
-        held: List[np.ndarray] = []
+        held: List[PacketArray] = []
         n_held = 0
-        for data in arrays:
+        for packets in arrays:
             if skip:
-                dropped = min(skip, len(data))
-                data = data[dropped:]
+                dropped = min(skip, len(packets))
+                packets = packets[dropped:]
                 skip -= dropped
-            held.append(data)
-            n_held += len(data)
+            held.append(packets)
+            n_held += len(packets)
             if n_held < size:
                 continue
-            data = np.concatenate(held)
+            packets = PacketArray.concat(held)
             full = n_held - n_held % size
             for start in range(0, full, size):
-                yield data[start : start + size]
-            held = [data[full:]]
+                yield packets[start : start + size]
+            held = [packets[full:]]
             n_held -= full
         if n_held:
-            yield np.concatenate(held)
+            yield PacketArray.concat(held)
 
     @staticmethod
-    def _labelled(data: np.ndarray, events: EventLog) -> PacketArray:
-        chunk = PacketArray(data)
+    def _labelled(chunk: PacketArray, events: EventLog) -> PacketArray:
         # Labelling is elementwise (per-app searchsorted against the
         # full event log), so labelling chunk-by-chunk writes the exact
         # labels the batch reader's whole-trace pass would.
@@ -420,15 +418,15 @@ class NpzStreamSource:
             while remaining > 0:
                 rows = min(self.chunk_size, remaining)
                 buffer = _read_exactly(handle, rows * itemsize)
-                chunk = np.frombuffer(buffer, dtype=dtype).copy()
-                defect = packet_defect(chunk)
+                chunk = PacketArray.from_buffer(buffer)
+                defect = packet_defect(chunk.data)
                 if defect is not None:
                     raise StreamError(
                         f"{self.path.name}: user {user_id}: "
                         f"packets_{user_id}: {defect}"
                     )
                 remaining -= rows
-                yield PacketArray(chunk)
+                yield chunk
 
     @contextmanager
     def _packets(self, archive: zipfile.ZipFile, user_id: int):

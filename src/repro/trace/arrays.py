@@ -5,10 +5,19 @@ per-packet Python objects. :class:`PacketArray` stores packets in a numpy
 structured array and is the form every analysis in :mod:`repro.core` and
 the vectorised energy engine consume. Object packets
 (:class:`~repro.trace.packet.Packet`) convert to and from this form.
+
+Every move of whole records — a gather, a mask, a sort, a copy, a
+concatenation, a read off a byte buffer — goes through this module's
+raw-record view. numpy copies a structured record field by field; the
+same 24 bytes viewed as one opaque ``void`` item move in one copy,
+4-28x faster on a user's packets (docs/PERFORMANCE.md, "Moving packet
+records"). No other module indexes or copies :attr:`PacketArray.data`
+by rows.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -74,6 +83,18 @@ PACKET_DTYPE = np.dtype(
         ("state", "u1"),
     ]
 )
+
+
+#: One packet record as opaque bytes: a gather, mask, copy or
+#: concatenation of these moves each record in one copy, where
+#: :data:`PACKET_DTYPE` moves it field by field. Same bytes either way.
+_RECORD = np.dtype((np.void, PACKET_DTYPE.itemsize))
+
+
+def _moved(data: np.ndarray, key) -> np.ndarray:
+    """``data[key]``, bit for bit, moved as raw records (at least one
+    dimension: a key that picks a single record gives a one-row copy)."""
+    return np.atleast_1d(data.view(_RECORD)[key]).view(PACKET_DTYPE)
 
 
 class PacketArray:
@@ -149,7 +170,15 @@ class PacketArray:
         """Concatenate several arrays (does not sort)."""
         if not arrays:
             return cls()
-        return cls(np.concatenate([a.data for a in arrays]))
+        raw = np.concatenate([a.data.view(_RECORD) for a in arrays])
+        return cls(raw.view(PACKET_DTYPE))
+
+    @classmethod
+    def from_buffer(cls, buffer) -> "PacketArray":
+        """A writable copy of the packet records packed in ``buffer``
+        (bytes in :data:`PACKET_DTYPE`'s layout, as a ``.npy`` member
+        or a spill file holds them)."""
+        return cls(np.frombuffer(buffer, _RECORD).copy().view(PACKET_DTYPE))
 
     # ------------------------------------------------------------------
     # Columns
@@ -199,12 +228,17 @@ class PacketArray:
         return iter(self.to_packets())
 
     def __getitem__(self, key) -> "PacketArray":
-        result = self.data[key]
-        if isinstance(result, np.void):  # single record
-            result = result.reshape(1) if hasattr(result, "reshape") else np.array(
-                [result], dtype=PACKET_DTYPE
-            )
-        return PacketArray(np.atleast_1d(result))
+        """The rows ``key`` picks, as ``data[key]`` picks them: an
+        integer or a slice gives a view (an integer a one-row one), an
+        int array or a boolean mask a copy."""
+        if not isinstance(key, bool):
+            try:
+                row = range(len(self))[operator.index(key)]
+            except TypeError:  # not an integer
+                pass
+            else:
+                key = slice(row, row + 1)
+        return PacketArray(_moved(self.data, key))
 
     def __repr__(self) -> str:
         if len(self) == 0:
@@ -220,8 +254,21 @@ class PacketArray:
     # ------------------------------------------------------------------
     def sorted_by_time(self) -> "PacketArray":
         """Return a copy sorted by timestamp (stable)."""
-        order = np.argsort(self.timestamps, kind="stable")
-        return PacketArray(self.data[order])
+        return self[np.argsort(self.timestamps, kind="stable")]
+
+    def retimed(self, rows, times: np.ndarray) -> "PacketArray":
+        """A copy with the packets at ``rows`` (positions or a boolean
+        mask) moved to ``times``, sorted by time (stable).
+
+        One argsort of the new timestamps and one gather: the bytes of
+        copying, assigning ``times`` and :meth:`sorted_by_time`.
+        """
+        timestamps = self.timestamps.copy()
+        timestamps[rows] = times
+        order = np.argsort(timestamps, kind="stable")
+        data = _moved(self.data, order)
+        data["timestamp"] = timestamps[order]
+        return PacketArray(data)
 
     def is_time_sorted(self) -> bool:
         """True when timestamps are non-decreasing."""
@@ -230,7 +277,7 @@ class PacketArray:
 
     def select(self, mask: np.ndarray) -> "PacketArray":
         """Return the packets where ``mask`` is true."""
-        return PacketArray(self.data[mask])
+        return self[mask]
 
     def for_app(self, app: int) -> "PacketArray":
         """Packets belonging to one app."""

@@ -13,7 +13,7 @@ so million-packet traces reconstruct in tens of milliseconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -79,6 +79,47 @@ class FlowTable:
         return len(self._by_app.get(app, []))
 
 
+def flow_boundaries(
+    packets: PacketArray, gap_timeout: float = DEFAULT_GAP_TIMEOUT
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The flow rule: ``(order, new_flow)``.
+
+    ``order`` sorts the packets by (app, conn, time); ``new_flow[i]``
+    is true where the ``i``-th packet in that order starts a flow: at
+    an app or conn change, or after a silence longer than
+    ``gap_timeout``. Packets must be time-sorted.
+    """
+    if gap_timeout <= 0:
+        raise TraceError(f"gap_timeout must be positive, got {gap_timeout}")
+    if not packets.is_time_sorted():
+        raise TraceError("packets must be time-sorted before flow reconstruction")
+    ts = packets.timestamps
+    apps = packets.apps.astype(np.int64)
+    conns = packets.conns.astype(np.int64)
+    # Group by (app, conn) then time; within the stable sort the packets
+    # of each connection remain chronological.
+    order = np.lexsort((ts, conns, apps))
+    s_apps = apps[order]
+    s_conns = conns[order]
+    s_ts = ts[order]
+    new_flow = np.empty(len(order), dtype=bool)
+    new_flow[:1] = True
+    new_flow[1:] = (
+        (s_apps[1:] != s_apps[:-1])
+        | (s_conns[1:] != s_conns[:-1])
+        | ((s_ts[1:] - s_ts[:-1]) > gap_timeout)
+    )
+    return order, new_flow
+
+
+def count_flows(
+    packets: PacketArray, gap_timeout: float = DEFAULT_GAP_TIMEOUT
+) -> int:
+    """``len(reconstruct_flows(packets, gap_timeout))``, without
+    building the flows or writing the ``flow`` column."""
+    return int(np.count_nonzero(flow_boundaries(packets, gap_timeout)[1]))
+
+
 def reconstruct_flows(
     packets: PacketArray,
     gap_timeout: float = DEFAULT_GAP_TIMEOUT,
@@ -89,61 +130,31 @@ def reconstruct_flows(
     ordered by each flow's first packet in the sorted-by-(app, conn)
     ordering.
     """
-    if gap_timeout <= 0:
-        raise TraceError(f"gap_timeout must be positive, got {gap_timeout}")
-    if not packets.is_time_sorted():
-        raise TraceError("packets must be time-sorted before flow reconstruction")
-    n = len(packets)
+    order, new_flow = flow_boundaries(packets, gap_timeout)
+    n = len(order)
     if n == 0:
         return FlowTable([])
 
-    ts = packets.timestamps
-    apps = packets.apps.astype(np.int64)
-    conns = packets.conns.astype(np.int64)
-    sizes = packets.sizes.astype(np.int64)
-    dirs = packets.directions
-
-    # Group by (app, conn) then time; within the stable sort the packets
-    # of each connection remain chronological.
-    order = np.lexsort((ts, conns, apps))
-    s_apps = apps[order]
-    s_conns = conns[order]
-    s_ts = ts[order]
-
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = (
-        (s_apps[1:] != s_apps[:-1])
-        | (s_conns[1:] != s_conns[:-1])
-        | ((s_ts[1:] - s_ts[:-1]) > gap_timeout)
-    )
-    flow_ids_sorted = np.cumsum(new_group)  # 1-based dense ids
     flow_ids = np.empty(n, dtype=np.uint32)
-    flow_ids[order] = flow_ids_sorted
+    flow_ids[order] = np.cumsum(new_flow)  # 1-based dense ids
     packets.data["flow"] = flow_ids
 
-    n_flows = int(flow_ids_sorted[-1])
-    starts = np.flatnonzero(new_group)
-    ends = np.append(starts[1:], n)
-
-    s_sizes = sizes[order]
-    s_dirs = dirs[order]
+    starts = np.flatnonzero(new_flow)
+    first = order[starts]
+    last = order[np.append(starts[1:], n) - 1]
+    s_sizes = packets.sizes.astype(np.int64)[order]
+    s_dirs = packets.directions[order]
     up_sizes = np.where(s_dirs == int(Direction.UPLINK), s_sizes, 0)
     down_sizes = np.where(s_dirs == int(Direction.DOWNLINK), s_sizes, 0)
-    bytes_up = np.add.reduceat(up_sizes, starts)
-    bytes_down = np.add.reduceat(down_sizes, starts)
-
-    flows = [
-        Flow(
-            flow_id=i + 1,
-            app=int(s_apps[starts[i]]),
-            conn=int(s_conns[starts[i]]),
-            start=float(s_ts[starts[i]]),
-            end=float(s_ts[ends[i] - 1]),
-            packets=int(ends[i] - starts[i]),
-            bytes_up=int(bytes_up[i]),
-            bytes_down=int(bytes_down[i]),
-        )
-        for i in range(n_flows)
-    ]
+    ts = packets.timestamps
+    columns = zip(
+        packets.apps[first].tolist(),
+        packets.conns[first].tolist(),
+        ts[first].tolist(),
+        ts[last].tolist(),
+        np.diff(np.append(starts, n)).tolist(),
+        np.add.reduceat(up_sizes, starts).tolist(),
+        np.add.reduceat(down_sizes, starts).tolist(),
+    )
+    flows = [Flow(flow_id, *flow) for flow_id, flow in enumerate(columns, start=1)]
     return FlowTable(flows)

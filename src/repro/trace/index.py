@@ -211,7 +211,7 @@ class TraceIndex:
 
     def app_packets(self, app: int) -> PacketArray:
         """One app's packets, row-identical to ``packets.for_app(app)``."""
-        return PacketArray(self.packets.data[self.app_indices(app)])
+        return self.packets[self.app_indices(app)]
 
     def app_timestamps(self, app: int) -> np.ndarray:
         """One app's packet timestamps, ascending."""
@@ -320,7 +320,7 @@ class TraceIndex:
 
     def app_background_packets(self, app: int) -> PacketArray:
         """One app's background-state packets as a PacketArray."""
-        return PacketArray(self.packets.data[self.app_background_indices(app)])
+        return self.packets[self.app_background_indices(app)]
 
     # ------------------------------------------------------------------
     # Background episodes

@@ -311,6 +311,60 @@ def test_user_totals_any_chunking_equals_one_add(rows):
     assert all(type(v) is int for v in bytes_state.values())
 
 
+@settings(max_examples=150, deadline=None)
+@given(rows=keyed_rows())
+@example(rows=NAIVE_COLLISION)
+@example(rows=CARRY_FIRST)
+def test_whole_run_equals_one_add(rows):
+    """``UserTotals.whole_run`` takes its per-app joules from a fold the
+    caller already holds, and saves the arrays of one ``add`` of the
+    run into an empty record, bit for bit."""
+    apps, states, energies, sizes, _ = rows
+    whole = UserTotals()
+    whole.add(apps, energies, states, sizes)
+    got = UserTotals.whole_run(
+        fold_totals(apps, energies), apps, energies, states, sizes
+    )
+    assert_same_arrays(
+        got.arrays(CHECKPOINT_NAMING), whole.arrays(CHECKPOINT_NAMING)
+    )
+
+
+def test_batch_user_totals_reuse_each_results_app_fold(
+    small_dataset, monkeypatch
+):
+    """``StudyEnergy.user_totals`` folds only the (app, state) members:
+    the per-app joules are the fold its attribution result holds."""
+    import repro.keyed as keyed
+    from repro import StudyEnergy
+    from repro.core.readout import UserTotalsView
+
+    study = StudyEnergy(small_dataset)
+    want = {}
+    for uid in study.user_ids:
+        result = study.user_result(uid)
+        packets = result.packets
+        record = UserTotals()
+        record.add(packets.apps, result.per_packet, packets.states, packets.sizes)
+        want[uid] = UserTotalsView(uid, *record.as_dicts(), result.idle_energy)
+        result.app_totals  # the fold energy_by_app() keeps
+    folded = []
+    real = keyed.fold_totals
+
+    def counting(keys, values, states=None, carry=None):
+        folded.append(states is not None)
+        return real(keys, values, states, carry)
+
+    monkeypatch.setattr(keyed, "fold_totals", counting)
+    for uid in study.user_ids:
+        got = study.user_totals(uid)
+        for read in ("energy_by_app", "energy_by_app_state", "bytes_by_app_state"):
+            assert list(getattr(got, read)().items()) == list(
+                getattr(want[uid], read)().items()
+            )
+    assert folded and all(folded)
+
+
 @pytest.mark.parametrize(
     "name, want",
     [
@@ -430,6 +484,11 @@ def test_per_packet_is_computed_once_and_read_only():
     assert result.per_packet is result.per_packet
     with pytest.raises(ValueError):
         result.per_packet[0] = 0.0
+    keys, totals = result.app_totals
+    assert result.app_totals[0] is keys
+    for array in (keys, totals):
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_energy_by_app_returns_equal_distinct_dicts(packets_two_apps):

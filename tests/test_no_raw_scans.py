@@ -49,6 +49,12 @@ batch, stream and live tail — reads a row the same way.
 The eleventh keeps the per-user totals record in one place: only
 ``repro.keyed`` constructs a ``KeyedTotals`` or calls ``key_defect``;
 every other module holds, saves and loads a ``UserTotals``.
+
+The twelfth keeps packet records moving as raw bytes: only
+``repro.trace.arrays`` gathers, masks or copies packet records, through
+its raw-record view. Elsewhere a ``.data`` attribute is subscripted by
+a field name or a slice only, no ``.data.copy()`` is called, and no
+``np.frombuffer(...)`` result is copied.
 """
 
 from __future__ import annotations
@@ -728,4 +734,79 @@ def test_one_per_user_totals_record():
     )
     assert _keyed_totals_uses(keyed.read_text(), "keyed"), (
         "guard matches nothing in repro.keyed"
+    )
+
+
+#: What the twelfth guard must catch: the old structured-record moves.
+_PLANTED_RECORD_MOVES = (
+    "packets = PacketArray(self.packets.data[self.app_indices(app)])\n"
+    "data = packets.data.copy()\n"
+    "chunk = np.frombuffer(buffer, dtype=dtype).copy()\n"
+    "row = trace.packets.data[0]\n"
+)
+
+#: What it must let through: whole-column reads and writes, slices.
+_PLANTED_COLUMN_USES = (
+    "packets.data['flow'] = flow_ids\n"
+    "head = packets.data[:n]\n"
+    "ts = chunk.data['timestamp'][-1]\n"
+)
+
+
+def _record_moves(source, name):
+    """Row subscripts of ``.data``, ``.data.copy()`` calls and copies
+    of ``np.frombuffer(...)`` in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript):
+            value, key = node.value, node.slice
+            field = isinstance(key, ast.Constant) and isinstance(key.value, str)
+            if (
+                isinstance(value, ast.Attribute)
+                and value.attr == "data"
+                and not field
+                and not isinstance(key, ast.Slice)
+            ):
+                found.append(f"{name}:{node.lineno}: .data[...]")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if not (isinstance(func, ast.Attribute) and func.attr == "copy"):
+                continue
+            target = func.value
+            if isinstance(target, ast.Attribute) and target.attr == "data":
+                found.append(f"{name}:{node.lineno}: .data.copy()")
+            elif isinstance(target, ast.Call):
+                called = getattr(target.func, "attr", None) or getattr(
+                    target.func, "id", None
+                )
+                if called == "frombuffer":
+                    found.append(f"{name}:{node.lineno}: np.frombuffer(...).copy()")
+    return found
+
+
+def test_packet_records_move_as_raw_bytes():
+    """numpy moves a structured packet record field by field, 5-30x
+    slower than the same 24 bytes as one raw record. Every gather,
+    mask, sort, retime, concatenation and buffer read of packet records
+    goes through :class:`repro.trace.arrays.PacketArray`, whose
+    raw-record view is private to :mod:`repro.trace.arrays`."""
+    arrays = SRC / "trace" / "arrays.py"
+    assert len(_record_moves(_PLANTED_RECORD_MOVES, "planted")) == 4, (
+        "guard matches nothing"
+    )
+    assert not _record_moves(_PLANTED_COLUMN_USES, "planted"), (
+        "guard matches column uses"
+    )
+    offending = [
+        hit
+        for path in sorted(SRC.rglob("*.py"))
+        if path != arrays
+        for hit in _record_moves(
+            path.read_text(), path.relative_to(SRC).as_posix()
+        )
+    ]
+    assert not offending, (
+        "packet records moved outside repro.trace.arrays — index, "
+        "select, sort, retime, concatenate or read them through "
+        "PacketArray:\n" + "\n".join(offending)
     )
