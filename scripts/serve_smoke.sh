@@ -7,7 +7,9 @@
 # study id, and each served figure, table and headline body must equal
 # what the CLI prints for it, batch and from the checkpoint.
 # Warm 200s must leave the store index byte-for-byte unchanged, and
-# `repro store ls` must list the live store.
+# `repro store ls` must list the live store. An invalidate run from the
+# shell must reach the server's pooled index reads: the next GET
+# re-renders the same bytes and ETag. A 405 must close its connection.
 #
 # Run from anywhere; needs only python + numpy + curl. CI runs this as
 # the serve-smoke job.
@@ -83,6 +85,35 @@ grep -Eq '^analysis +study +policy +bytes +etag *$' "$workdir/ls.out" \
 grep -q '^3 entries$' "$workdir/ls.out" \
     || { echo "FAIL: store ls should list 3 entries"; cat "$workdir/ls.out"; exit 1; }
 
+# expect_entries N: `repro store ls` lists N entries.
+expect_entries() {
+    python -m repro.cli store --store "$workdir/store" ls >"$workdir/ls.out"
+    grep -q "^$1 entries\$" "$workdir/ls.out" \
+        || { echo "FAIL: store ls should list $1 entries"; cat "$workdir/ls.out"; exit 1; }
+}
+
+# get_table1 NAME: GET /tables/table1 into NAME.body, its ETag into NAME.etag.
+get_table1() {
+    got="$(curl -s -D "$workdir/$1.head" -o "$workdir/$1.body" \
+        -w '%{http_code}' "$base/tables/table1")"
+    [ "$got" = 200 ] || { echo "FAIL: /tables/table1 returned $got"; exit 1; }
+    tr -d '\r' <"$workdir/$1.head" | sed -n 's/^ETag: //p' >"$workdir/$1.etag"
+    [ -s "$workdir/$1.etag" ] || { echo "FAIL: no ETag on /tables/table1"; exit 1; }
+}
+
+echo "==> an invalidate from another process reaches the server's reads"
+get_table1 before
+python -m repro.cli store --store "$workdir/store" invalidate --analysis table1 \
+    >/dev/null || { echo "FAIL: store invalidate exited non-zero"; exit 1; }
+expect_entries 2
+get_table1 after
+cmp -s "$workdir/before.body" "$workdir/after.body" \
+    || { echo "FAIL: re-rendered table1 differs from the bytes served before"; exit 1; }
+cmp -s "$workdir/before.etag" "$workdir/after.etag" \
+    || { echo "FAIL: re-rendered table1 carries another ETag"; exit 1; }
+expect_entries 3
+echo "    200 $base/tables/table1 re-rendered, same bytes and ETag"
+
 # served_equals_cli PATH ARGS...: the body served at PATH, plus the
 # newline the CLI's print adds, must equal `repro ARGS...`'s stdout.
 served_equals_cli() {
@@ -136,6 +167,14 @@ etag="$(curl -s -D - -o /dev/null "$base/figures/fig3" \
     | tr -d '\r' | sed -n 's/^ETag: //p')"
 [ -n "$etag" ] || { echo "FAIL: no ETag on /figures/fig3"; exit 1; }
 expect_status "$base/figures/fig3" 304 -H "If-None-Match: $etag"
+
+echo "==> a HEAD is a 405 that closes its connection"
+curl -sI "$base/figures/fig3" | tr -d '\r' >"$workdir/head.out"
+grep -q '^HTTP/1.1 405' "$workdir/head.out" \
+    || { echo "FAIL: HEAD is not a 405"; cat "$workdir/head.out"; exit 1; }
+grep -qi '^Connection: close$' "$workdir/head.out" \
+    || { echo "FAIL: the 405 keeps its connection"; cat "$workdir/head.out"; exit 1; }
+echo "    405 HEAD $base/figures/fig3 (Connection: close)"
 
 echo "==> per-packet figures refuse with 404, not wrong numbers"
 expect_status "$base/figures/fig4" 404

@@ -55,7 +55,7 @@ from repro.core.periodicity import (
     frequency_from_intervals,
 )
 from repro.errors import NeedsPacketDetail, StreamError
-from repro.keyed import KeyedTotals, UserTotals, split_app_state
+from repro.keyed import STATE_BASE, KeyedTotals, UserTotals, split_app_state
 from repro.trace.dataset import AppRegistry
 from repro.trace.events import background_state_values
 
@@ -63,7 +63,9 @@ from repro.trace.events import background_state_values
 #: the case-study apps hold connections across several updates).
 DEFAULT_FLOW_GAP = 3600.0
 
-_BG_VALUES = frozenset(int(v) for v in background_state_values())
+#: Background state values in increasing order: an app's background
+#: keys ``app * 256 + state`` in the order a view's dicts iterate them.
+_BG_VALUES = tuple(int(v) for v in background_state_values())
 
 
 def merge_keyed_totals(parts, zero=0.0):
@@ -162,21 +164,27 @@ class UserTotalsView:
 
     def background_energy(self, app_id: int) -> float:
         """Joules of one app in background states, folded in key order."""
-        total = 0.0
-        for k, v in self._app_state.items():
-            app, state = split_app_state(k)
-            if app == app_id and state in _BG_VALUES:
-                total += v
-        return total
+        return _background_sum(self._app_state, app_id, 0.0)
 
     def background_bytes(self, app_id: int) -> int:
         """Bytes of one app in background states (exact integer)."""
-        total = 0
-        for k, v in self._bytes_state.items():
-            app, state = split_app_state(k)
-            if app == app_id and state in _BG_VALUES:
-                total += v
-        return total
+        return _background_sum(self._bytes_state, app_id, 0)
+
+
+def _background_sum(by_key: dict, app_id: int, zero):
+    """Add ``app_id``'s background values onto ``zero`` in key order.
+
+    Looks up only that app's background keys, in increasing state order:
+    the order a full walk of the sorted dict would meet them in, so the
+    float additions are the same.
+    """
+    base = int(app_id) * STATE_BASE
+    total = zero
+    for state in _BG_VALUES:
+        value = by_key.get(base + state)
+        if value is not None:
+            total += value
+    return total
 
 
 @dataclass(frozen=True)

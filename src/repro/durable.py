@@ -7,8 +7,10 @@ complete temp file with one rename (optionally rotating the current
 file to ``<name>.prev`` first), :func:`read_verified` falls back to that
 rotation when the current file fails to parse, and
 :func:`single_flight` elects one runner per ``O_CREAT | O_EXCL`` lock
-file. Nothing is fsynced: the checksums and the ``.prev`` fallback are
-the defence against a torn write.
+file; a winner's release wakes the waiters parked in its own process at
+once, and waiters in other processes notice it on their next poll.
+Nothing is fsynced: the checksums and the ``.prev`` fallback are the
+defence against a torn write.
 """
 
 from __future__ import annotations
@@ -36,8 +38,13 @@ TMP_SUFFIX = ".tmp"
 #: owner; the next waiter (or ``ResultStore.gc``) removes it.
 LOCK_TIMEOUT_S = 30.0
 
-#: How often a parked :func:`single_flight` caller polls ``ready``.
+#: How often a parked :func:`single_flight` caller polls ``ready`` when
+#: no release in its own process wakes it first.
 POLL_INTERVAL_S = 0.02
+
+#: Notified by every :func:`single_flight` winner after it removes its
+#: lock, so waiters parked in this process wake without a poll tick.
+_RELEASED = threading.Condition()
 
 
 def previous_path(path: PathLike) -> Path:
@@ -130,10 +137,12 @@ def single_flight(
     """``run()`` in the one caller that creates ``lock``; the rest wait.
 
     A loser calls ``on_wait()``, then returns the first non-``None``
-    ``ready()`` it polls. Once the lock is gone — released, or older
-    than :data:`LOCK_TIMEOUT_S` and broken — a loser still without a
-    result runs the election again, so a crashed winner costs a second
-    run, never a deadlock. The winner removes the lock however it ends.
+    ``ready()`` it polls: at once when a winner in this process releases
+    its lock, otherwise every :data:`POLL_INTERVAL_S`. Once the lock is
+    gone — released, or older than :data:`LOCK_TIMEOUT_S` and broken —
+    a loser still without a result runs the election again, so a
+    crashed winner costs a second run, never a deadlock. The winner
+    removes the lock however it ends, then wakes this process's losers.
     """
     lock = Path(lock)
     while True:
@@ -152,20 +161,32 @@ def single_flight(
         finally:
             with suppress(OSError):
                 lock.unlink()
+            with _RELEASED:
+                _RELEASED.notify_all()
 
 
 def _park(lock: Path, ready: Callable[[], Optional[T]]) -> Optional[T]:
-    """Poll ``ready`` until it answers or ``lock`` is released or stale."""
+    """Poll ``ready`` until it answers or ``lock`` is released or stale.
+
+    The lock is checked under :data:`_RELEASED`, and the wait releases
+    it, so a release in this process between the check and the wait
+    still wakes this caller.
+    """
     while True:
-        try:
-            age = time.time() - lock.stat().st_mtime
-        except OSError:
+        with _RELEASED:
+            try:
+                age = time.time() - lock.stat().st_mtime
+            except OSError:
+                age = None
+            else:
+                if age <= LOCK_TIMEOUT_S:
+                    _RELEASED.wait(POLL_INTERVAL_S)
+        if age is None:
             return ready()
         if age > LOCK_TIMEOUT_S:
             with suppress(OSError):
                 lock.unlink()
             return ready()
-        time.sleep(POLL_INTERVAL_S)
         found = ready()
         if found is not None:
             return found

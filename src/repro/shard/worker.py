@@ -97,6 +97,7 @@ class _WorkerHandler(HttpResponder, BaseHTTPRequestHandler):
     server_version = "repro-shard-worker"
     protocol_version = "HTTP/1.1"
     not_found_counter = "worker.not_found"
+    allowed_methods = "GET, POST"
 
     # ------------------------------------------------------------------
     # GET: status and checkpoint download
@@ -250,14 +251,6 @@ class _WorkerHandler(HttpResponder, BaseHTTPRequestHandler):
         self._send(
             400, (reason + "\n").encode("utf-8"), "text/plain; charset=utf-8"
         )
-
-    def do_HEAD(self) -> None:  # noqa: N802
-        self.send_response(405)
-        self.send_header("Allow", "GET, POST")
-        self.send_header("Content-Length", "0")
-        self.end_headers()
-
-    do_PUT = do_DELETE = do_HEAD
 
     def log_message(self, format: str, *args) -> None:
         if not getattr(self.server, "quiet", False):

@@ -4,9 +4,12 @@ A single SQLite file (``<store>/index.sqlite``, stdlib :mod:`sqlite3`)
 maps key digests to blob metadata: the key's four components verbatim
 (so entries can be listed and invalidated by fingerprint or analysis
 without re-deriving anything), the ETag, the blob kind, its content
-checksum and size. SQLite provides the cross-process locking; every
-operation opens a short-lived connection, so N serving threads and a
-concurrent CLI never share a handle.
+checksum and size. SQLite provides the cross-process locking. Each
+operation borrows a connection from a per-process free list that no
+other thread holds while it is lent, and returns it once the
+operation's transaction has committed or rolled back; reads stay
+autocommit SELECTs, so every read sees what other processes
+committed before it began.
 
 :class:`ResultStore` is what everything above this layer talks to —
 the CLI's ``--store`` flag, ``repro serve``, ``repro store ls|gc|
@@ -20,9 +23,10 @@ invalidate`` and the benchmarks. Its contract:
 * :meth:`ResultStore.get_or_render` — **single-flight** compute on
   miss: concurrent clients racing on the same cold key elect one
   winner (:func:`repro.durable.single_flight`); the winner renders
-  and publishes, the others poll the index and return the published
-  entry without computing. A winner that dies leaves a stale lock;
-  waiters then break it and take over, so a crash degrades to
+  and publishes, the others wait on the index (woken by the winner's
+  release in its own process, polling otherwise) and return the
+  published entry without computing. A winner that dies leaves a stale
+  lock; waiters then break it and take over, so a crash degrades to
   compute-twice (last write wins, both writes byte-identical), never
   to a deadlock.
 * Invalidation is key-based: any change to the packets (fingerprint),
@@ -38,12 +42,13 @@ counters, ``store.lookup`` / ``store.render`` stages, and
 
 from __future__ import annotations
 
+import os
 import sqlite3
 import time
-from contextlib import closing
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.readout import sequential_sum
 from repro.durable import (
@@ -110,23 +115,57 @@ class StoredResult:
         return self.data.decode("utf-8")
 
 
+#: Free lists a forked child inherited: held so the child neither lends
+#: nor closes its parent's connections.
+_INHERITED: List[List[sqlite3.Connection]] = []
+
+
 class StoreIndex:
-    """The SQLite key → blob-metadata map (one short connection per op)."""
+    """The SQLite key → blob-metadata map over pooled connections.
+
+    Each operation borrows one connection from the free list (opening
+    one when the list is empty) and returns it after its ``with conn:``
+    commits or rolls back; a connection whose operation raised is
+    closed instead. The list therefore never holds more connections
+    than operations ran at once. A forked child starts with an empty
+    list.
+    """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        with closing(self._connect()) as conn, conn:
+        self._pid = os.getpid()
+        self._free: List[sqlite3.Connection] = []
+        with self._connection() as conn:
             conn.executescript(_SCHEMA)
 
-    def _connect(self) -> sqlite3.Connection:
-        # ``timeout`` is SQLite's busy handler: wait up to 10 s for a lock.
-        return sqlite3.connect(self.path, timeout=10.0)
+    @contextmanager
+    def _connection(self) -> Iterator[sqlite3.Connection]:
+        """Lend a connection for one operation's transaction."""
+        if self._pid != os.getpid():
+            _INHERITED.append(self._free)
+            self._free = []
+            self._pid = os.getpid()
+        try:
+            conn = self._free.pop()
+        except IndexError:
+            # ``timeout`` is SQLite's busy handler: wait up to 10 s for a
+            # lock. The list lends a connection to one thread at a time.
+            conn = sqlite3.connect(
+                self.path, timeout=10.0, check_same_thread=False
+            )
+        try:
+            with conn:
+                yield conn
+        except BaseException:
+            conn.close()
+            raise
+        self._free.append(conn)
 
     def put(
         self, key: StoreKey, etag: str, kind: str, checksum: str, nbytes: int
     ) -> None:
         """Insert or replace the row for ``key``."""
-        with closing(self._connect()) as conn, conn:
+        with self._connection() as conn:
             conn.execute(
                 "INSERT OR REPLACE INTO entries (digest, fingerprint, model,"
                 " policy, analysis, etag, kind, checksum, nbytes, created_at)"
@@ -147,7 +186,7 @@ class StoreIndex:
 
     def lookup(self, digest: str) -> Optional[IndexEntry]:
         """The row named ``digest``, or ``None``."""
-        with closing(self._connect()) as conn, conn:
+        with self._connection() as conn:
             row = conn.execute(
                 "SELECT digest, fingerprint, model, policy, analysis, etag,"
                 " kind, checksum, nbytes, created_at FROM entries"
@@ -158,7 +197,7 @@ class StoreIndex:
 
     def entries(self) -> List[IndexEntry]:
         """Every row, newest first."""
-        with closing(self._connect()) as conn, conn:
+        with self._connection() as conn:
             rows = conn.execute(
                 "SELECT digest, fingerprint, model, policy, analysis, etag,"
                 " kind, checksum, nbytes, created_at FROM entries"
@@ -170,7 +209,7 @@ class StoreIndex:
         """Remove the named rows; returns how many existed."""
         if not digests:
             return 0
-        with closing(self._connect()) as conn, conn:
+        with self._connection() as conn:
             cursor = conn.execute(
                 "DELETE FROM entries WHERE digest IN ("
                 + ",".join("?" * len(digests))

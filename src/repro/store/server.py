@@ -195,20 +195,28 @@ class HttpResponder:
     response carries an explicit ``Content-Length`` and ``Connection:
     close``, and artefact responses may carry a strong ETag with
     ``must-revalidate`` caching. 404s count under
-    :attr:`not_found_counter` on ``self.server.metrics``.
+    :attr:`not_found_counter` on ``self.server.metrics``. A method no
+    route takes is a ``405`` naming :attr:`allowed_methods`.
     """
 
     #: Metrics counter charged by :meth:`_send_not_found`; the shard
     #: worker overrides this with its ``transport.*`` name.
     not_found_counter = "serve.not_found"
 
-    def _send(self, status: int, body: bytes, content_type: str, etag=None):
+    #: The ``Allow`` header of a 405; the shard worker adds POST.
+    allowed_methods = "GET"
+
+    def _send(
+        self, status: int, body: bytes, content_type: str, etag=None, allow=None
+    ):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if etag is not None:
             self.send_header("ETag", etag)
             self.send_header("Cache-Control", "max-age=0, must-revalidate")
+        if allow is not None:
+            self.send_header("Allow", allow)
         self.send_header("Connection", "close")
         self.close_connection = True
         self.end_headers()
@@ -226,6 +234,13 @@ class HttpResponder:
         self._send(
             404, (reason + "\n").encode("utf-8"), "text/plain; charset=utf-8"
         )
+
+    def do_HEAD(self) -> None:  # noqa: N802 (http.server API)
+        self._send(
+            405, b"", "text/plain; charset=utf-8", allow=self.allowed_methods
+        )
+
+    do_POST = do_PUT = do_DELETE = do_HEAD
 
 
 class _Handler(HttpResponder, BaseHTTPRequestHandler):
@@ -373,14 +388,6 @@ class _Handler(HttpResponder, BaseHTTPRequestHandler):
             )
             return
         self._send(200, result.data, media_type(result.kind), etag=etag)
-
-    def do_HEAD(self) -> None:  # noqa: N802
-        self.send_response(405)
-        self.send_header("Allow", "GET")
-        self.send_header("Content-Length", "0")
-        self.end_headers()
-
-    do_POST = do_PUT = do_DELETE = do_HEAD
 
     def log_message(self, format: str, *args) -> None:
         if not getattr(self.server, "quiet", False):

@@ -4,7 +4,8 @@ Callers' suites cover the common paths — checkpoint fallback in
 ``test_stream.py``, blob rotation and single-flight renders in
 ``test_store.py``, torn writes in the chaos suite. This file pins what
 none of them reaches: concurrent writers of one path, a rotation whose
-current file vanished, both generations bad, and an abandoned lock.
+current file vanished, both generations bad, an abandoned lock, and a
+waiter woken by a release in its own process.
 """
 
 import os
@@ -15,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import faults
+from repro import durable, faults
 from repro.durable import (
     LOCK_TIMEOUT_S,
     TMP_SUFFIX,
@@ -200,4 +201,81 @@ def test_single_flight_releases_the_lock_when_run_fails(tmp_path):
 
     with pytest.raises(RuntimeError):
         single_flight(lock, boom, lambda: None)
+    assert not lock.exists()
+
+
+def _park_behind(lock, winner_run, loser_run, ready):
+    """Run ``winner_run`` as the single-flight winner in a thread, and
+    once it holds ``lock`` run a loser here; returns the loser's result
+    and how long the loser took."""
+    holding = threading.Event()
+    outcome = []
+
+    def winner():
+        def run():
+            holding.set()
+            return winner_run()
+
+        try:
+            outcome.append(single_flight(lock, run, ready))
+        except RuntimeError as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=winner)
+    thread.start()
+    assert holding.wait(timeout=10)
+    started = time.perf_counter()
+    result = single_flight(lock, loser_run, ready)
+    took = time.perf_counter() - started
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    return result, took, outcome
+
+
+def test_single_flight_release_wakes_a_waiter_in_this_process(
+    tmp_path, monkeypatch
+):
+    """A winner's release wakes its process's waiters at once: with the
+    poll interval at 30 s, the waiter still returns the winner's result
+    right after the winner's 0.1 s run."""
+    monkeypatch.setattr(durable, "POLL_INTERVAL_S", 30.0)
+    published = []
+
+    def winner_run():
+        time.sleep(0.1)
+        published.append("result")
+        return "result"
+
+    def must_not_run():
+        raise AssertionError("the loser ran the work too")
+
+    result, took, outcome = _park_behind(
+        tmp_path / "key.lock",
+        winner_run,
+        must_not_run,
+        lambda: published[0] if published else None,
+    )
+    assert result == "result"
+    assert outcome == ["result"]
+    assert took < 5.0
+
+
+def test_single_flight_waiter_reruns_promptly_after_a_failed_winner(
+    tmp_path, monkeypatch
+):
+    """A winner that raises still wakes its waiters; one re-elects and
+    runs without waiting out a poll tick."""
+    monkeypatch.setattr(durable, "POLL_INTERVAL_S", 30.0)
+    lock = tmp_path / "key.lock"
+
+    def winner_run():
+        time.sleep(0.1)
+        raise RuntimeError("renderer died")
+
+    result, took, outcome = _park_behind(
+        lock, winner_run, lambda: "rerun", lambda: None
+    )
+    assert result == "rerun"
+    assert isinstance(outcome[0], RuntimeError)
+    assert took < 5.0
     assert not lock.exists()

@@ -20,6 +20,7 @@ from repro.core.readout import (
     EnergyReadout,
     KeyedTotals,
     TotalsReadout,
+    UserTotalsView,
     readout_from_checkpoint,
     require_packet_detail,
     sequential_sum,
@@ -38,6 +39,8 @@ from repro.shard import (
 )
 from repro.store.render import readout_payload, render_analysis
 from repro.stream import NpzStreamSource, StreamIngestor
+from repro.keyed import split_app_state
+from repro.trace.events import background_state_values
 
 CASE_APP = "com.sec.spp.push"
 
@@ -186,6 +189,64 @@ def test_user_totals_exact(readouts):
                 app_id
             )
             assert got.background_bytes(app_id) == want.background_bytes(app_id)
+
+
+_BG_STATES = frozenset(int(v) for v in background_state_values())
+
+
+def _walked_background(by_key, app_id, zero):
+    """Table 1's background sum as it once was: split every (app, state)
+    key of the user and keep one app's background states."""
+    total = zero
+    for key, value in by_key.items():
+        app, state = split_app_state(key)
+        if app == app_id and state in _BG_STATES:
+            total += value
+    return total
+
+
+def test_background_sums_equal_the_key_walk(readouts):
+    """Looking up an app's background keys adds the same values in the
+    same order as walking every key: each path's dicts iterate in
+    sorted key order, which puts one app's states in increasing order."""
+    study = readouts[0]
+    app_ids = [app.app_id for app in study.registry]
+    app_ids.append(max(app_ids) + 1)  # an app the study never saw
+    for source in readouts:
+        for uid in study.user_ids:
+            view = source.user_totals(uid)
+            for by_key in (view._energy, view._app_state, view._bytes_state):
+                assert list(by_key) == sorted(by_key)
+            for app_id in app_ids:
+                assert view.background_energy(app_id) == _walked_background(
+                    view._app_state, app_id, 0.0
+                )
+                assert view.background_bytes(app_id) == _walked_background(
+                    view._bytes_state, app_id, 0
+                )
+
+
+def test_background_sums_add_in_state_order():
+    """Float addition is not associative: these values sum to 0.0 in
+    increasing state order and to 1.0 in any order that adds the two
+    large ones first. Other apps' keys and foreground states are
+    skipped."""
+    states = sorted(_BG_STATES)
+    app_state = {
+        7 * 256 + 0: 5.0,  # foreground
+        7 * 256 + states[0]: 1.0,
+        7 * 256 + states[1]: 1e16,
+        7 * 256 + states[2]: -1e16,
+        8 * 256 + states[0]: 3.0,
+    }
+    bytes_state = {key: int(abs(value)) for key, value in app_state.items()}
+    view = UserTotalsView(0, {7: 0.0, 8: 3.0}, app_state, bytes_state, 0.0)
+    assert view.background_energy(7) == 0.0
+    assert view.background_energy(7) == _walked_background(app_state, 7, 0.0)
+    assert view.background_energy(8) == 3.0
+    assert view.background_energy(9) == 0.0
+    assert view.background_bytes(7) == 1 + 2 * 10**16
+    assert view.background_bytes(9) == 0
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The `repro serve` HTTP API: status codes, ETags, store behaviour."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -12,6 +13,7 @@ from repro.cli import main
 from repro.core.readout import readout_from_checkpoint
 from repro.errors import AnalysisError
 from repro.follow import Follower, TailCsvSource, WindowSpec
+from repro.shard.worker import make_worker_server
 from repro.store import ResultStore, make_server
 from repro.store.server import (
     LIVE_MANIFEST_NAME,
@@ -273,6 +275,58 @@ def test_non_get_methods_are_405(served):
     assert caught.value.code == 405
 
 
+def keep_alive_request(address, method, path):
+    """Send one HTTP/1.1 request that asks to keep the connection open.
+
+    Returns the open socket and everything the server sent before it
+    closed its end; a server that keeps the connection fails the read
+    with a timeout.
+    """
+    sock = socket.create_connection(address[:2], timeout=10)
+    try:
+        sock.sendall(
+            f"{method} {path} HTTP/1.1\r\nHost: x\r\n"
+            "Connection: keep-alive\r\nContent-Length: 0\r\n\r\n".encode()
+        )
+        received = b""
+        while True:
+            piece = sock.recv(65536)
+            if not piece:
+                return sock, received.decode("latin-1")
+            received += piece
+    except BaseException:
+        sock.close()  # lets a server that kept the connection shut down
+        raise
+
+
+def assert_closing_405(address, method, allow):
+    sock, response = keep_alive_request(address, method, "/")
+    sock.close()
+    head = response.split("\r\n")
+    assert head[0].startswith("HTTP/1.1 405"), response
+    assert "Connection: close" in head
+    assert f"Allow: {allow}" in head
+    assert "Content-Length: 0" in head
+
+
+def test_a_405_closes_its_connection(served):
+    _, server, _ = served
+    for method in ("HEAD", "POST", "PUT", "DELETE"):
+        assert_closing_405(server.server_address, method, "GET")
+
+
+def test_a_shard_workers_405_closes_its_connection(tmp_path):
+    server = make_worker_server(tmp_path / "worker", quiet=True)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        for method in ("HEAD", "PUT", "DELETE"):
+            assert_closing_405(server.server_address, method, "GET, POST")
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_second_request_is_a_store_hit(served):
     base, _, store = served
     fetch(base + "/tables/table1")
@@ -518,4 +572,57 @@ def test_serve_cli_bounded_run(tmp_path, capsys):
     assert status == 304
     thread.join(timeout=30)
     assert not thread.is_alive()
+    assert codes == [0]
+
+
+def test_serve_cli_bounded_run_exits_after_a_keep_alive_405(dataset, tmp_path):
+    """`repro serve --max-requests 1` exits once it has answered a 405,
+    though the client still holds its end of the connection open."""
+    study_file = tmp_path / "study.npz"
+    dataset.save(study_file)
+    banner = {}
+    ready = threading.Event()
+    codes = []
+
+    class Capture:
+        def write(self, text):
+            if text.startswith("serving study"):
+                banner["line"] = text
+                ready.set()
+            return len(text)
+
+        def flush(self):
+            pass
+
+    def serve():
+        import contextlib
+
+        with contextlib.redirect_stdout(Capture()):
+            codes.append(
+                main(
+                    [
+                        "serve",
+                        "--dataset",
+                        str(study_file),
+                        "--store",
+                        str(tmp_path / "store"),
+                        "--quiet",
+                        "--max-requests",
+                        "1",
+                    ]
+                )
+            )
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    assert ready.wait(timeout=30), "serve never printed its banner"
+    host, port = banner["line"].split(" on http://")[1].split(" ")[0].split(":")
+    sock, response = keep_alive_request((host, int(port)), "HEAD", "/")
+    try:
+        assert response.startswith("HTTP/1.1 405")
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "serve waited for the client to close"
+    finally:
+        sock.close()
+        thread.join(timeout=30)
     assert codes == [0]

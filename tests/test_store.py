@@ -1,11 +1,19 @@
-"""The persistent results store: keys, durability, single-flight, CLI."""
+"""The persistent results store: keys, durability, single-flight,
+pooled index connections, CLI."""
 
+import multiprocessing
+import os
+import random
 import sqlite3
+import subprocess
+import sys
 import threading
-from contextlib import closing
+from contextlib import closing, contextmanager
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import RunMetrics, StudyConfig, StudyEnergy, generate_study
 from repro.cli import EXIT_STORE_MISS, main
 from repro.core.readout import readout_from_checkpoint
@@ -20,6 +28,7 @@ from repro.store import (
     render_analysis,
     store_key_for,
 )
+from repro.store.index import StoreIndex
 from repro.store.render import ANALYSIS_KINDS
 
 SMALL = StudyConfig(n_users=2, duration_days=4.0, seed=11)
@@ -212,6 +221,169 @@ def test_render_failure_releases_the_lock(store, study):
     ok = store.get_or_render(key, lambda: b"recovered")
     assert ok.data == b"recovered"
     assert not list((store.directory / "locks").glob("*.lock"))
+
+
+# ----------------------------------------------------------------------
+# Pooled index connections
+# ----------------------------------------------------------------------
+def _run_in_subprocess(*args):
+    """Run a Python command line in another process against ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_pooled_read_sees_another_processs_invalidate(store, study):
+    key = store_key_for(study, "fig1")
+    store.put(key, b"fig1 bytes")
+    assert store.get(key) is not None
+    assert len(store.index._free) == 1  # the read's connection is pooled
+    out = _run_in_subprocess(
+        "-m", "repro.cli", "store", "--store", str(store.directory),
+        "invalidate", "--analysis", "fig1",
+    )
+    assert "invalidated 1 entry" in out
+    assert store.get(key) is None
+
+
+def test_pooled_read_sees_another_processs_put(store):
+    key = StoreKey("f" * 64, "model", "policy", "fig2")
+    assert store.get(key) is None
+    assert len(store.index._free) == 1
+    _run_in_subprocess(
+        "-c",
+        "import sys; from repro.store import ResultStore, StoreKey; "
+        "ResultStore(sys.argv[1]).put("
+        "StoreKey('f' * 64, 'model', 'policy', 'fig2'), b'from elsewhere')",
+        str(store.directory),
+    )
+    got = store.get(key)
+    assert got is not None and got.data == b"from elsewhere"
+
+
+def test_pooled_reads_leave_no_lock_behind(store):
+    """A returned connection holds no SQLite lock: another process's
+    writer takes the exclusive lock at once, without a busy wait."""
+    key = StoreKey("e" * 64, "model", "policy", "fig3")
+    store.put(key, b"x")
+    assert store.get(key) is not None
+    store.entries()
+    path = store.directory / "index.sqlite"
+    with closing(sqlite3.connect(path, timeout=0, isolation_level=None)) as conn:
+        conn.execute("BEGIN EXCLUSIVE")
+        conn.execute("DELETE FROM entries")
+        conn.execute("COMMIT")
+    assert store.get(key) is None
+
+
+def test_threads_share_the_pool(store, monkeypatch):
+    """Threads running mixed get/put/invalidate on one store never fail
+    and only ever read the bytes that were put, and the free list never
+    holds more connections than operations ran at once."""
+    lent = {"now": 0, "peak": 0}
+    opened = []
+    counter = threading.Lock()
+    pooled = StoreIndex._connection
+    connect = sqlite3.connect
+
+    @contextmanager
+    def counted(self):
+        with counter:
+            lent["now"] += 1
+            lent["peak"] = max(lent["peak"], lent["now"])
+        try:
+            with pooled(self) as conn:
+                yield conn
+        finally:
+            with counter:
+                lent["now"] -= 1
+
+    def counted_connect(*args, **kwargs):
+        opened.append(1)
+        return connect(*args, **kwargs)
+
+    monkeypatch.setattr(StoreIndex, "_connection", counted)
+    monkeypatch.setattr(sqlite3, "connect", counted_connect)
+    pooled_before = len(store.index._free)  # the schema's connection
+    names = ("fig1", "fig2", "fig3", "headlines")
+    keys = {name: StoreKey("d" * 64, "model", "policy", name) for name in names}
+    payloads = {name: name.encode("utf-8") * 100 for name in names}
+    barrier = threading.Barrier(8)
+    errors = []
+    wrong = []
+
+    def client(seed):
+        rng = random.Random(seed)
+        barrier.wait()
+        try:
+            for _ in range(60):
+                name = rng.choice(names)
+                roll = rng.random()
+                if roll < 0.6:
+                    got = store.get(keys[name])
+                    if got is not None and got.data != payloads[name]:
+                        wrong.append(name)
+                elif roll < 0.9:
+                    store.put(keys[name], payloads[name])
+                else:
+                    store.invalidate(analysis=name)
+        except Exception as exc:  # noqa: BLE001 (reported below)
+            errors.append(exc)
+
+    threads = [threading.Thread(target=client, args=(i,)) for i in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == [] and wrong == []
+    assert store.metrics.counter("store.hits") > 0
+    assert len(store.index._free) == pooled_before + len(opened)
+    assert len(store.index._free) <= lent["peak"] <= 8
+
+
+def test_a_connection_whose_operation_raised_is_not_lent_again(store):
+    key = StoreKey("c" * 64, "model", "policy", "fig1")
+    assert store.get(key) is None
+    (conn,) = store.index._free
+    with pytest.raises(sqlite3.IntegrityError):
+        store.index.put(key, None, "text", "checksum", 1)  # etag NOT NULL
+    assert store.index._free == []
+    with pytest.raises(sqlite3.ProgrammingError):
+        conn.execute("SELECT 1")  # closed
+    store.put(key, b"after the failure")
+    assert store.get(key).data == b"after the failure"
+    assert len(store.index._free) == 1 and store.index._free[0] is not conn
+
+
+def _read_in_child(store, key, pipe):
+    found = store.get(key)
+    store.put(StoreKey("b" * 64, "model", "policy", "fig2"), b"from the child")
+    pipe.send((found.data, [id(conn) for conn in store.index._free]))
+
+
+def test_a_forked_child_opens_its_own_connection(store):
+    """A fork-context child neither lends nor closes the connections it
+    inherited; the parent's pooled connection works after it exits."""
+    key = StoreKey("a" * 64, "model", "policy", "fig1")
+    store.put(key, b"from the parent")
+    assert store.get(key) is not None
+    inherited = [id(conn) for conn in store.index._free]
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_read_in_child, args=(store, key, send))
+    child.start()
+    data, child_pool = receive.recv()
+    child.join(timeout=30)
+    assert child.exitcode == 0
+    assert data == b"from the parent"
+    assert len(child_pool) == 1 and not set(child_pool) & set(inherited)
+    assert [id(conn) for conn in store.index._free] == inherited
+    assert store.get(key).data == b"from the parent"
+    got = store.get(StoreKey("b" * 64, "model", "policy", "fig2"))
+    assert got is not None and got.data == b"from the child"
 
 
 # ----------------------------------------------------------------------
